@@ -379,7 +379,7 @@ SCENARIOS: Dict[str, Scenario] = {
             name="cluster-xl",
             description="the structure-of-arrays stress scale: 2000 "
             "machines, 1600 jobs of bursty Facebook-style arrivals — "
-            "rounds where the per-machine prefilter and the flat state "
+            "rounds where the placeability skip and the flat state "
             "plane are the difference between linear and quadratic work",
             quick=False,
             trace_config=FacebookTraceConfig(

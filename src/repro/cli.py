@@ -621,8 +621,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def _print_cache_effectiveness(metrics_path: str) -> None:
     """Summarize the incremental-core counters from a metrics exposition
     file (the ``metrics.prom`` a ``repro trace`` run writes): candidate
-    pack-cache hit rate, invalidations by scope, live signature groups,
-    and the fluid model's sparse-recompute footprint."""
+    pack-cache hit rate, invalidations by scope, machine visits by
+    outcome (the placeability skip), live signature groups, and the
+    fluid model's sparse-recompute footprint."""
     from repro.obs import parse_exposition
 
     with open(metrics_path, encoding="utf-8") as f:
@@ -641,6 +642,17 @@ def _print_cache_effectiveness(metrics_path: str) -> None:
     ):
         scope = key.split("=", 1)[1] if "=" in key else key or "all"
         print(f"  invalidations:   {count:.0f} ({scope})")
+    visits = metrics.get("repro_tetris_machine_visits_total", {})
+    considered = sum(visits.values())
+    if considered:
+        skipped = visits.get("outcome=skipped", 0.0)
+        productive = visits.get("outcome=productive", 0.0)
+        print(
+            f"  machine visits:  {considered:.0f} considered, "
+            f"{considered - skipped:.0f} visited "
+            f"({skipped / considered:.1%} skipped as unplaceable), "
+            f"{productive:.0f} productive"
+        )
     groups = metrics.get("repro_tetris_signature_groups", {}).get("")
     if groups is not None:
         print(f"  live groups:     {groups:.0f} (at end of run)")

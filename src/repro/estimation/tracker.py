@@ -16,7 +16,9 @@ decays linearly over ``ramp_seconds`` (the paper uses 10 s).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, TYPE_CHECKING, Tuple
+from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
+
+import numpy as np
 
 from repro.resources import ResourceVector
 
@@ -39,14 +41,36 @@ class TrackerConfig:
 
 
 class ResourceTracker:
-    """Cluster-wide aggregation of per-node usage reports."""
+    """Cluster-wide aggregation of per-node usage reports.
+
+    The scheduler-facing view is one ``(machines, dims)`` availability
+    plane (:meth:`available_matrix`), maintained like
+    ``ClusterState.free_clamped_matrix``: a change of input flags the
+    rows it touches — ``report`` all of them, ``note_placement`` /
+    ``note_completion`` their machine's, an allocation (seen through
+    ``ClusterState.alloc_gen``) those whose rigid floor moved — and the
+    next read refreshes exactly the flagged rows.  Nothing moves inside
+    a scheduling round, so the plane is built at most once per round.
+    """
 
     def __init__(self, cluster: "Cluster", config: Optional[TrackerConfig] = None):
         self.cluster = cluster
         self.config = config if config is not None else TrackerConfig()
         self.last_report_time: float = 0.0
-        #: (task_id, machine_id) -> (placement time, booked demands)
+        #: task_id -> (placement time, machine_id, booked demands)
         self._placements: Dict[int, Tuple[float, int, ResourceVector]] = {}
+        #: the same records grouped by machine, each group in placement
+        #: order (the order the ramp allowance is summed in)
+        self._by_machine: List[Dict[int, tuple]] = [
+            {} for _ in range(cluster.num_machines)
+        ]
+        state = cluster.state
+        self._rigid_dims = np.flatnonzero(cluster.model.rigid_mask)
+        self._plane = np.empty_like(state.capacity)
+        self._dirty = np.ones(state.num_machines, dtype=bool)
+        self._any_dirty = True
+        self._alloc_gen = state.alloc_gen
+        self._rigid_seen = state.allocated[:, self._rigid_dims]
         #: optional metrics (set by use_metrics); None costs nothing
         self._m_reports = None
         self._m_tracked = None
@@ -66,10 +90,23 @@ class ResourceTracker:
     def note_placement(
         self, task: "Task", machine_id: int, booked: ResourceVector, time: float
     ) -> None:
-        self._placements[task.task_id] = (time, machine_id, booked)
+        if task.task_id in self._placements:
+            # a re-placement counts from now: retire the old record so
+            # both orders stay the order of the latest placements
+            self.note_completion(task)
+        record = (time, machine_id, booked)
+        self._placements[task.task_id] = record
+        self._by_machine[machine_id][task.task_id] = record
+        self._dirty[machine_id] = True
+        self._any_dirty = True
 
     def note_completion(self, task: "Task") -> None:
-        self._placements.pop(task.task_id, None)
+        record = self._placements.pop(task.task_id, None)
+        if record is not None:
+            machine_id = record[1]
+            del self._by_machine[machine_id][task.task_id]
+            self._dirty[machine_id] = True
+            self._any_dirty = True
 
     def report(self, time: float, flows: "FlowTable") -> None:
         """Refresh every machine's ``observed_usage`` from ground truth.
@@ -95,21 +132,80 @@ class ResourceTracker:
         observed[:, rigid] = state.allocated[:, rigid]
         for k, name in enumerate(fluid_names):
             observed[:, model.index[name]] = throughput[:, k]
+        self._dirty[:] = True
+        self._any_dirty = True
 
     # -- scheduler-facing view ---------------------------------------------------
-    def ramp_allowance(self, machine: "Machine", time: float) -> ResourceVector:
-        """Usage headroom still owed to freshly-placed tasks."""
-        allowance = ResourceVector.zeros_like(machine.capacity)
+    def _ramp_rows(self, machine_ids, time: float) -> np.ndarray:
+        """Usage headroom still owed to freshly-placed tasks, one row
+        per entry of ``machine_ids``: each live placement younger than
+        ``ramp_seconds`` contributes ``booked * (1 - age / ramp)``,
+        summed in placement order."""
+        out = np.zeros((len(machine_ids), self.cluster.model.dims))
         ramp = self.config.ramp_seconds
         if ramp <= 0:
-            return allowance
-        for placed_time, machine_id, booked in self._placements.values():
-            if machine_id != machine.machine_id:
-                continue
-            age = time - placed_time
-            if age < ramp:
-                allowance.add_inplace(booked * (1.0 - age / ramp))
-        return allowance
+            return out
+        by_machine = self._by_machine
+        for k, machine_id in enumerate(machine_ids):
+            placed = by_machine[machine_id]
+            if placed:
+                row = out[k]
+                for placed_time, _, booked in placed.values():
+                    age = time - placed_time
+                    if age < ramp:
+                        row += booked.data * (1.0 - age / ramp)
+        return out
+
+    def _available_rows(self, machine_ids, time: float) -> np.ndarray:
+        """The availability formula — its one implementation: rows of
+        ``max(capacity - used, 0)`` with ``used = observed + ramp
+        allowance``, floored by ``allocated`` on rigid dimensions."""
+        state = self.cluster.state
+        used = state.observed[machine_ids] + self._ramp_rows(machine_ids, time)
+        rigid = self._rigid_dims
+        used[:, rigid] = np.maximum(
+            used[:, rigid], state.allocated[machine_ids][:, rigid]
+        )
+        free = state.capacity[machine_ids] - used
+        np.maximum(free, 0.0, out=free)
+        return free
+
+    def available_matrix(self) -> np.ndarray:
+        """The ``(machines, dims)`` availability plane at
+        ``last_report_time``, freshly reconciled: row ``m`` is what
+        ``available(machine m)`` returns.  Shared storage — callers must
+        not mutate it.
+
+        Known fidelity question (pinned by a test, left for a later PR):
+        the ramp allowance is evaluated at the *last report*, not at the
+        scheduling instant, so a placement made after that report has a
+        negative age and is charged more than its booking (factor > 1)
+        until the next report.
+        """
+        state = self.cluster.state
+        if state.alloc_gen != self._alloc_gen:
+            self._alloc_gen = state.alloc_gen
+            rigid = state.allocated[:, self._rigid_dims]
+            moved = (rigid != self._rigid_seen).any(axis=1)
+            self._rigid_seen = rigid
+            if moved.any():
+                self._dirty |= moved
+                self._any_dirty = True
+        if self._any_dirty:
+            rows = np.flatnonzero(self._dirty)
+            self._plane[rows] = self._available_rows(
+                rows.tolist(), self.last_report_time
+            )
+            self._dirty[rows] = False
+            self._any_dirty = False
+        return self._plane
+
+    def ramp_allowance(self, machine: "Machine", time: float) -> ResourceVector:
+        """Usage headroom still owed to freshly-placed tasks."""
+        return ResourceVector(
+            machine.capacity.model,
+            self._ramp_rows([machine.machine_id], time)[0],
+        )
 
     def available(
         self, machine: "Machine", time: Optional[float] = None
@@ -125,15 +221,13 @@ class ResourceTracker:
         resources and allocates them to new tasks") and charges for load
         the scheduler never booked (ingestion, misbehaving tasks:
         observed > booked — the Figure 6 mechanism).
+
+        At ``last_report_time`` (the default) this is a row of
+        :meth:`available_matrix`; any other ``time`` evaluates the same
+        formula for the one machine.
         """
-        if time is None:
-            time = self.last_report_time
-        model = machine.capacity.model
-        used = machine.observed_usage + self.ramp_allowance(machine, time)
-        for name, fluid in zip(model.names, model.fluid_mask):
-            if not fluid:
-                used.set(
-                    name,
-                    max(used.get(name), machine.allocated.get(name)),
-                )
-        return (machine.capacity - used).clamp_nonnegative()
+        if time is None or time == self.last_report_time:
+            row = self.available_matrix()[machine.machine_id].copy()
+        else:
+            row = self._available_rows([machine.machine_id], time)[0]
+        return ResourceVector(machine.capacity.model, row)

@@ -326,19 +326,26 @@ class Scheduler(abc.ABC):
             return []
         return ids[np.lexsort((ids, counts[ids]))].tolist()
 
-    def machine_free(self, machine_id: int) -> ResourceVector:
-        """The free vector this scheduler plans against.
+    def _free_matrix(self) -> np.ndarray:
+        """The ``(machines, dims)`` free matrix this scheduler plans
+        against (shared storage, read-only).
 
-        With a tracker bound, its report (which folds in observed usage
-        from mis-estimates and non-job activity) replaces the naive
-        booked-allocation view.  Pending commit adjustments (federation
-        retry passes) are subtracted last, whichever view applies.
+        With a tracker bound, its availability plane (which folds in
+        observed usage from mis-estimates and non-job activity) replaces
+        the naive booked-allocation view.
         """
-        machine = self.cluster.machine(machine_id)
         if self.tracker is not None:
-            free = self.tracker.available(machine)
-        else:
-            free = machine.free_clamped()
+            return self.tracker.available_matrix()
+        return self.cluster.state.free_clamped_matrix()
+
+    def machine_free(self, machine_id: int) -> ResourceVector:
+        """The free vector this scheduler plans against: a caller-owned
+        copy of the machine's :meth:`_free_matrix` row.  Pending commit
+        adjustments (federation retry passes) are subtracted last.
+        """
+        free = ResourceVector(
+            self.cluster.model, self._free_matrix()[machine_id].copy()
+        )
         if self._free_adjust:
             pending = self._free_adjust.get(machine_id)
             if pending is not None:

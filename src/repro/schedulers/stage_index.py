@@ -70,8 +70,12 @@ class StageIndex:
         self._claimed.add(task.task_id)
 
     def forget(self, task: Task) -> None:
-        """Drop bookkeeping for a finished task."""
+        """Drop bookkeeping for a finished task — and, once its stage
+        has drained, the stage's entry (a finished stage can never hold
+        a candidate again)."""
         self._claimed.discard(task.task_id)
+        if task.stage.is_finished():
+            self._entries.pop(task.stage.stage_id, None)
 
     def reset_claims(self) -> None:
         """Release every tentative claim (benchmark/repro harness hook)."""
@@ -86,7 +90,7 @@ class StageIndex:
         ran.  Dropping any stale occurrence before appending makes the
         task's comeback position canonical — candidate order after a
         failure is then independent of lookup (visit) history, which is
-        what lets the round-level machine prefilter skip fruitless
+        what lets the round-level placeability skip drop fruitless
         visits without perturbing placements.  Failures are rare, so the
         O(queue) removal is off any hot path.
         """

@@ -257,19 +257,10 @@ class TetrisScheduler(Scheduler):
             if type(self.scorer) is CosineAlignment
             else None
         )
-        #: per-stage machine-independent demand lower bounds feeding the
-        #: round-level machine prefilter (trace off, no tracker): a
-        #: machine whose free vector cannot cover any stage's lower
-        #: bound provably yields zero placements and is skipped
-        self._stage_lb: Dict[int, np.ndarray] = {}
-        #: tighter per-stage bounds for machines with no input replica
-        #: (all-remote placement pattern: netin kept, diskr/netout zero)
-        self._stage_lb_remote: Dict[int, np.ndarray] = {}
         #: per-stage boolean machine masks: True where the stage has a
-        #: locality pool (an input replica), i.e. where only the weaker
-        #: bound is sound
+        #: locality pool (an input replica), i.e. where the machine's
+        #: view deviates from the shared no-locality view
         self._stage_local: Dict[int, np.ndarray] = {}
-        self._min_capacity: Optional[np.ndarray] = None
         self._i_netout: Optional[int] = None
         self._i_diskr: Optional[int] = None
         #: grant-independent remote-transfer plans:
@@ -295,13 +286,21 @@ class TetrisScheduler(Scheduler):
         #: which the shared view is (re)built; -1 when every machine has
         #: one
         self._round_proxy = -1
-        #: round-level machine prefilter opt-out.  Harnesses that replay
-        #: the same backlog with ``index.reset_claims()`` (the packing
-        #: benchmarks) revive claimed tasks, whose queue positions then
-        #: depend on lazy-pruning progress — i.e. on which machines were
-        #: visited — so they must visit every machine to stay
+        #: opt-out for the round-level placeability skip.  Harnesses that
+        #: replay the same backlog with ``index.reset_claims()`` (the
+        #: packing benchmarks) revive claimed tasks, whose queue positions
+        #: then depend on lazy-pruning progress — i.e. on which machines
+        #: were visited — so they must visit every machine to stay
         #: bit-comparable with their committed baselines.
         self.prefilter_machines = True
+        #: cumulative machine-visit tallies: machines a round was asked
+        #: to look at, machines actually filled (the rest were skipped
+        #: as provably unplaceable), and fills that placed something
+        self.visit_stats: Dict[str, int] = {
+            "machines_considered": 0,
+            "machines_visited": 0,
+            "visits_productive": 0,
+        }
         #: optional metric instruments (set by use_observability via
         #: _register_metrics); None keeps the hot paths branch-cheap
         self._m_cache_hits = None
@@ -310,6 +309,7 @@ class TetrisScheduler(Scheduler):
         self._m_remote_grants = None
         self._m_ledger_size = None
         self._m_reservations = None
+        self._m_visits = None
 
     def _register_metrics(self, registry: "Registry") -> None:
         lookups = registry.counter(
@@ -336,6 +336,17 @@ class TetrisScheduler(Scheduler):
         self._m_reservations = registry.counter(
             "repro_tetris_reservations_total",
             "Machines reserved for starved stages",
+        )
+        visits = registry.counter(
+            "repro_tetris_machine_visits_total",
+            "Machines offered to a Tetris round by outcome: skipped as "
+            "provably unplaceable, filled but placed nothing (empty), "
+            "or placed at least one task (productive)",
+            labelnames=("outcome",),
+        )
+        self._m_visits = tuple(
+            visits.labels(outcome=outcome)
+            for outcome in ("skipped", "empty", "productive")
         )
         groups = registry.gauge(
             "repro_tetris_signature_groups",
@@ -365,11 +376,8 @@ class TetrisScheduler(Scheduler):
             for name, on in zip(cluster.model.names, self._dims_mask)
             if on
         )
-        self._min_capacity = cluster.state.capacity.min(axis=0)
         self._i_netout = cluster.model.index.get("netout")
         self._i_diskr = cluster.model.index.get("diskr")
-        self._stage_lb.clear()
-        self._stage_lb_remote.clear()
         self._stage_local.clear()
         self._remote_plans.clear()
         self._remote_ok_cache.clear()
@@ -420,8 +428,6 @@ class TetrisScheduler(Scheduler):
         # placement-adjusted vectors, and any remote-transfer plans
         # derived from the old locations are stale
         self.candidates.invalidate_stage(stage)
-        self._stage_lb.pop(stage.stage_id, None)
-        self._stage_lb_remote.pop(stage.stage_id, None)
         self._stage_local.pop(stage.stage_id, None)
         for task in stage.tasks:
             self._remote_plans.pop(task.task_id, None)
@@ -431,10 +437,7 @@ class TetrisScheduler(Scheduler):
         super().on_task_failed(task, time)
         self._release_remote_grants(task.task_id)
         # the retried task rejoins its stage's pools: recompute the
-        # stage's cached demand bounds and locality mask (cheap, and
-        # failures are rare)
-        self._stage_lb.pop(task.stage.stage_id, None)
-        self._stage_lb_remote.pop(task.stage.stage_id, None)
+        # stage's cached locality mask (cheap, and failures are rare)
         self._stage_local.pop(task.stage.stage_id, None)
         if self.config.debug_invariants:
             self.check_remote_ledger()
@@ -454,10 +457,8 @@ class TetrisScheduler(Scheduler):
         else:
             # a completion can move every estimate (peer means, template
             # history): drop the whole index, signatures included, plus
-            # every derived cache (demand lower bounds, transfer plans)
+            # every derived cache (locality masks, transfer plans)
             self.candidates.clear()
-            self._stage_lb.clear()
-            self._stage_lb_remote.clear()
             self._stage_local.clear()
             self._remote_plans.clear()
             self._remote_ok_cache.clear()
@@ -470,6 +471,7 @@ class TetrisScheduler(Scheduler):
         if task.job.is_finished:
             for stage in task.job.dag:
                 self._stage_last_placement.pop(stage.stage_id, None)
+                self._stage_local.pop(stage.stage_id, None)
 
     # -- candidate job set (fairness knob) ------------------------------------
     def candidate_jobs(self) -> List[Job]:
@@ -826,24 +828,13 @@ class TetrisScheduler(Scheduler):
                     self._round_proxy = (
                         int(nonspecial[0]) if nonspecial.size else -1
                     )
-                if (
-                    self.prefilter_machines
-                    and self._use_vectorized
-                    and self.trace is None
-                    and self.tracker is None
-                    and self.config.starvation_timeout is None
-                    and self.estimator.stable_estimates
-                ):
-                    # a machine whose free vector cannot cover any
-                    # stage's demand lower bound yields zero placements;
-                    # skipping it changes nothing (visits mutate state
-                    # only through placements)
-                    visit = self._prefilter_machines(visit)
                 # exact-fit skip: machines on the shared (no-locality)
-                # view whose free vector fits no active row place
-                # nothing and mutate nothing, so their visits can be
-                # dropped wholesale.  Same gates as the prefilter, plus
-                # no live reservations (a reserved machine must be
+                # view whose free vector (:meth:`_free_matrix` — the
+                # tracker's availability plane when one is bound) fits
+                # no active row place nothing and mutate nothing, so
+                # their visits can be dropped wholesale.  Off under a
+                # trace (skipped visits emit no decision events) and
+                # with live reservations (a reserved machine must be
                 # visited even when nothing fits).
                 skip_special = None
                 skip_any = None
@@ -853,10 +844,10 @@ class TetrisScheduler(Scheduler):
                     and self._round_special is not None
                     and self._round_proxy >= 0
                     and self.trace is None
-                    and self.tracker is None
                     and not self._reservations
                 ):
                     skip_special = self._round_special
+                visited = productive = 0
                 try:
                     for machine_id in visit:
                         if (
@@ -872,98 +863,41 @@ class TetrisScheduler(Scheduler):
                                 skip_gen = gen
                             if not skip_any[machine_id]:
                                 continue
-                        placements.extend(
-                            self._fill_machine(
-                                machine_id, jobs, barrier_stages, time
-                            )
+                        placed = self._fill_machine(
+                            machine_id, jobs, barrier_stages, time
                         )
+                        visited += 1
+                        if placed:
+                            productive += 1
+                            placements.extend(placed)
                 finally:
                     self._round_table = None
                     self._round_special = None
                     self._round_special_mat = None
                     self._round_proxy = -1
+                # per-round flush of the visit tallies (nothing per visit)
+                stats = self.visit_stats
+                stats["machines_considered"] += len(visit)
+                stats["machines_visited"] += visited
+                stats["visits_productive"] += productive
+                if self._m_visits is not None:
+                    skipped, empty, hit = self._m_visits
+                    skipped.inc(len(visit) - visited)
+                    empty.inc(visited - productive)
+                    hit.inc(productive)
                 self.candidates.sync_instruments()
         if prof is not None:
             prof.record("tetris.schedule", perf_counter() - start)
         return placements
 
-    # -- round-level machine prefilter ----------------------------------------
-    def _stage_lb_vec(self, stage: Stage) -> np.ndarray:
-        """A machine-independent elementwise lower bound on the booked
-        demand of *any* of ``stage``'s tasks on *any* machine.
-
-        Built from the per-dimension minimum of the stage's estimated
-        demands: fluid rates are additionally floored by the cluster's
-        per-dimension minimum capacity (booking caps them at the target
-        machine's capacity), placement-dependent dimensions (netin /
-        diskr / netout — zeroed by ``adjust_for_placement`` depending on
-        input locality) and unconsidered dimensions are set to zero.
-        Claims only shrink the candidate set, so the cached minimum over
-        the full task list stays a valid lower bound for the stage's
-        lifetime (estimates are stable when the prefilter is active).
-        """
-        lb = self._stage_lb.get(stage.stage_id)
-        if lb is None:
-            model = self.cluster.model
-            est = np.stack(
-                [self.estimated_demands(t).data for t in stage.tasks]
-            )
-            lb = est.min(axis=0)
-            np.minimum(
-                lb, self._min_capacity, out=lb, where=model.fluid_mask
-            )
-            for name in ("netin", "diskr", "netout"):
-                i = model.index.get(name)
-                if i is not None:
-                    lb[i] = 0.0
-            lb[~self._dims_mask] = 0.0
-            self._stage_lb[stage.stage_id] = lb
-        return lb
-
-    def _stage_lb_remote_vec(self, stage: Stage) -> np.ndarray:
-        """Tighter lower bound, valid only for machines holding *no*
-        input replica of any of the stage's tasks.
-
-        On such a machine every input is remote, so a booked vector has
-        ``diskr = netout = 0`` but keeps the full estimated ``netin``
-        whenever the task has any input at all (``adjust_for_placement``
-        zeroes netin only when nothing is remote).  Saturated NICs are
-        the dominant reason fills come up empty, so including netin here
-        skips most machines the locality-agnostic bound cannot.
-        """
-        lb = self._stage_lb_remote.get(stage.stage_id)
-        if lb is None:
-            model = self.cluster.model
-            est = np.stack(
-                [self.estimated_demands(t).data for t in stage.tasks]
-            )
-            i_netin = model.index.get("netin")
-            if i_netin is not None:
-                no_input = np.fromiter(
-                    (t.input_mb <= 0 for t in stage.tasks),
-                    dtype=bool,
-                    count=len(stage.tasks),
-                )
-                est[no_input, i_netin] = 0.0
-            lb = est.min(axis=0)
-            np.minimum(
-                lb, self._min_capacity, out=lb, where=model.fluid_mask
-            )
-            for name in ("diskr", "netout"):
-                i = model.index.get(name)
-                if i is not None:
-                    lb[i] = 0.0
-            lb[~self._dims_mask] = 0.0
-            self._stage_lb_remote[stage.stage_id] = lb
-        return lb
-
+    # -- round-level placeability skip -----------------------------------------
     def _stage_local_mask(self, stage: Stage) -> np.ndarray:
         """Boolean machine mask: True where ``stage`` has a locality
         pool (the machine holds, or held, an input replica of one of
         its tasks).  Exactly the machines where a booked vector can
-        deviate from the all-remote pattern, so only the weaker
-        :meth:`_stage_lb_vec` bound applies there.  The index's pool
-        key set is fixed at entry creation, so the mask is cacheable.
+        deviate from the all-remote pattern, i.e. whose view is not the
+        shared one.  The index's pool key set is fixed at entry
+        creation, so the mask is cacheable.
         """
         mask = self._stage_local.get(stage.stage_id)
         if mask is None:
@@ -976,67 +910,21 @@ class TetrisScheduler(Scheduler):
             self._stage_local[stage.stage_id] = mask
         return mask
 
-    def _prefilter_machines(self, order: List[int]) -> List[int]:
-        """Drop machines that provably cannot place any candidate.
-
-        Sound only as a necessary condition on the *fit* check: a
-        machine survives iff some round-table stage's demand lower
-        bound fits its free vector with the usual EPSILON slack.  A
-        visit to a machine with no fitting candidate mutates nothing,
-        so skipping it leaves placements (and all scheduler state)
-        bit-identical; relative order of the survivors is preserved, so
-        the greedy fill sequence is unchanged.  Callers gate this on
-        trace-off (skipped visits emit no decision events), no tracker
-        (the availability view must be the cluster's own free matrix)
-        and no reservations (a reserved machine must be visited even
-        when nothing fits).
-        """
-        table = self._round_table
-        if table is None or not table.stages or not order:
-            return order
-        stages = table.stages
-        lb = np.stack([self._stage_lb_vec(s) for s in stages])
-        free = self.cluster.state.free_clamped_matrix()
-        ids = np.fromiter(order, dtype=np.intp, count=len(order))
-        rows = free[ids] + EPSILON
-        # cheap cut: the pointwise min over all stages must fit
-        alive = np.flatnonzero((rows >= lb.min(axis=0)).all(axis=1))
-        if alive.size == 0:
-            return []
-        # per-(machine, stage) necessary conditions, pattern-aware: a
-        # machine without an input replica for a stage must additionally
-        # cover the stage's all-remote bound (netin included); machines
-        # with a replica only need the locality-agnostic bound
-        arows = rows[alive]
-        fit = (lb[None, :, :] <= arows[:, None, :]).all(2)
-        lb_remote = np.stack([self._stage_lb_remote_vec(s) for s in stages])
-        fit_remote = (lb_remote[None, :, :] <= arows[:, None, :]).all(2)
-        need_local = fit & ~fit_remote
-        if need_local.any():
-            special = np.stack(
-                [self._stage_local_mask(s) for s in stages]
-            )[:, ids[alive]].T
-            keep = (fit_remote | (need_local & special)).any(axis=1)
-        else:
-            keep = fit_remote.any(axis=1)
-        alive = alive[keep]
-        if alive.size == len(order):
-            return order
-        return [order[int(k)] for k in alive]
-
     def _round_placeable(self) -> np.ndarray:
         """Per-machine exact first-iteration placeability verdicts for
         the shared (no-locality) view at the current rep generation.
 
         ``placeable[m]`` is True iff some active shared-view row both
-        fits machine ``m``'s clamped free vector — the same ``booked <=
-        free + EPSILON`` comparisons the fill loop's first iteration
-        runs, as one broadcast over the whole free matrix — and passes
-        the remote-headroom check.  A machine with no locality pool
-        holds no input replica of any round stage, so every remote row's
-        transfer plan resolves to the interned machine-independent
-        generic plan: its verdict is the same for all such machines and
-        one check (through the verdict cache) covers them all.
+        fits machine ``m``'s row of :meth:`_free_matrix` (what
+        ``machine_free(m)`` hands the fill loop, tracker or not) — the
+        same ``booked <= free + EPSILON`` comparisons the fill loop's
+        first iteration runs, as one broadcast over the whole matrix —
+        and passes the remote-headroom check.  A machine with no
+        locality pool holds no input replica of any round stage, so
+        every remote row's transfer plan resolves to the interned
+        machine-independent generic plan: its verdict is the same for
+        all such machines and one check (through the verdict cache)
+        covers them all.
 
         A False entry means the visit's first ``keep`` set drains to
         empty, so the fill loop breaks having placed nothing and mutated
@@ -1074,7 +962,7 @@ class TetrisScheduler(Scheduler):
             if rows.size == 0:
                 return np.zeros(state.num_machines, dtype=bool)
         booked = view.booked_mat[rows]
-        free = state.free_clamped_matrix()
+        free = self._free_matrix()
         if not self._mask_all:
             mask = self._dims_mask
             booked = booked[:, mask]

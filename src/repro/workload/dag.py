@@ -71,14 +71,16 @@ class StageDag:
         return max(depth_of.values(), default=0)
 
     def release_ready_stages(self) -> List[Stage]:
-        """Unblock every stage whose parents have all finished."""
+        """Unblock every stage whose parents have all finished.
+
+        O(stages) per call: whether a stage still holds blocked tasks is
+        read off its transition-maintained counter, not by scanning its
+        task list (this runs on every task finish).
+        """
         released = []
         for stage in self.stages:
-            if stage.is_finished():
-                continue
-            if any(t.state.value == "blocked" for t in stage.tasks):
-                if stage.release_if_ready():
-                    released.append(stage)
+            if stage.num_blocked and stage.release_if_ready():
+                released.append(stage)
         return released
 
     def is_finished(self) -> bool:

@@ -62,6 +62,9 @@ class Stage:
         self._num_finished = sum(
             1 for t in self.tasks if t.state is TaskState.FINISHED
         )
+        self._num_blocked = sum(
+            1 for t in self.tasks if t.state is TaskState.BLOCKED
+        )
         if not self.parents:
             for task in self.tasks:
                 task.mark_runnable()
@@ -78,6 +81,10 @@ class Stage:
     @property
     def num_runnable(self) -> int:
         return self._num_runnable
+
+    @property
+    def num_blocked(self) -> int:
+        return self._num_blocked
 
     @property
     def finished_fraction(self) -> float:

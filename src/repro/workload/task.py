@@ -192,12 +192,13 @@ class Task:
     # -- state transitions ---------------------------------------------------
     # every transition funnels through these four methods (nothing else
     # assigns ``state``), which is what lets the stage keep O(1)
-    # runnable/finished counters instead of rescanning its task list
+    # runnable/finished/blocked counters instead of rescanning its task list
     def mark_runnable(self) -> None:
         if self.state is TaskState.BLOCKED:
             self.state = TaskState.RUNNABLE
             if self.stage is not None:
                 self.stage._num_runnable += 1
+                self.stage._num_blocked -= 1
             if self._table is not None:
                 self._table.note_state(self._slot, self.state)
 

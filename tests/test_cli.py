@@ -167,6 +167,24 @@ class TestInspect:
         assert "placements:" in text
         assert "by type:" in text
 
+    def test_metrics_section_reports_machine_visits(
+        self, trace_file, tmp_path, capsys
+    ):
+        out = tmp_path / "obs"
+        main(["trace", str(trace_file), "--machines", "4", "-o", str(out)])
+        assert "repro_tetris_machine_visits_total" in (
+            out / "metrics.prom"
+        ).read_text()
+        capsys.readouterr()
+        rc = main([
+            "inspect", str(out / "decisions.jsonl"),
+            "--metrics", str(out / "metrics.prom"),
+        ])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert "cache effectiveness:" in text
+        assert "machine visits:" in text and "productive" in text
+
     def test_strict_fails_on_invalid_events(self, tmp_path, capsys):
         log = tmp_path / "bad.jsonl"
         log.write_text(

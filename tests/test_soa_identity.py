@@ -9,6 +9,9 @@ scalar oracle —
   elementwise with the scalar reference on arbitrary inputs;
 - end-to-end placements and decision-event streams match across
   backends on generated workloads, with and without a tracker;
+- under the tracker, the round-level placeability skip (reading the
+  availability plane) places exactly like visiting every machine and
+  like the scalar oracle — and does skip visits;
 - the sparse fluid rate updates equal the dense ``reference_rates``
   oracle exactly;
 - ``TaskTable`` recycles slots, so the arrays track the live population;
@@ -52,21 +55,44 @@ def _workload(seed, num_jobs=6, horizon=120.0):
 
 
 def _run(trace, config, seed=0, num_machines=4, use_tracker=False,
-         decision_trace=None):
+         decision_trace=None, estimator=None, activities=(), skip=True,
+         shards=None, stats=None, metrics=None):
+    """Run the trace under Tetris; returns the placement keys.
+
+    ``skip=False`` visits every machine (the ``prefilter_machines``
+    opt-out), ``shards`` wraps the scheduler in an inline federation,
+    ``stats`` (a dict) receives the scheduler's ``visit_stats`` and
+    ``metrics`` (a registry) its obs counters.
+    """
     from repro.estimation.tracker import ResourceTracker
 
     cluster = Cluster(num_machines, seed=seed)
     jobs = materialize_trace(trace, cluster, seed=seed)
     tracker = ResourceTracker(cluster) if use_tracker else None
+    tetris = scheduler = TetrisScheduler(config)
+    if shards is not None:
+        from repro.federation import FederatedScheduler, FederationConfig
+
+        scheduler = FederatedScheduler(
+            tetris, FederationConfig(num_shards=shards)
+        )
+        tetris = scheduler.inners[0]
+    scheduler.prefilter_machines = skip
     engine = Engine(
         cluster,
-        TetrisScheduler(config),
+        scheduler,
         jobs,
+        activities=activities,
+        estimator=estimator,
         tracker=tracker,
         config=EngineConfig(seed=seed),
         decision_trace=decision_trace,
+        metrics=metrics,
     )
     engine.run()
+    assert all(job.is_finished for job in jobs)
+    if stats is not None:
+        stats.update(tetris.visit_stats)
     return [
         (task.job.name, task.stage.name, task.index, machine_id, time)
         for (task, machine_id, time, _booked) in engine.placement_log
@@ -221,6 +247,102 @@ class TestBackendPlacementIdentity:
         sched = TetrisScheduler(TetrisConfig(backend="scalar"))
         sched.bind(cluster)
         assert not sched._use_vectorized
+
+
+# -- the placeability skip under the tracker -----------------------------------
+
+class TestTrackerSkipIdentity:
+    """Tracker-on rounds run the same skip as tracker-off rounds: it
+    reads the tracker's availability plane, and dropping the visits it
+    proves fruitless changes no placement.  The batched runs name their
+    backend: under ``REPRO_BACKEND=scalar`` a default config would run
+    the scalar loop, which visits every machine."""
+
+    FAST = TetrisConfig(backend=DEFAULT_BACKEND)
+
+    def _three_ways(self, trace, seed=0, **kwargs):
+        """(skip stats, placements) after checking skip == visit-all ==
+        scalar oracle."""
+        stats = {}
+        kwargs.update(seed=seed, num_machines=8, use_tracker=True)
+        make = kwargs.pop("make_estimator", lambda: None)
+        oracle = _run(
+            trace, TetrisConfig(vectorized=False), estimator=make(), **kwargs
+        )
+        visit_all = _run(
+            trace, self.FAST, estimator=make(), skip=False, **kwargs
+        )
+        skipping = _run(
+            trace, self.FAST, estimator=make(), stats=stats, **kwargs
+        )
+        assert len(oracle) > 0
+        assert visit_all == oracle
+        assert skipping == oracle
+        return stats, skipping
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_skip_matches_visit_all_and_oracle(self, seed):
+        stats, _ = self._three_ways(
+            _workload(seed=11 + seed, num_jobs=10, horizon=200.0), seed=seed
+        )
+        # the skip is live under the tracker: it cannot silently re-gate
+        assert stats["machines_visited"] < stats["machines_considered"]
+        assert 0 < stats["visits_productive"] <= stats["machines_visited"]
+
+    def test_unstable_estimator(self):
+        from repro.estimation.estimator import ProfilingEstimator
+
+        assert not ProfilingEstimator.stable_estimates
+        stats, _ = self._three_ways(
+            _workload(seed=5, num_jobs=10, horizon=200.0),
+            make_estimator=ProfilingEstimator,
+        )
+        assert stats["machines_visited"] < stats["machines_considered"]
+
+    def test_with_ingestion_activity(self):
+        """Non-job load only the tracker can see: the plane folds it in,
+        and the skip must agree with the fill loop about what it left."""
+        from repro.activity.ingestion import ingestion
+
+        trace = _workload(seed=17, num_jobs=10, horizon=200.0)
+        activities = [
+            ingestion(m, start, size_mb=6000.0, rate_mbps=150.0)
+            for m, start in ((0, 5.0), (3, 20.0), (5, 60.0))
+        ]
+        stats, with_load = self._three_ways(trace, activities=activities)
+        assert stats["machines_visited"] < stats["machines_considered"]
+        _, without = self._three_ways(trace)
+        assert with_load != without  # the activity really steered Tetris
+
+    def test_single_shard_federation(self):
+        trace = _workload(seed=29, num_jobs=10, horizon=200.0)
+        stats = {}
+        want = _run(trace, self.FAST, num_machines=8, use_tracker=True)
+        got = _run(
+            trace, self.FAST, num_machines=8, use_tracker=True,
+            shards=1, stats=stats,
+        )
+        assert got == want
+        assert stats["machines_visited"] < stats["machines_considered"]
+
+    def test_skipped_visits_reach_the_metrics(self):
+        from repro.obs.registry import Registry
+
+        registry, stats = Registry(), {}
+        _run(
+            _workload(seed=11, num_jobs=10, horizon=200.0), self.FAST,
+            num_machines=8, use_tracker=True, stats=stats, metrics=registry,
+        )
+        visits = registry.get("repro_tetris_machine_visits_total")
+        by_outcome = {
+            outcome: visits.labels(outcome=outcome).value
+            for outcome in ("skipped", "empty", "productive")
+        }
+        assert by_outcome["skipped"] == (
+            stats["machines_considered"] - stats["machines_visited"]
+        ) > 0
+        assert by_outcome["productive"] == stats["visits_productive"]
+        assert sum(by_outcome.values()) == stats["machines_considered"]
 
 
 # -- fluid rates ------------------------------------------------------------

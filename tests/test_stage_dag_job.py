@@ -94,6 +94,93 @@ class TestStageDag:
             StageDag([inside])
 
 
+class _CountingTasks(list):
+    """A task list that counts how often it is walked."""
+
+    walks = 0
+
+    def __iter__(self):
+        type(self).walks += 1
+        return super().__iter__()
+
+
+def reference_release_ready(dag):
+    """The task-scanning barrier sweep the blocked counter replaced."""
+    released = []
+    for stage in dag.stages:
+        if stage.is_finished():
+            continue
+        if any(t.state is TaskState.BLOCKED for t in stage.tasks):
+            if stage.release_if_ready():
+                released.append(stage)
+    return released
+
+
+class TestBarrierSweep:
+    def test_blocked_counter_follows_transitions(self):
+        parent = Stage("p", [make_task() for _ in range(3)])
+        child = Stage("c", [make_task() for _ in range(4)], parents=[parent])
+        assert (parent.num_blocked, child.num_blocked) == (0, 4)
+        for task in parent.tasks:
+            finish(task)
+        assert child.release_if_ready()
+        assert child.num_blocked == 0
+        # a failed attempt goes back to runnable, never to blocked
+        child.tasks[0].mark_running(0, 0.0)
+        child.tasks[0].mark_failed(1.0)
+        assert child.num_blocked == 0
+        assert child.num_runnable == 4
+
+    def test_task_finish_never_walks_task_lists(self):
+        """A 200-task stage draining costs O(stages) counter reads per
+        finish: the sweep walks no task list until a barrier lifts, and
+        then only the released stage's (to unblock it)."""
+        maps = Stage("map", [make_task() for _ in range(200)])
+        mid = Stage("mid", [make_task() for _ in range(50)], parents=[maps])
+        last = Stage("last", [make_task() for _ in range(50)], parents=[mid])
+        dag = StageDag([maps, mid, last])
+        for stage in dag:
+            stage.tasks = _CountingTasks(stage.tasks)
+        _CountingTasks.walks = 0
+        for task in list.__iter__(maps.tasks):
+            finish(task)
+            released = dag.release_ready_stages()
+            if not maps.is_finished():
+                assert released == []
+                assert _CountingTasks.walks == 0
+        assert released == [mid]
+        assert _CountingTasks.walks == 1  # mid's own unblocking walk
+        assert dag.release_ready_stages() == []
+        assert _CountingTasks.walks == 1
+
+    def test_released_lists_match_the_task_scan(self):
+        """Same stages, same order as the scanning sweep, on a diamond
+        with two stages released by one finish."""
+
+        def diamond():
+            a = Stage("a", [make_task() for _ in range(2)])
+            b = Stage("b", [make_task()], parents=[a])
+            c = Stage("c", [make_task()], parents=[a])
+            d = Stage("d", [make_task()], parents=[b, c])
+            return StageDag([d, c, a, b])
+
+        fast, slow = diamond(), diamond()
+        for name in ("a", "b", "c", "d"):
+            for dag, sweep in (
+                (fast, fast.release_ready_stages),
+                (slow, lambda: reference_release_ready(slow)),
+            ):
+                stage = next(s for s in dag if s.name == name)
+                out = []
+                for task in stage.tasks:
+                    finish(task)
+                    out.append([s.name for s in sweep()])
+                if dag is fast:
+                    got = out
+            assert got == out
+        assert fast.is_finished() and slow.is_finished()
+
+
 class TestJob:
     def test_arrival(self):
         job = make_simple_job()

@@ -336,6 +336,25 @@ class TestRemoteLedger:
         assert scheduler._remote_granted == {}
         assert scheduler._remote_by_task == {}
 
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_no_per_stage_or_per_task_state_after_drain(self, vectorized):
+        """A drained run leaves no per-stage or per-task entry behind in
+        any scheduler-side map (a serve daemon runs for days): every
+        dict/set hanging off the scheduler, its candidate index and its
+        stage index is empty, bar the cumulative counters."""
+        scheduler = self._drained_scheduler(vectorized)
+        counters = {"stats", "visit_stats"}
+        checked = 0
+        for owner in (scheduler, scheduler.candidates, scheduler.index):
+            for name, value in vars(owner).items():
+                if isinstance(value, (dict, set)) and name not in counters:
+                    assert not value, f"{type(owner).__name__}.{name}"
+                    checked += 1
+        assert checked >= 15  # the walk really saw the caches
+        for name in ("_stage_local", "_stage_last_placement", "_task_work"):
+            assert name in vars(scheduler)
+        assert scheduler.active_jobs == []
+
     def test_release_clamps_drift(self):
         scheduler = TetrisScheduler()
         # grants whose floats do not sum back exactly: 0.1 * 3 != 0.3

@@ -232,19 +232,6 @@ def _kernel_backend_of(profile: Dict) -> str:
     return str(stamp) if stamp else "numpy"
 
 
-def _shards_of(profile: Dict) -> int:
-    """The shard-count stamp of one profile.
-
-    Profiles captured before the federation existed ran centralized, so
-    a missing stamp reads as 1 and old baselines stay comparable.
-    """
-    stamp = (profile.get("meta") or {}).get("shards")
-    try:
-        return int(stamp) if stamp else 1
-    except (TypeError, ValueError):
-        return 1
-
-
 def compare_profiles(
     baseline: Dict[str, object],
     current: Dict[str, object],
@@ -280,17 +267,6 @@ def compare_profiles(
             f"current={cur_kb}); profiles captured on different "
             "backends are never compared — capture a matching baseline "
             "with `repro bench run --backend`"
-        )
-        return result
-    base_sh = _shards_of(baseline)
-    cur_sh = _shards_of(current)
-    if base_sh != cur_sh:
-        result.config_mismatch = True
-        result.notes.append(
-            f"shard-count mismatch (baseline={base_sh}, "
-            f"current={cur_sh}); a sharded capture is a different "
-            "execution mode, not a code change — gate it against a "
-            "baseline captured with the same --shards"
         )
         return result
 

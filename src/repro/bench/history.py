@@ -40,7 +40,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.bench.detect import (
     ComparisonResult,
     _kernel_backend_of,
-    _shards_of,
     compare_profiles,
 )
 from repro.bench.profile import SCHEMA as PROFILE_SCHEMA
@@ -388,13 +387,12 @@ def trend_rows(
     header = ["captured", "git", "stamp"] + list(metrics)
     rows: List[List[str]] = []
     previous: Dict[str, float] = {}
-    previous_mode: Optional[tuple] = None
+    previous_mode: Optional[str] = None
     for entry in entries:
-        mode = (_kernel_backend_of(entry.profile), _shards_of(entry.profile))
+        mode = _kernel_backend_of(entry.profile)
         if previous_mode is not None and mode != previous_mode:
-            # never show deltas across a kernel-backend or shard-count
-            # switch: the timing change is the execution mode, not the
-            # commit
+            # never show deltas across a kernel-backend switch: the
+            # timing change is the execution mode, not the commit
             previous = {}
         previous_mode = mode
         when = time.strftime(

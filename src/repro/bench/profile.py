@@ -168,8 +168,6 @@ def _capture_trace(
         num_machines=scenario.num_machines,
         seed=getattr(scenario.trace_config, "seed", 0),
         use_tracker=scenario.use_tracker,
-        shards=scenario.shards,
-        shard_backend=scenario.shard_backend,
     )
     # identical specs on purpose: repeats measure run-to-run timing
     # noise of the same workload, so only the wall clock may differ
@@ -450,9 +448,6 @@ def capture(
                 os.environ[_kernels.ENV_VAR] = saved_env
     meta = _meta(scenario, repeats)
     meta["kernel_backend"] = resolved_kernels.name
-    # shard-config stamp: the comparison tooling refuses to gate a
-    # sharded capture against a centralized baseline (and vice versa)
-    meta["shards"] = getattr(scenario, "shards", 1)
     meta["execution"] = {"backend": backend.name, "workers": backend.workers}
     profile = {
         "schema": SCHEMA,

@@ -83,9 +83,6 @@ class TraceScenario:
     num_machines: int
     scheduler: str = "tetris"
     use_tracker: bool = True
-    #: scheduler federation (repro.federation): 1 = centralized
-    shards: int = 1
-    shard_backend: str = "inline"
 
     @property
     def kind(self) -> str:
@@ -97,7 +94,7 @@ class TraceScenario:
 
     def params(self) -> Dict[str, object]:
         generator, _ = _GENERATORS[type(self.trace_config)]
-        out = {
+        return {
             "kind": self.kind,
             "generator": generator,
             "trace_config": asdict(self.trace_config),
@@ -105,12 +102,6 @@ class TraceScenario:
             "scheduler": self.scheduler,
             "use_tracker": self.use_tracker,
         }
-        # only stamped when sharded, so every pre-federation committed
-        # baseline keeps its fingerprint
-        if self.shards != 1:
-            out["shards"] = self.shards
-            out["shard_backend"] = self.shard_backend
-        return out
 
     def config_fingerprint(self) -> str:
         return _fingerprint(self.params())
@@ -390,24 +381,6 @@ SCENARIOS: Dict[str, Scenario] = {
             ),
             num_machines=2000,
             use_tracker=False,
-        ),
-        TraceScenario(
-            name="cluster-xl-sharded",
-            description="cluster-xl with the machine plane partitioned "
-            "across 4 scheduler shards (repro.federation): same trace, "
-            "same cluster, rounds fan out over shard row-slices and "
-            "commit through the optimistic sequencer — compare against "
-            "BENCH_cluster-xl.json for the federation speedup story",
-            quick=False,
-            trace_config=FacebookTraceConfig(
-                num_jobs=1600,
-                arrival_horizon=3000,
-                max_map_tasks=200,
-                seed=17,
-            ),
-            num_machines=2000,
-            use_tracker=False,
-            shards=4,
         ),
     )
 }

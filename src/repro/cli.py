@@ -59,41 +59,6 @@ def _make_scheduler(name: str, args: argparse.Namespace):
         raise SystemExit(str(exc))
 
 
-def _maybe_federate(scheduler, config, trace=None):
-    """Wrap the scheduler in a shard federation when ``--shards N > 1``.
-
-    ``trace`` is the workload spec the process backend needs to
-    materialize its worker mirrors; commands without one (serve) can
-    only shard inline.
-    """
-    if config.shards <= 1:
-        return scheduler
-    from repro.federation import FederatedScheduler, FederationConfig
-
-    try:
-        federated = FederatedScheduler(
-            scheduler,
-            FederationConfig(
-                num_shards=config.shards,
-                backend=config.shard_backend,
-                partitioner=config.shard_partitioner,
-                spill_after=config.shard_spill_after,
-                base_seed=config.seed,
-            ),
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    if config.shard_backend == "process":
-        if trace is None:
-            raise SystemExit(
-                "this command supports --shard-backend inline only: a "
-                "live stream has no static workload spec to materialize "
-                "the worker mirrors from"
-            )
-        federated.provide_workload(tuple(trace), config)
-    return federated
-
-
 def _execution_stanza(backend, outcomes, wall_seconds_total):
     """The ``--json`` stanza recording how the results were produced."""
     return {
@@ -117,9 +82,6 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         num_machines=args.machines,
         seed=args.seed,
         use_tracker=not args.no_tracker,
-        shards=getattr(args, "shards", 1),
-        shard_backend=getattr(args, "shard_backend", "inline"),
-        shard_partitioner=getattr(args, "shard_partitioner", "rack"),
     )
 
 
@@ -220,21 +182,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = _experiment_config(args)
         cluster = config.make_cluster()
         jobs = materialize_trace(trace, cluster, seed=config.seed)
-        scheduler = _maybe_federate(
-            _make_scheduler(args.scheduler, args), config, trace=trace
-        )
         engine = Engine(
             cluster,
-            scheduler,
+            _make_scheduler(args.scheduler, args),
             jobs,
             config=config.make_engine_config(),
         )
-        try:
-            engine.run()
-        finally:
-            close = getattr(scheduler, "close", None)
-            if close is not None:
-                close()
+        engine.run()
         report = audit_engine(engine)
         if report.ok:
             print("audit: schedule satisfies all Section 3.1 constraints")
@@ -259,20 +213,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
     backend = get_backend(args.workers)
     config = _experiment_config(args)
-
-    def _spec_config(name: str):
-        # only the Tetris-scorer family shards; baselines race centralized
-        if config.shards > 1:
-            from dataclasses import replace as dc_replace
-
-            from repro.schedulers.tetris import TetrisScheduler
-
-            if not issubclass(SCHEDULERS[name], TetrisScheduler):
-                return dc_replace(config, shards=1)
-        return config
-
     specs = [
-        RunSpec(trace=tuple(trace), scheduler=name, config=_spec_config(name))
+        RunSpec(trace=tuple(trace), scheduler=name, config=config)
         for name in names
     ]
     start = perf_counter()
@@ -304,66 +246,25 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 f"JCT {jct:6.1f}%  "
                 f"makespan {makespan:6.1f}%"
             )
-    fidelity_failed = []
     fidelity_json = {}
-    if args.fidelity and results:
-        from dataclasses import replace as dc_replace
-
+    if args.fidelity and args.baseline in results:
         from repro.metrics import packing_fidelity
 
-        tol = args.fidelity_tolerance
-        if config.shards > 1:
-            # gate the sharded runs against their own centralized
-            # references: same trace, same scheduler, --shards 1
-            ref_config = dc_replace(config, shards=1)
-            ref_outcomes = run_specs(
-                [
-                    RunSpec(trace=tuple(trace), scheduler=name,
-                            config=ref_config, label=name)
-                    for name in results
-                    if _spec_config(name).shards > 1
-                ],
-                backend,
-            )
+        # informational: each scheduler's packing vs the baseline
+        base = results[args.baseline]
+        print(f"\npacking fidelity vs {args.baseline}:")
+        for name, result in results.items():
+            if name == args.baseline:
+                continue
+            report = packing_fidelity(base, result)
+            fidelity_json[name] = report.as_dict()
             print(
-                f"\npacking fidelity ({config.shards} shards vs "
-                f"centralized, tolerance {tol:.1f}%):"
+                f"  {name:<14} "
+                f"makespan {report.makespan_delta_pct:+6.2f}%  "
+                f"mean JCT {report.mean_jct_delta_pct:+6.2f}%  "
+                f"fragmentation "
+                f"{report.fragmentation_delta_points:+5.2f}pp"
             )
-            for ref in ref_outcomes:
-                if not ref.ok or ref.label not in results:
-                    fidelity_failed.append(ref.label)
-                    print(f"  {ref.label:<14} reference run FAILED "
-                          f"({ref.error})")
-                    continue
-                report = packing_fidelity(ref.result, results[ref.label])
-                ok = report.within(tol)
-                if not ok:
-                    fidelity_failed.append(ref.label)
-                fidelity_json[ref.label] = report.as_dict()
-                print(
-                    f"  {ref.label:<14} "
-                    f"makespan {report.makespan_delta_pct:+6.2f}%  "
-                    f"mean JCT {report.mean_jct_delta_pct:+6.2f}%  "
-                    f"fragmentation "
-                    f"{report.fragmentation_delta_points:+5.2f}pp  "
-                    f"{'OK' if ok else 'OUTSIDE TOLERANCE'}"
-                )
-        elif args.baseline in results:
-            # informational: each scheduler's packing vs the baseline
-            base = results[args.baseline]
-            print(f"\npacking fidelity vs {args.baseline}:")
-            for name, result in results.items():
-                if name == args.baseline:
-                    continue
-                report = packing_fidelity(base, result)
-                fidelity_json[name] = report.as_dict()
-                print(
-                    f"  {name:<14} "
-                    f"makespan {report.makespan_delta_pct:+6.2f}%  "
-                    f"mean JCT {report.mean_jct_delta_pct:+6.2f}%  "
-                    f"fragmentation "
-                    f"{report.fragmentation_delta_points:+5.2f}pp"
-                )
     if args.json:
         from repro.bench.profile import dump_json
 
@@ -387,7 +288,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             args.json,
         )
         print(f"wrote {args.json}")
-    return 1 if failed or fidelity_failed else 0
+    return 1 if failed else 0
 
 
 #: sweepable Tetris knobs: CLI name -> TetrisConfig field
@@ -451,13 +352,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     metrics_path = os.path.join(args.output, "metrics.prom")
     profiler = Profiler()
     registry = Registry()
-    scheduler = _maybe_federate(
-        _make_scheduler(args.scheduler, args), config, trace=trace
-    )
     with DecisionTrace(decisions_path, max_events=args.max_events) as sink:
         engine = Engine(
             cluster,
-            scheduler,
+            _make_scheduler(args.scheduler, args),
             jobs,
             tracker=tracker,
             config=config.make_engine_config(),
@@ -465,12 +363,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             decision_trace=sink,
             metrics=registry,
         )
-        try:
-            engine.run()
-        finally:
-            close = getattr(scheduler, "close", None)
-            if close is not None:
-                close()
+        engine.run()
         # wall-clock phase stats ride along in the same decision log
         for label in profiler.labels():
             s = profiler.stats(label)
@@ -570,7 +463,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     if args.log is None:
         if args.metrics:
             _print_cache_effectiveness(args.metrics)
-            _print_federation_health(args.metrics)
         return rc
     summary = summarize_decision_log(args.log)
     print(f"events:     {summary['events_total']}")
@@ -608,7 +500,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         )
     if args.metrics:
         _print_cache_effectiveness(args.metrics)
-        _print_federation_health(args.metrics)
     if summary["invalid_events"]:
         print(f"INVALID events: {summary['invalid_events']}")
         for error in summary["errors"]:
@@ -673,58 +564,6 @@ def _print_cache_effectiveness(metrics_path: str) -> None:
         )
 
 
-def _print_federation_health(metrics_path: str) -> None:
-    """Summarize the federation's optimistic-concurrency counters from a
-    metrics exposition file: proposal/commit volume, conflict rate by
-    kind, retries and aborts, spill promotions, and commit latency.
-    Silent for non-federated runs (no shards gauge or a single shard)."""
-    from repro.obs import parse_exposition
-
-    with open(metrics_path, encoding="utf-8") as f:
-        metrics = parse_exposition(f.read())
-    shards = metrics.get("repro_federation_shards", {}).get("")
-    if not shards or shards <= 1:
-        return
-    proposals = metrics.get(
-        "repro_federation_proposals_total", {}
-    ).get("", 0.0)
-    commits = metrics.get(
-        "repro_federation_commits_total", {}
-    ).get("", 0.0)
-    conflicts = metrics.get("repro_federation_conflicts_total", {})
-    total_conflicts = sum(conflicts.values())
-    print(f"federation ({shards:.0f} shards):")
-    if proposals:
-        print(
-            f"  proposals:       {proposals:.0f} "
-            f"({commits:.0f} committed, "
-            f"{total_conflicts / proposals:.2%} conflict rate)"
-        )
-    for key, count in sorted(conflicts.items()):
-        if not count:
-            continue
-        kind = key.split("=", 1)[1] if "=" in key else key
-        print(f"  conflicts:       {count:.0f} ({kind})")
-    retries = metrics.get("repro_federation_retries_total", {}).get("", 0.0)
-    aborts = metrics.get("repro_federation_aborts_total", {}).get("", 0.0)
-    if retries or aborts:
-        print(f"  retries/aborts:  {retries:.0f} / {aborts:.0f}")
-    spills = metrics.get("repro_federation_spills_total", {}).get("", 0.0)
-    if spills:
-        print(f"  spill promotions: {spills:.0f}")
-    count = metrics.get(
-        "repro_federation_commit_seconds_count", {}
-    ).get("", 0.0)
-    total = metrics.get(
-        "repro_federation_commit_seconds_sum", {}
-    ).get("", 0.0)
-    if count:
-        print(
-            f"  commit latency:  {total / count * 1000.0:.3f}ms mean "
-            f"over {count:.0f} rounds"
-        )
-
-
 def _parse_listen(spec: str) -> tuple:
     """Parse a ``--listen HOST:PORT`` spec (port 0 = ephemeral)."""
     host, sep, port = spec.rpartition(":")
@@ -780,10 +619,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # scrape it, so no profiler is created and the engine's timing
     # hooks stay on their None fast path (zero overhead)
     profiler = Profiler() if args.listen else None
-    scheduler = _maybe_federate(_make_scheduler(args.scheduler, args), config)
     engine = Engine(
         cluster,
-        scheduler,
+        _make_scheduler(args.scheduler, args),
         [],
         tracker=tracker,
         config=config.make_engine_config(),
@@ -967,15 +805,6 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
             scenario = get_scenario(name)  # fail fast on unknown names
         except KeyError as exc:
             raise SystemExit(str(exc))
-        if args.shards is not None:
-            from dataclasses import replace as dc_replace
-
-            if not hasattr(scenario, "shards"):
-                raise SystemExit(
-                    f"scenario {name!r} is a {scenario.kind} scenario; "
-                    "--shards applies to trace scenarios only"
-                )
-            scenario = dc_replace(scenario, shards=args.shards)
         profile = capture(
             scenario,
             repeats=args.repeats,
@@ -1259,28 +1088,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--no-tracker", action="store_true",
                        help="disable the resource tracker")
-        shards_args(p)
-
-    def shards_args(p):
-        p.add_argument(
-            "--shards", type=int, default=1, metavar="N",
-            help="partition the machine plane across N scheduler shards "
-            "with optimistic conflict resolution (1 = centralized, "
-            "bit-identical to no sharding)",
-        )
-        p.add_argument(
-            "--shard-backend", choices=("inline", "process"),
-            default="inline",
-            help="where shards run: in this process against the live "
-            "state, or as a persistent worker pool with delta-encoded "
-            "state sync",
-        )
-        p.add_argument(
-            "--shard-partitioner", choices=("rack", "contiguous"),
-            default="rack",
-            help="machine partitioner (rack never splits a rack across "
-            "shards)",
-        )
 
     def workers_arg(p):
         p.add_argument(
@@ -1310,14 +1117,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--baseline", default="slot-fair")
     cmp_.add_argument(
         "--fidelity", action="store_true",
-        help="report packing-fidelity deltas (makespan / mean JCT / "
-        "fragmentation); with --shards N the sharded runs are gated "
-        "against their centralized references",
-    )
-    cmp_.add_argument(
-        "--fidelity-tolerance", type=float, default=5.0, metavar="PCT",
-        help="max percent a sharded run may be worse than centralized "
-        "before compare --fidelity fails (default 5)",
+        help="report each scheduler's packing-fidelity deltas (makespan "
+        "/ mean JCT / fragmentation) against --baseline",
     )
     cmp_.add_argument("--json", default=None, metavar="PATH",
                       help="also write the per-scheduler summaries as JSON")
@@ -1402,7 +1203,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--no-tracker", action="store_true",
                        help="disable the resource tracker")
-    shards_args(serve)
     serve.add_argument("--scheduler", default="tetris",
                        choices=sorted(SCHEDULERS))
     serve.add_argument("--fairness-knob", type=float, default=None)
@@ -1509,11 +1309,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "(default: $REPRO_BACKEND or numpy); recorded in "
                       "the profile meta — comparisons never cross "
                       "backends")
-    brun.add_argument("--shards", type=int, default=None, metavar="N",
-                      help="override the scenario's scheduler shard "
-                      "count (trace scenarios only); recorded in the "
-                      "profile meta — comparisons never cross shard "
-                      "configs")
     workers_arg(brun)
     brun.set_defaults(func=cmd_bench_run)
 

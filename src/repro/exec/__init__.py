@@ -18,8 +18,7 @@ serializable :class:`RunSpec` cells that any backend can execute:
 
 Key invariant (property-tested): a grid run with ``workers=N`` is
 bit-identical, metric for metric, to the serial run — parallelism is an
-execution detail, never an experimental variable.  This is also the
-seam later sharded/distributed backends plug into.
+execution detail, never an experimental variable.
 """
 
 from repro.exec.backends import (

@@ -9,9 +9,8 @@ of completion order.  Two implementations:
   process backend), so a grid with one bad cell still yields every other
   cell.
 - :class:`ProcessPoolBackend` — a **persistent** pool of long-lived
-  worker processes, reused across successive :meth:`map` calls (the
-  scheduler-federation round loop dispatches one item per shard per
-  round, so per-call pool construction would dominate).  Workers are
+  worker processes, reused across successive :meth:`map` calls (no
+  pool construction per fan-out).  Workers are
   spawned lazily, live until :meth:`close`, and each holds one duplex
   pipe; a hung item can still be *killed* (``timeout`` seconds, enforced
   with ``Process.terminate`` — the worker is replaced by a fresh one),
@@ -23,10 +22,9 @@ of completion order.  Two implementations:
 
 With ``sticky=True`` item ``i`` is always routed to worker slot
 ``i % workers``: callers that keep per-item state inside the worker
-(shard mirrors) get a stable item→process mapping across calls.  A
-replaced worker keeps its *slot*, so the mapping survives crashes — the
-process behind it is fresh, which stateful callers must detect
-themselves (the federation's delta protocol re-syncs on epoch mismatch).
+get a stable item→process mapping across calls.  A replaced worker
+keeps its *slot*, so the mapping survives crashes — the process behind
+it is fresh, which stateful callers must detect themselves.
 
 Worker counts resolve ``workers`` argument → ``REPRO_WORKERS`` env var →
 1, so CI and users can set a fleet-wide default without threading an

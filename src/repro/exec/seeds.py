@@ -1,7 +1,7 @@
 """Seed derivation for sibling runs.
 
 When a sweep varies *only* the seed (replication across seeds, repeated
-bench captures, future sharded campaigns), sibling runs must never share
+bench captures), sibling runs must never share
 RNG state.  Ad-hoc ``seed + i`` arithmetic does not guarantee that —
 adjacent integer seeds can produce correlated streams for some
 generators, and two sweeps with overlapping ranges silently reuse runs.
@@ -13,15 +13,7 @@ mixer, giving streams that are independent by construction and stable —
 ``spawn_seeds(base, n)`` is a prefix of ``spawn_seeds(base, m)`` for
 ``n <= m``, so growing a sweep never changes the runs already done.
 
-The same prefix property is what makes **resharding** safe for the
-scheduler federation (:mod:`repro.federation`): shard ``i`` of an
-``n``-shard deployment draws its per-shard stream from
-``spawn_seeds(base, n)[i]``, and because the first ``n`` children are
-identical for every ``m >= n``, growing the shard count never silently
-reseeds the shards that already exist — shard ``i`` keeps its stream
-under any future ``--shards N`` with ``N > i``.  This is
-property-tested in ``tests/test_exec.py``
-(``test_prefix_stable_under_growing_shard_counts``).
+The prefix property is property-tested in ``tests/test_exec.py``.
 """
 
 from __future__ import annotations

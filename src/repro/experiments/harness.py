@@ -47,12 +47,6 @@ class ExperimentConfig:
     engine_config: Optional[EngineConfig] = None
     track_fairness: bool = False
     track_machine_usage: bool = False
-    #: scheduler federation (repro.federation): shards > 1 partitions the
-    #: machine plane and wraps the scheduler in a FederatedScheduler
-    shards: int = 1
-    shard_backend: str = "inline"
-    shard_partitioner: str = "rack"
-    shard_spill_after: Optional[float] = 15.0
 
     def make_cluster(self) -> Cluster:
         return Cluster(
@@ -139,23 +133,6 @@ def run_trace(
     unmodified run.
     """
     cfg = config if config is not None else ExperimentConfig()
-    if cfg.shards > 1:
-        # lazy import: repro.federation wraps schedulers from this module's
-        # consumers, so a top-level import would cycle
-        from repro.federation import FederatedScheduler, FederationConfig
-
-        scheduler = FederatedScheduler(
-            scheduler,
-            FederationConfig(
-                num_shards=cfg.shards,
-                backend=cfg.shard_backend,
-                partitioner=cfg.shard_partitioner,
-                spill_after=cfg.shard_spill_after,
-                base_seed=cfg.seed,
-            ),
-        )
-        if cfg.shard_backend == "process":
-            scheduler.provide_workload(trace, cfg)
     cluster = cfg.make_cluster()
     jobs = materialize_trace(trace, cluster, seed=cfg.seed)
     tracker = None
@@ -177,12 +154,7 @@ def run_trace(
         metrics=metrics,
     )
     start = perf_counter()
-    try:
-        collector = engine.run()
-    finally:
-        closer = getattr(scheduler, "close", None)
-        if closer is not None:
-            closer()
+    collector = engine.run()
     wall = perf_counter() - start
     return RunResult(
         scheduler_name=scheduler.name,

@@ -1,10 +1,8 @@
 """Packing-fidelity deltas between two runs of the same trace.
 
-The federation (and any other approximation of the centralized
-scheduler) trades a little placement quality for round throughput.
-This module quantifies "a little": given a reference run and a
-candidate run over the same trace, it reports the deltas of the three
-packing outcomes the paper argues about —
+Given a reference run and a candidate run over the same trace, this
+module reports the deltas of the three packing outcomes the paper
+argues about —
 
 - **makespan** (Section 5.1's primary win),
 - **mean job completion time**,
@@ -16,9 +14,8 @@ packing outcomes the paper argues about —
 
 Deltas are signed percentages (percentage *points* for fragmentation,
 which is already a ratio); positive means the candidate is worse.  The
-report knows how to gate itself (:meth:`FidelityReport.within`), which
-is what ``repro compare --fidelity`` and the federation CI smoke job
-print and enforce.
+report knows how to gate itself (:meth:`FidelityReport.within`);
+``repro compare --fidelity`` prints the deltas against ``--baseline``.
 """
 
 from __future__ import annotations

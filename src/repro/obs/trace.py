@@ -94,11 +94,6 @@ EVENT_SCHEMA: Dict[str, Dict[str, tuple]] = {
         "time": _NUM, "job": (str,), "stage": (str,), "task": (int,),
         "machine": (int,),
     },
-    # a starved stage promoted to floating (visible to every shard)
-    "federation_spill": {
-        "time": _NUM, "job": (str,), "stage": (str,),
-        "home_shard": (int,), "waited": _NUM,
-    },
     # wall-clock phase stats appended from a Profiler after the run
     "phase_stats": {
         "label": (str,), "count": (int,), "total_ms": _NUM,

@@ -96,13 +96,6 @@ class Scheduler(abc.ABC):
         #: optional decision-event sink (repro.obs.trace.DecisionTrace);
         #: like the profiler, None means tracing costs nothing
         self.trace: Optional["DecisionTrace"] = None
-        #: transient free-vector adjustments: machine_id -> demands
-        #: committed against the machine but not yet applied to it.  The
-        #: federation sequencer sets this during conflict-retry passes,
-        #: where a shard re-plans against machines whose committed
-        #: placements the engine has not applied yet; None (always, for
-        #: centralized schedulers) costs one falsy check per lookup.
-        self._free_adjust: Optional[Dict[int, ResourceVector]] = None
 
     # -- observability -----------------------------------------------------------
     def use_observability(
@@ -340,17 +333,11 @@ class Scheduler(abc.ABC):
 
     def machine_free(self, machine_id: int) -> ResourceVector:
         """The free vector this scheduler plans against: a caller-owned
-        copy of the machine's :meth:`_free_matrix` row.  Pending commit
-        adjustments (federation retry passes) are subtracted last.
+        copy of the machine's :meth:`_free_matrix` row.
         """
-        free = ResourceVector(
+        return ResourceVector(
             self.cluster.model, self._free_matrix()[machine_id].copy()
         )
-        if self._free_adjust:
-            pending = self._free_adjust.get(machine_id)
-            if pending is not None:
-                free = (free - pending).clamp_nonnegative()
-        return free
 
     def dominant_share(self, job: Job) -> float:
         """The job's DRF dominant share of the whole cluster."""

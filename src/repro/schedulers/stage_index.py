@@ -9,7 +9,7 @@ preferably one with input local to machine m" in O(1) amortized.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, List, Optional, Set
 
 from repro.workload.job import Job
 from repro.workload.stage import Stage
@@ -32,31 +32,16 @@ class _StageEntry:
 
 
 class StageIndex:
-    """Tracks runnable-and-unclaimed tasks per stage.
+    """Tracks runnable-and-unclaimed tasks per stage."""
 
-    ``stage_filter`` optionally restricts which stages the index will
-    accept: :meth:`add_stage` (and thus :meth:`add_job`) silently skips
-    stages the predicate rejects.  A scheduler-federation shard uses
-    this to index only the stages routed to it, so its fill loops scan
-    a fraction of the cluster-wide stage set.  The predicate is
-    re-consulted on every ``add_stage`` call, so a stage rejected
-    earlier (routed elsewhere) can be admitted later (promoted to
-    floating) by simply calling ``add_stage`` again.
-    """
-
-    def __init__(
-        self, stage_filter: Optional[Callable[[Stage], bool]] = None
-    ) -> None:
+    def __init__(self) -> None:
         self._entries: Dict[int, _StageEntry] = {}
         self._claimed: Set[int] = set()
-        self._stage_filter = stage_filter
 
     # -- maintenance ----------------------------------------------------------
     def add_stage(self, stage: Stage) -> None:
         key = stage.stage_id
         if key not in self._entries:
-            if self._stage_filter is not None and not self._stage_filter(stage):
-                return
             self._entries[key] = _StageEntry(stage)
 
     def add_job(self, job: Job) -> None:

@@ -72,25 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.registry import Registry
     from repro.profiling import Profiler
 
-__all__ = ["TetrisConfig", "TetrisScheduler", "GrantLedger"]
-
-
-class GrantLedger(dict):
-    """The remote-grant ledger: ``machine_id -> granted MB/s``, plus a
-    monotone version stamp.
-
-    ``gen`` is bumped by every mutation so remote-headroom verdicts can
-    be memoized and validated with one integer compare.  The federation
-    aliases one ledger across its inline shards; carrying the stamp on
-    the ledger object itself keeps every aliasing scheduler's caches
-    coherent without cross-wiring the schedulers.
-    """
-
-    __slots__ = ("gen",)
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.gen = 0
+__all__ = ["TetrisConfig", "TetrisScheduler"]
 
 
 @dataclass(frozen=True)
@@ -210,8 +192,11 @@ class TetrisScheduler(Scheduler):
         #: Tetris checks that remote reads have headroom at *every* machine
         #: holding task input (Section 3.2); that check is only meaningful
         #: if the scheduler remembers what it has already granted.
-        self._remote_granted: GrantLedger = GrantLedger()
+        self._remote_granted: Dict[int, float] = {}
         self._remote_by_task: Dict[int, List[Tuple[int, float]]] = {}
+        #: bumped by every ledger mutation, so remote-headroom verdicts
+        #: are validated with one integer compare
+        self._grant_gen = 0
         #: memoized remote-headroom verdicts: task_id -> (plan, (alloc
         #: generation, ledger generation), verdict).  A hit requires the
         #: same plan content and both generations unchanged — source
@@ -273,15 +258,6 @@ class TetrisScheduler(Scheduler):
         #: special stages (resolved via the stacked per-stage matrix)
         self._round_special: Optional[np.ndarray] = None
         self._round_special_mat: Optional[np.ndarray] = None
-        #: round-shared inputs injected by the shard federation: the
-        #: candidate job list and barrier-stage set are identical across
-        #: inline shards (all shards see every job and the same global
-        #: state), so the facade computes them once per round and each
-        #: shard's ``schedule()`` skips the full-job-list scan + sort.
-        #: ``None`` (the default, and always outside a federated round)
-        #: means compute locally — bit-identical either way.
-        self._round_jobs: Optional[List[Job]] = None
-        self._round_barriers: Optional[set] = None
         #: a machine with no locality pool anywhere this round, through
         #: which the shared view is (re)built; -1 when every machine has
         #: one
@@ -651,7 +627,7 @@ class TetrisScheduler(Scheduler):
         i_netout, i_diskr = self._i_netout, self._i_diskr
         state = self.cluster.state
         granted = self._remote_granted
-        gen = (state.alloc_gen, granted.gen)
+        gen = (state.alloc_gen, self._grant_gen)
         hit = self._remote_ok_cache.get(task.task_id)
         if hit is not None and hit[1] == gen and (
             hit[0] is plan or hit[0] == plan
@@ -690,7 +666,7 @@ class TetrisScheduler(Scheduler):
         grants = self._remote_requirements(task, machine_id)
         if grants:
             self._remote_by_task[task.task_id] = grants
-            self._remote_granted.gen += 1
+            self._grant_gen += 1
             for source_id, rate in grants:
                 self._remote_granted[source_id] = (
                     self._remote_granted.get(source_id, 0.0) + rate
@@ -710,7 +686,7 @@ class TetrisScheduler(Scheduler):
         """
         grants = self._remote_by_task.pop(task_id, ())
         if grants:
-            self._remote_granted.gen += 1
+            self._grant_gen += 1
         for machine_id, rate in grants:
             left = self._remote_granted.get(machine_id, 0.0) - rate
             if left <= EPSILON:
@@ -770,11 +746,7 @@ class TetrisScheduler(Scheduler):
         prof = self.profiler
         start = perf_counter() if prof is not None else 0.0
         placements: List[Placement] = []
-        jobs = (
-            self._round_jobs
-            if self._round_jobs is not None
-            else self.candidate_jobs()
-        )
+        jobs = self.candidate_jobs()
         if jobs:
             if self.trace is not None:
                 runnable = self.runnable_jobs()
@@ -792,11 +764,7 @@ class TetrisScheduler(Scheduler):
             if machine_ids is None or machine_ids:
                 if self.config.starvation_timeout is not None:
                     self._update_reservations(jobs, time)
-                barrier_stages = (
-                    self._round_barriers
-                    if self._round_barriers is not None
-                    else self._barrier_stages(jobs)
-                )
+                barrier_stages = self._barrier_stages(jobs)
                 if self._use_vectorized:
                     # the stage blocks, SRTF scores and barrier flags are
                     # identical on every machine this round — build them
@@ -854,10 +822,7 @@ class TetrisScheduler(Scheduler):
                             skip_special is not None
                             and not skip_special[machine_id]
                         ):
-                            gen = (
-                                self._round_table.rep_gen,
-                                self._remote_granted.gen,
-                            )
+                            gen = (self._round_table.rep_gen, self._grant_gen)
                             if skip_gen != gen:
                                 skip_any = self._round_placeable()
                                 skip_gen = gen
@@ -928,9 +893,7 @@ class TetrisScheduler(Scheduler):
 
         A False entry means the visit's first ``keep`` set drains to
         empty, so the fill loop breaks having placed nothing and mutated
-        nothing: skipping the visit is bit-identical.  Pending
-        federation-retry adjustments only shrink the free vector, so a
-        False verdict stays False under them.
+        nothing: skipping the visit is bit-identical.
 
         Valid only for machines with no locality pool this round (their
         view content is exactly the shared view) and only at the

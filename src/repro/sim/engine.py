@@ -577,13 +577,10 @@ class Engine:
         self._commit_placements(placements)
 
     def _commit_placements(self, placements: List[Placement]) -> None:
-        """Apply a round's (already-sequenced) placements to the cluster.
+        """Apply a round's placements to the cluster.
 
         The round loop's commit phase: ``schedule()`` proposes, this
-        applies.  Under the federation, the placements arriving here
-        have already survived the sequencer's conflict validation; for
-        a centralized scheduler the propose/commit split is the same —
-        schedulers never mutate machines inside ``schedule()``.
+        applies — schedulers never mutate machines inside ``schedule()``.
         """
         for placement in placements:
             self._start_task(placement)

@@ -1,6 +1,7 @@
 """CLI tests."""
 
 import json
+import shutil
 
 import pytest
 
@@ -229,15 +230,16 @@ class TestJsonOutputs:
 class TestBench:
     @pytest.fixture(scope="class")
     def profile_dirs(self, tmp_path_factory):
-        """One baseline + one fresh capture of the smoke scenario."""
+        """One capture of the smoke scenario, copied as the "fresh" side:
+        two real captures would gate wall clock against wall clock."""
         root = tmp_path_factory.mktemp("bench")
         baseline, fresh = root / "baselines", root / "fresh"
-        for directory in (baseline, fresh):
-            rc = main([
-                "bench", "run", "--scenarios", "smoke",
-                "--repeats", "2", "-o", str(directory),
-            ])
-            assert rc == 0
+        rc = main([
+            "bench", "run", "--scenarios", "smoke",
+            "--repeats", "2", "-o", str(baseline),
+        ])
+        assert rc == 0
+        shutil.copytree(baseline, fresh)
         return baseline, fresh
 
     def test_run_writes_schema_valid_profile(self, profile_dirs):
@@ -352,6 +354,19 @@ class TestParser:
         assert args.quick is False
         args = parser.parse_args(["bench", "compare"])
         assert args.baseline == "benchmarks/baselines"
+
+    def test_federation_stays_deleted(self, capsys):
+        """Measured slower and removed: see docs/performance.md."""
+        from repro.experiments import ExperimentConfig
+
+        for command in (["run", "t.json"], ["serve"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--shards", "2"])
+            assert "unrecognized arguments: --shards" in capsys.readouterr().err
+        fields = ExperimentConfig.__dataclass_fields__
+        assert not [name for name in fields if name.startswith("shard")]
+        with pytest.raises(ModuleNotFoundError):
+            import repro.federation  # noqa: F401
 
 
 class TestWorkers:
@@ -471,8 +486,9 @@ class TestBenchHistoryCLI:
         assert "no history entries" in capsys.readouterr().out
 
     def test_diff_clean_pair_passes(self, history_dir, capsys):
+        # an entry against itself: no wall clock gates another
         rc = main([
-            "bench", "diff", "@1", "@0", "--scenario", "smoke",
+            "bench", "diff", "@0", "@0", "--scenario", "smoke",
             "--history", str(history_dir / "hist"),
         ])
         assert rc == 0
@@ -498,7 +514,7 @@ class TestBenchHistoryCLI:
                 record["value"] *= 3.0
                 record["samples"] = [s * 3.0 for s in record["samples"]]
         gated_store = HistoryStore(tmp_path / "gated")
-        gated_store.append(store.entries("smoke")[0].profile)
+        gated_store.append(store.latest("smoke").profile)
         gated_store.append(slowed, recorded_unix=2_000_000_000.0)
         argv = [
             "bench", "diff", "@1", "@0", "--scenario", "smoke",

@@ -120,8 +120,8 @@ class TestSpawnSeeds:
     )
     @settings(deadline=None, max_examples=50)
     def test_prefix_stable_under_growing_shard_counts(self, base, n, extra):
-        """Resharding a federation from n to n+extra shards must never
-        reseed shards 0..n-1: their seeds are a stable prefix."""
+        """Growing a sweep from n to n+extra siblings must never reseed
+        siblings 0..n-1: their seeds are a stable prefix."""
         small = spawn_seeds(base, n)
         large = spawn_seeds(base, n + extra)
         assert large[:n] == small

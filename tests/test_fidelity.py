@@ -1,8 +1,7 @@
 """Unit tests for the packing-fidelity helpers (repro.metrics.fidelity).
 
-These gate the federation's "within 5% of centralized" acceptance
-criterion, so the delta arithmetic and the tolerance logic are pinned
-directly: signed deltas (positive = candidate worse), percentage points
+``repro compare --fidelity`` reports these numbers, so the delta
+arithmetic and the tolerance logic are pinned directly: signed deltas (positive = candidate worse), percentage points
 for the already-relative fragmentation number, and a ``within`` that
 never penalizes a candidate for being *better*.
 """

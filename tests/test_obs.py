@@ -508,14 +508,6 @@ class TestEventValidation:
             "remaining_work": 2.0, "combined": 0.1, "remote": True,
         })
 
-    def test_federation_spill_event_passes(self):
-        # emitted by the sharded federation facade when a starved stage
-        # is promoted to floating; must validate under --strict
-        validate_event({
-            "type": "federation_spill", "time": 90.0, "job": "j",
-            "stage": "reduce", "home_shard": 0, "waited": 17.0,
-        })
-
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError, match="unknown event type"):
             validate_event({"type": "nope"})

@@ -56,27 +56,19 @@ def _workload(seed, num_jobs=6, horizon=120.0):
 
 def _run(trace, config, seed=0, num_machines=4, use_tracker=False,
          decision_trace=None, estimator=None, activities=(), skip=True,
-         shards=None, stats=None, metrics=None):
+         stats=None, metrics=None):
     """Run the trace under Tetris; returns the placement keys.
 
     ``skip=False`` visits every machine (the ``prefilter_machines``
-    opt-out), ``shards`` wraps the scheduler in an inline federation,
-    ``stats`` (a dict) receives the scheduler's ``visit_stats`` and
-    ``metrics`` (a registry) its obs counters.
+    opt-out), ``stats`` (a dict) receives the scheduler's ``visit_stats``
+    and ``metrics`` (a registry) its obs counters.
     """
     from repro.estimation.tracker import ResourceTracker
 
     cluster = Cluster(num_machines, seed=seed)
     jobs = materialize_trace(trace, cluster, seed=seed)
     tracker = ResourceTracker(cluster) if use_tracker else None
-    tetris = scheduler = TetrisScheduler(config)
-    if shards is not None:
-        from repro.federation import FederatedScheduler, FederationConfig
-
-        scheduler = FederatedScheduler(
-            tetris, FederationConfig(num_shards=shards)
-        )
-        tetris = scheduler.inners[0]
+    scheduler = TetrisScheduler(config)
     scheduler.prefilter_machines = skip
     engine = Engine(
         cluster,
@@ -92,7 +84,7 @@ def _run(trace, config, seed=0, num_machines=4, use_tracker=False,
     engine.run()
     assert all(job.is_finished for job in jobs)
     if stats is not None:
-        stats.update(tetris.visit_stats)
+        stats.update(scheduler.visit_stats)
     return [
         (task.job.name, task.stage.name, task.index, machine_id, time)
         for (task, machine_id, time, _booked) in engine.placement_log
@@ -313,17 +305,6 @@ class TestTrackerSkipIdentity:
         assert stats["machines_visited"] < stats["machines_considered"]
         _, without = self._three_ways(trace)
         assert with_load != without  # the activity really steered Tetris
-
-    def test_single_shard_federation(self):
-        trace = _workload(seed=29, num_jobs=10, horizon=200.0)
-        stats = {}
-        want = _run(trace, self.FAST, num_machines=8, use_tracker=True)
-        got = _run(
-            trace, self.FAST, num_machines=8, use_tracker=True,
-            shards=1, stats=stats,
-        )
-        assert got == want
-        assert stats["machines_visited"] < stats["machines_considered"]
 
     def test_skipped_visits_reach_the_metrics(self):
         from repro.obs.registry import Registry

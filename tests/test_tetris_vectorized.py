@@ -22,13 +22,17 @@ Covers:
 import gc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.estimation.estimator import NoisyEstimator, ProfilingEstimator
 from repro.estimation.tracker import ResourceTracker
 from repro.resources import DEFAULT_MODEL
-from repro.schedulers.tetris import GrantLedger, TetrisConfig, TetrisScheduler
+from repro.schedulers.tetris import TetrisConfig, TetrisScheduler
 from repro.sim.engine import Engine, EngineConfig
+from repro.workload.job import Job
+from repro.workload.stage import Stage
+from repro.workload.task import TaskInput
 from repro.workload.trace import materialize_trace
 from repro.workload.tracegen import WorkloadSuiteConfig, generate_workload_suite
 
@@ -358,7 +362,7 @@ class TestRemoteLedger:
     def test_release_clamps_drift(self):
         scheduler = TetrisScheduler()
         # grants whose floats do not sum back exactly: 0.1 * 3 != 0.3
-        scheduler._remote_granted = GrantLedger({5: 0.1 + 0.1 + 0.1})
+        scheduler._remote_granted = {5: 0.1 + 0.1 + 0.1}
         scheduler._remote_by_task = {1: [(5, 0.3)]}
         scheduler._release_remote_grants(1)
         assert scheduler._remote_granted == {}
@@ -376,6 +380,75 @@ class TestRemoteLedger:
         scheduler._remote_granted = {2: -1.0}
         with pytest.raises(AssertionError, match="negative"):
             scheduler.check_remote_ledger()
+
+
+class TestRemoteVerdictCache:
+    """The memoized remote-headroom verdict (``_remote_sources_ok``)
+    equals a fresh computation after every mutation that can move it."""
+
+    _i = st.integers(0, 3)  # a machine, reader or filler index
+    _ops = st.one_of(
+        st.tuples(st.sampled_from(["grant", "place"]), _i, _i),
+        st.tuples(st.sampled_from(["release", "remove"]), _i),
+        # shuffle resolution re-pins a reader's input
+        st.tuples(
+            st.just("repin"), _i,
+            st.lists(_i, min_size=1, max_size=2, unique=True),
+        ),
+    )
+
+    @given(ops=st.lists(_ops, max_size=40))
+    @settings(deadline=None, max_examples=60)
+    def test_memo_equals_fresh_under_interleavings(self, ops):
+        cluster = Cluster(4, seed=0)
+        scheduler = TetrisScheduler(TetrisConfig(debug_invariants=True))
+        scheduler.bind(cluster)
+        # a source has 125 MB/s netout: two 60 MB/s grants or one filler
+        # exhaust it, so verdicts really flip
+        readers = [
+            make_task(netin=60.0, inputs=[TaskInput(100.0, (i % 2, 2))])
+            for i in range(4)
+        ]
+        stage = Stage("read", readers)
+        scheduler.on_job_arrival(Job([stage]), 0.0)
+        fillers = [make_task(diskr=150.0, netout=70.0) for _ in range(4)]
+        placed = {}
+        cache = scheduler._remote_ok_cache
+
+        def check():
+            for task in readers:
+                for machine_id in range(4):
+                    memo = scheduler._remote_sources_ok(task, machine_id)
+                    kept = dict(cache)
+                    cache.clear()
+                    fresh = scheduler._remote_sources_ok(task, machine_id)
+                    cache.clear()
+                    cache.update(kept)
+                    assert memo == fresh, (task.index, machine_id)
+
+        for kind, *args in [("check",)] + ops:
+            if kind == "grant":
+                task = readers[args[0]]
+                if task.task_id not in scheduler._remote_by_task:
+                    scheduler._grant_remote(task, args[1])
+            elif kind == "release":
+                scheduler._release_remote_grants(readers[args[0]].task_id)
+            elif kind == "place" and args[0] not in placed:
+                task = fillers[args[0]]
+                cluster.machine(args[1]).place(task, task.demands)
+                placed[args[0]] = args[1]
+            elif kind == "remove" and args[0] in placed:
+                cluster.machine(placed.pop(args[0])).remove(fillers[args[0]])
+            elif kind == "repin":
+                readers[args[0]].inputs = [TaskInput(100.0, tuple(args[1]))]
+                scheduler.on_stage_released(stage, 0.0)
+            check()
+        for task in readers:  # drain: nothing per-task survives
+            task.mark_running(0, 0.0)
+            task.mark_finished(1.0)
+            scheduler.on_task_finished(task, 1.0)
+        assert not (scheduler._remote_granted or scheduler._remote_by_task)
+        assert not cache
 
 
 class TestRemoteSourceChoice:

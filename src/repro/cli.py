@@ -513,7 +513,8 @@ def _print_cache_effectiveness(metrics_path: str) -> None:
     """Summarize the incremental-core counters from a metrics exposition
     file (the ``metrics.prom`` a ``repro trace`` run writes): candidate
     pack-cache hit rate, invalidations by scope, machine visits by
-    outcome (the placeability skip), live signature groups, and the
+    outcome and the placeability plane's own work, live signature
+    groups, and the
     fluid model's sparse-recompute footprint."""
     from repro.obs import parse_exposition
 
@@ -538,12 +539,22 @@ def _print_cache_effectiveness(metrics_path: str) -> None:
     if considered:
         skipped = visits.get("outcome=skipped", 0.0)
         productive = visits.get("outcome=productive", 0.0)
+        visited = considered - skipped
+        useful = f", {productive / visited:.1%} of visits" if visited else ""
         print(
             f"  machine visits:  {considered:.0f} considered, "
-            f"{considered - skipped:.0f} visited "
+            f"{visited:.0f} visited "
             f"({skipped / considered:.1%} skipped as unplaceable), "
-            f"{productive:.0f} productive"
+            f"{productive:.0f} productive{useful}"
         )
+        plane_rows = metrics.get(
+            "repro_tetris_placeability_rows_total", {}
+        ).get("", 0.0)
+        if plane_rows:
+            print(
+                f"  placeability:    {plane_rows:.0f} stage rows judged "
+                f"to skip {skipped:.0f} visits"
+            )
     groups = metrics.get("repro_tetris_signature_groups", {}).get("")
     if groups is not None:
         print(f"  live groups:     {groups:.0f} (at end of run)")

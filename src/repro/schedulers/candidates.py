@@ -40,13 +40,12 @@ placement refreshes exactly one stage's block instead of re-gathering
 every stage, and each loop iteration reduces to numpy passes over the
 persistent arrays.  Missing pack rows for a machine are computed in one
 batched numpy normalization over all signature groups at view-build
-time (:meth:`CandidateIndex.warm`).  Batching is per machine by
-construction: fits and alignment are always taken against one machine's
-free/capacity vector, so a machines × groups grid has no shared scoring
-axis — cross-machine reuse happens through the persistent
-``(signature, machine)`` cache instead, and the dirty-machine contract
-(see ``Scheduler.consume_dirty_machines``) already skips machines whose
-free vector did not change.
+time.  Scoring is per machine by construction (alignment is taken
+against one machine's free and capacity vectors); the *fit* is not:
+:class:`PlaceabilityPlane` compares every stage's two rows with every
+machine's free vector once per round, from per-stage :class:`StageRows`
+kept across rounds, so machines that can place nothing are never
+visited.
 """
 
 from __future__ import annotations
@@ -59,7 +58,10 @@ from repro.resources import EPSILON, ResourceVector
 from repro.workload.stage import Stage
 from repro.workload.task import Task
 
-__all__ = ["CandidateIndex", "MachineView", "signature_of"]
+__all__ = [
+    "CandidateIndex", "MachineView", "PlaceabilityPlane", "StageRows",
+    "signature_of",
+]
 
 #: (stage_id, estimate bytes, ((input size, replica locations), ...))
 Signature = Tuple[int, bytes, Tuple[Tuple[float, Tuple[int, ...]], ...]]
@@ -105,6 +107,9 @@ class CandidateIndex:
         self._packs: Dict[
             Signature, Tuple[Dict[object, PackEntry], Dict[int, PackEntry]]
         ] = {}
+        #: stage_id -> the stage's two view rows on every machine, kept
+        #: across rounds (dropped wherever the stage's packs are)
+        self._stage_rows: Dict[int, "StageRows"] = {}
         #: machine_id -> capacity equivalence class (byte-equal vectors)
         self._machine_class: List[int] = []
         self.single_capacity_class = False
@@ -118,6 +123,7 @@ class CandidateIndex:
         self._estimate: Optional[Callable[[Task], ResourceVector]] = None
         self._booked: Optional[Callable[[Task, int], ResourceVector]] = None
         self._cluster = None
+        self._rate_caps: Optional[np.ndarray] = None
         self._dims_mask: Optional[np.ndarray] = None
         self._m_hits = None
         self._m_misses = None
@@ -146,8 +152,14 @@ class CandidateIndex:
         self._sig_of_task.clear()
         self._stage_sigs.clear()
         self._packs.clear()
-        #: single capacity class => packs (and therefore whole views for
-        #: machines with no locality interaction) are machine-independent
+        self._stage_rows.clear()
+        #: per-machine booking caps: capacity on the fluid (rate)
+        #: dimensions, unbounded on the rigid ones
+        self._rate_caps = np.where(
+            cluster.model.fluid_mask, cluster.state.capacity, np.inf
+        )
+        #: single capacity class => away from its input replicas a task
+        #: books the same vector on every machine
         self.single_capacity_class = len(classes) <= 1
 
     def set_instruments(
@@ -254,12 +266,6 @@ class CandidateIndex:
             self.stats["hits"] += 1
         return entry
 
-    def warm(self, machine_id: int, tasks: Sequence[Task]) -> None:
-        """Fill every missing pack for ``tasks`` on ``machine_id`` with
-        one batched numpy normalization — the "all groups at once" path a
-        view build uses before its per-row lookups all hit."""
-        self.packs_for(machine_id, tasks)
-
     def packs_for(
         self, machine_id: int, tasks: Sequence[Task]
     ) -> List[PackEntry]:
@@ -338,6 +344,7 @@ class CandidateIndex:
         self._sig_of_task.pop(task.task_id, None)
         if task.stage.is_finished():
             stage_id = task.stage.stage_id
+            self._stage_rows.pop(stage_id, None)
             for sig in self._stage_sigs.pop(stage_id, ()):
                 self._packs.pop(sig, None)
             if self._m_groups is not None:
@@ -348,6 +355,7 @@ class CandidateIndex:
         its signatures (computed from the old inputs) is stale.  Returns
         the number of groups dropped."""
         dropped = 0
+        self._stage_rows.pop(stage.stage_id, None)
         for sig in self._stage_sigs.pop(stage.stage_id, ()):
             if self._packs.pop(sig, None) is not None:
                 dropped += 1
@@ -365,9 +373,78 @@ class CandidateIndex:
         self._sig_of_task.clear()
         self._stage_sigs.clear()
         self._packs.clear()
+        self._stage_rows.clear()
         if had:
             self._count_invalidation("full")
         return had
+
+    # -- placeability plane ----------------------------------------------------
+    def _book(self, out: np.ndarray, task: Task, machine_id: int) -> bool:
+        """Write ``booked_demands(task, machine_id).data`` into ``out``
+        and return ``remote_input_mb(machine_id) > 0``: a pack without
+        its normalized row and vector objects, which judging a fit does
+        not need.  Booking is elementwise (rates capped at capacity;
+        ``netin`` / ``diskr`` cleared by locality class; ``netout``
+        cleared), so the floats equal the scalar path's bit for bit.
+        """
+        caps = self._rate_caps[machine_id]
+        np.minimum(self._estimate(task).data, caps, out=out)
+        dim = self._cluster.model.index
+        remote_mb = task.remote_input_mb(machine_id)
+        if remote_mb <= 0:
+            out[dim["netin"]] = 0.0
+        if task.input_mb - remote_mb <= 0:
+            out[dim["diskr"]] = 0.0
+        out[dim["netout"]] = 0.0
+        return remote_mb > 0
+
+    def stage_rows(
+        self, stage_index, stage: Stage, rep: Optional[Task]
+    ) -> "StageRows":
+        """The stage's maintained :class:`StageRows`, made current.
+
+        Kept by dirty entries: pool fronts are re-resolved only on the
+        machines the stage index reports as moved
+        (:meth:`StageIndex.take_moved_fronts`), the rep plane only when
+        ``rep`` is a different task.  Nothing else a row depends on can
+        move without dropping the whole entry, which goes where the
+        stage's packs go (shuffle re-pin, unstable-estimator flush,
+        stage drained).
+        """
+        rows = self._stage_rows.get(stage.stage_id)
+        new = rows is None
+        if new:
+            rows = self._stage_rows[stage.stage_id] = StageRows(
+                *self._cluster.state.capacity.shape
+            )
+        booked, remote, active = rows.booked, rows.remote, rows.active
+        tasks = rows.tasks
+        for m in stage_index.take_moved_fronts(stage, every_pool=new):
+            task = stage_index.local_candidate(stage, m)
+            if task is not tasks[m]:
+                tasks[m] = task
+                active[0, m] = task is not None
+                if task is not None:
+                    remote[0, m] = self._book(booked[0, m], task, m)
+        if rep is not rows.rep:
+            rows.rep = rep
+            active[1] = False
+            inputs = () if rep is None else rep.inputs
+            holders = rows.holders = list(
+                {m for inp in inputs for m in inp.locations}
+            )
+            elsewhere = next(
+                (m for m in range(len(tasks)) if m not in holders), None
+            )
+            if rep is not None and elsewhere is not None:
+                # one all-remote row, the same on every other machine
+                remote[1] = self._book(booked[1, elsewhere], rep, elsewhere)
+                booked[1] = booked[1, elsewhere]
+                active[1] = True
+            for m in holders:
+                remote[1, m] = self._book(booked[1, m], rep, m)
+                active[1, m] = True
+        return rows
 
     # -- per-round / per-machine fill-loop state -------------------------------
     def round_table(
@@ -393,85 +470,12 @@ class CandidateIndex:
                 blocks.append((stage, remaining))
         return RoundTable(blocks, barrier_stages)
 
-    def shared_view(
-        self,
-        table: "RoundTable",
-        stage_index,
-        machine_id: int,
-        num_dims: int,
-    ) -> "MachineView":
-        """The round's cached machine-independent view, for machines with
-        *no* locality pool in any round stage on a single-capacity-class
-        cluster.
-
-        Such a machine's view content is fully machine-independent: its
-        locality slots are all empty, the queue-front representatives are
-        shared round state, and every pack resolves to the
-        ``(capacity class, empty local-input pattern)`` cache entry.  One
-        view therefore serves every such machine verbatim; it only goes
-        stale when a claim moves some stage's queue front
-        (``table.rep_gen``), and the caller re-syncs the generation after
-        a fill loop that kept the view fresh through its own refreshes.
-        The view owns dedicated scratch arrays so interleaved per-machine
-        view builds cannot clobber it.
-        """
-        view = table._shared_view
-        if view is not None and table._shared_gen == table.rep_gen:
-            view.machine_id = machine_id
-            return view
-        view = self.build_view(
-            table, stage_index, machine_id, num_dims, shared=True
-        )
-        table._shared_view = view
-        table._shared_gen = table.rep_gen
-        return view
-
-    def patched_view(
-        self,
-        table: "RoundTable",
-        stage_index,
-        machine_id: int,
-        num_dims: int,
-        special_sis: Sequence[int],
-        proxy_id: int,
-    ) -> "MachineView":
-        """A machine's view assembled as "shared view + per-stage patches".
-
-        ``machine_id`` has a locality pool only for the stages in
-        ``special_sis``; every other stage's slots (local slot empty,
-        queue-front rep with the empty local-input pack pattern) are
-        byte-identical to the shared no-locality view, so they are block
-        copied and only the special stages re-resolve their
-        representatives and packs for this machine.  ``proxy_id`` must be
-        a machine with no locality pool anywhere this round — the shared
-        view is (re)built through it so its content stays canonical.
-        """
-        base = self.shared_view(table, stage_index, proxy_id, num_dims)
-        view = MachineView(self, table, machine_id, num_dims)
-        np.copyto(view.booked_mat, base.booked_mat)
-        np.copyto(view.norm_mat, base.norm_mat)
-        np.copyto(view.remote, base.remote)
-        view.active[:] = base.active
-        view.tasks[:] = base.tasks
-        view.booked[:] = base.booked
-        stages = table.stages
-        for si in special_sis:
-            stage = stages[si]
-            local = stage_index.local_candidate(stage, machine_id)
-            other = table.any_rep_for(si, stage, stage_index)
-            if other is local:
-                other = None
-            view.set_slot(2 * si, local)
-            view.set_slot(2 * si + 1, other)
-        return view
-
     def build_view(
         self,
         table: "RoundTable",
         stage_index,
         machine_id: int,
         num_dims: int,
-        shared: bool = False,
     ) -> "MachineView":
         """One machine's candidate state for a fill loop: resolve each
         stage's representatives (the stage-queue front is cached on the
@@ -495,13 +499,7 @@ class CandidateIndex:
             if other is not None:
                 slot_tasks[2 * si + 1] = other
                 rows.append(2 * si + 1)
-        view = MachineView(
-            self,
-            table,
-            machine_id,
-            num_dims,
-            scratch=table.shared_scratch(num_dims) if shared else None,
-        )
+        view = MachineView(self, table, machine_id, num_dims)
         if len(rows) <= _BATCH_THRESHOLD:
             for i in rows:
                 view.set_slot(i, slot_tasks[i])
@@ -511,6 +509,159 @@ class CandidateIndex:
             )
             view.fill_packed(rows, slot_tasks, packs)
         return view
+
+
+class StageRows:
+    """One stage's two view rows on every machine, as dense planes.
+
+    Plane 0, row ``m``: what a fill loop on ``m`` puts in the stage's
+    locality slot — ``tasks[m]`` is ``StageIndex.local_candidate(stage,
+    m)``, ``booked[0, m]`` its booked vector there, ``remote[0, m]``
+    whether part of its input would cross the network.  Plane 1: the
+    stage-queue front ``rep`` on every machine; away from its
+    ``holders`` (the machines with a replica of its input) it books one
+    vector and reads through one transfer plan.  Where ``active`` is
+    False there is no such task and the rest of the row is stale.
+    """
+
+    __slots__ = ("tasks", "rep", "holders", "booked", "remote", "active")
+
+    def __init__(self, num_machines: int, num_dims: int) -> None:
+        self.tasks: List[Optional[Task]] = [None] * num_machines
+        self.rep: object = _UNSET
+        self.holders: List[int] = []
+        self.booked = np.zeros((2, num_machines, num_dims))
+        self.remote = np.zeros((2, num_machines), dtype=bool)
+        self.active = np.zeros((2, num_machines), dtype=bool)
+
+
+class PlaceabilityPlane:
+    """Which machines of one round can place anything, decided before
+    they are visited (docs/performance.md, "The placeability plane").
+
+    A fill loop's first iteration keeps a row iff ``booked <= free +
+    EPSILON`` on every considered dimension and, when part of its input
+    is remote, its sources have headroom; a visit that keeps nothing
+    places nothing and mutates nothing.  ``fit[2 * si + slot, m]`` is
+    that comparison for stage ``si``'s two rows on every machine at
+    once, from its maintained :class:`StageRows`.  A fitting row that
+    reads nothing remote settles its machine; the others are put to
+    ``remote_ok`` when the visit loop reaches the machine.  Inside a
+    round free rows do not move and the grant ledger only grows, so a
+    failed verdict is final (its entry is withdrawn — for a rep away
+    from its holders, on every such machine at once) and any other
+    entry stays exact until a claim takes the task it was computed for.
+    :meth:`note_visit` withdraws exactly those entries; their stages
+    are recomputed lazily, when a machine is about to be dropped.
+    """
+
+    def __init__(
+        self,
+        index: CandidateIndex,
+        table: RoundTable,
+        stage_index,
+        free: np.ndarray,
+        remote_ok: Callable[[Task, int], bool],
+    ) -> None:
+        self.index = index
+        self.table = table
+        self.stage_index = stage_index
+        self.remote_ok = remote_ok
+        mask = index._dims_mask
+        self.mask = None if mask is None or mask.all() else mask
+        if self.mask is not None:
+            free = free[:, self.mask]
+        self.free_eps = free + EPSILON
+        self.fit = np.zeros((table.num_rows, free.shape[0]), dtype=bool)
+        self.rows: List[Optional[StageRows]] = [None] * len(table.stages)
+        #: stage indices with entries withdrawn by :meth:`note_visit`
+        self.moved: Set[int] = set()
+        self.rows_computed = 0
+        #: per machine, whether any entry of its column is set (a
+        #: superset between refreshes); None = entries were withdrawn
+        self.open: Optional[List[bool]] = None
+        self.probe = False  # see :meth:`placeable`
+        for si in range(len(table.stages)):
+            self._judge_stage(si)
+
+    def _judge_stage(self, si: int) -> None:
+        stage_index = self.stage_index
+        stage = self.table.stages[si]
+        rep = self.table.any_rep_for(si, stage, stage_index)
+        rows = self.rows[si] = self.index.stage_rows(stage_index, stage, rep)
+        self.rows_computed += 1
+        booked = rows.booked
+        if self.mask is not None:
+            booked = booked[:, :, self.mask]
+        fit = self.fit[2 * si:2 * si + 2]
+        np.all(booked <= self.free_eps, axis=2, out=fit)
+        fit &= rows.active
+
+    def _passes(self, machine_id: int) -> bool:
+        """Whether a fill loop on the machine would keep one of its
+        fitting rows: one that reads nothing remote, or whose sources
+        have headroom right now."""
+        if self.open is None:
+            self.open = self.fit.any(axis=0).tolist()
+        if not self.open[machine_id]:
+            return False
+        for row in np.flatnonzero(self.fit[:, machine_id]):
+            rows, slot = self.rows[row >> 1], row & 1
+            if not rows.remote[slot, machine_id]:
+                return True
+            task = rows.rep if slot else rows.tasks[machine_id]
+            if self.remote_ok(task, machine_id):
+                return True
+            if slot and machine_id not in rows.holders:
+                # the rep's shared plan failed: on every such machine
+                entries = self.fit[row]
+                kept = entries[rows.holders]
+                entries[:] = False
+                entries[rows.holders] = kept
+                self.open = None
+        return False
+
+    def placeable(self, machine_id: int) -> bool:
+        """Whether to visit ``machine_id``.  False is exact: the visit
+        would place nothing.  So is True, except while probing: when
+        the last recomputation found its machine able to place after
+        all, machines left without a row are visited instead of
+        recomputed for, until one such visit comes back empty."""
+        if self._passes(machine_id):
+            return True
+        if not self.moved:
+            return False
+        if self.probe:
+            return True
+        for si in self.moved:
+            self._judge_stage(si)
+        self.moved.clear()
+        self.open = None
+        self.probe = self._passes(machine_id)
+        return self.probe
+
+    def note_visit(self, tasks: Sequence[Task]) -> None:
+        """A visit claimed ``tasks``.  A claim moves a front only where
+        the claimed task *was* the front: the stage's rep row if it was
+        the rep, pool-front entries on the machines holding its input.
+        """
+        if not tasks:
+            self.probe = False
+            return
+        fit = self.fit
+        stage_row = self.table.stage_row
+        for task in tasks:
+            base = stage_row[task.stage.stage_id]
+            rows = self.rows[base >> 1]
+            if task is rows.rep:
+                fit[base + 1] = False
+            fronts = rows.tasks
+            for inp in task.inputs:
+                for machine_id in inp.locations:
+                    if fronts[machine_id] is task:
+                        fit[base, machine_id] = False
+            self.moved.add(base >> 1)
+        self.open = None
 
 
 class RoundTable:
@@ -539,12 +690,8 @@ class RoundTable:
         "barrier",
         "stage_row",
         "num_rows",
-        "rep_gen",
         "_any_rep",
         "_scratch",
-        "_shared_view",
-        "_shared_gen",
-        "_shared_scratch",
     )
 
     def __init__(
@@ -573,15 +720,8 @@ class RoundTable:
             stage.stage_id: 2 * si for si, (stage, _) in enumerate(blocks)
         }
         self.num_rows = 2 * len(blocks)
-        #: bumped whenever a claim drops a cached queue-front rep; the
-        #: shared no-locality view is valid only at the generation it was
-        #: built (or last refreshed) at
-        self.rep_gen = 0
         self._any_rep: List[object] = [_UNSET] * len(blocks)
         self._scratch: Optional[Tuple[np.ndarray, ...]] = None
-        self._shared_view: Optional["MachineView"] = None
-        self._shared_gen = -1
-        self._shared_scratch: Optional[Tuple[np.ndarray, ...]] = None
 
     def any_rep_for(self, si: int, stage: Stage, stage_index):
         """Stage ``si``'s queue-front representative, resolved at most
@@ -597,7 +737,6 @@ class RoundTable:
         base = self.stage_row.get(stage_id)
         if base is not None:
             self._any_rep[base >> 1] = _UNSET
-            self.rep_gen += 1
 
     def scratch(self, num_dims: int) -> Tuple[np.ndarray, ...]:
         """The shared (booked, norm, remote) arrays for this round's
@@ -605,18 +744,6 @@ class RoundTable:
         s = self._scratch
         if s is None:
             s = self._scratch = (
-                np.zeros((self.num_rows, num_dims)),
-                np.zeros((self.num_rows, num_dims)),
-                np.zeros(self.num_rows, dtype=bool),
-            )
-        return s
-
-    def shared_scratch(self, num_dims: int) -> Tuple[np.ndarray, ...]:
-        """Dedicated arrays for the shared no-locality view, so regular
-        per-machine view builds never clobber its rows."""
-        s = self._shared_scratch
-        if s is None:
-            s = self._shared_scratch = (
                 np.zeros((self.num_rows, num_dims)),
                 np.zeros((self.num_rows, num_dims)),
                 np.zeros(self.num_rows, dtype=bool),
@@ -654,7 +781,6 @@ class MachineView:
         table: RoundTable,
         machine_id: int,
         num_dims: int,
-        scratch: Optional[Tuple[np.ndarray, ...]] = None,
     ) -> None:
         n = table.num_rows
         self.index = index
@@ -666,27 +792,11 @@ class MachineView:
         # (views are strictly sequential within a round); stale rows are
         # never read because ``active`` is fresh and every activation
         # rewrites its row first
-        self.booked_mat, self.norm_mat, self.remote = (
-            scratch if scratch is not None else table.scratch(num_dims)
-        )
+        self.booked_mat, self.norm_mat, self.remote = table.scratch(num_dims)
         # round constants, shared (read-only) with every other view
         self.remaining = table.remaining
         self.barrier = table.barrier
         self.active = np.zeros(n, dtype=bool)
-
-    def fill_slots(self, slot_tasks: Sequence[Optional[Task]]) -> None:
-        """Populate every resolved slot — with two stacked assignments
-        instead of one row write per slot once there are enough rows for
-        the numpy batch setup to pay for itself."""
-        rows = [i for i, task in enumerate(slot_tasks) if task is not None]
-        if len(rows) <= _BATCH_THRESHOLD:
-            for i in rows:
-                self.set_slot(i, slot_tasks[i])
-            return
-        packs = self.index.packs_for(
-            self.machine_id, [slot_tasks[i] for i in rows]
-        )
-        self.fill_packed(rows, slot_tasks, packs)
 
     def fill_packed(
         self,

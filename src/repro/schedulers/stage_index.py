@@ -19,7 +19,7 @@ __all__ = ["StageIndex"]
 
 
 class _StageEntry:
-    __slots__ = ("stage", "queue", "local")
+    __slots__ = ("stage", "queue", "local", "moved_fronts")
 
     def __init__(self, stage: Stage):
         self.stage = stage
@@ -29,6 +29,10 @@ class _StageEntry:
             for inp in task.inputs:
                 for machine_id in inp.locations:
                     self.local.setdefault(machine_id, deque()).append(task)
+        #: machines whose pool front may have moved since
+        #: :meth:`StageIndex.take_moved_fronts` last drained them; None =
+        #: nobody follows this stage yet (changes record nothing)
+        self.moved_fronts: Optional[Set[int]] = None
 
 
 class StageIndex:
@@ -53,6 +57,7 @@ class StageIndex:
     def claim(self, task: Task) -> None:
         """Mark a task as tentatively placed during this scheduling round."""
         self._claimed.add(task.task_id)
+        self._note_moved_fronts(task)
 
     def forget(self, task: Task) -> None:
         """Drop bookkeeping for a finished task — and, once its stage
@@ -61,10 +66,40 @@ class StageIndex:
         self._claimed.discard(task.task_id)
         if task.stage.is_finished():
             self._entries.pop(task.stage.stage_id, None)
+        elif task.state is TaskState.RUNNABLE:
+            # un-claiming a task that never started revives it
+            self._note_moved_fronts(task)
 
     def reset_claims(self) -> None:
         """Release every tentative claim (benchmark/repro harness hook)."""
         self._claimed.clear()
+        for entry in self._entries.values():
+            entry.moved_fronts = None
+
+    def _note_moved_fronts(self, task: Task) -> None:
+        """``task``'s eligibility changed: the front of its stage's
+        locality pool can have moved on the machines holding its input,
+        and nowhere else."""
+        entry = self._entries.get(task.stage.stage_id)
+        if entry is not None and entry.moved_fronts is not None:
+            for inp in task.inputs:
+                entry.moved_fronts.update(inp.locations)
+
+    def take_moved_fronts(self, stage: Stage, every_pool: bool = False):
+        """Machines on which :meth:`local_candidate` for ``stage`` may
+        answer differently than at the previous call — every machine
+        with a pool the first time, after :meth:`reset_claims` and on
+        request.  Eligibility moves only in :meth:`claim`,
+        :meth:`requeue`, :meth:`forget` and :meth:`reset_claims`, and
+        each records here, so no caller can move a front behind the
+        back of the one consumer (``CandidateIndex.stage_rows``).
+        """
+        entry = self._entries.get(stage.stage_id)
+        if entry is None:
+            return ()
+        moved = entry.moved_fronts
+        entry.moved_fronts = set()
+        return entry.local.keys() if every_pool or moved is None else moved
 
     def requeue(self, task: Task) -> None:
         """Put a failed task back at the *back* of its stage's pools.
@@ -75,8 +110,8 @@ class StageIndex:
         ran.  Dropping any stale occurrence before appending makes the
         task's comeback position canonical — candidate order after a
         failure is then independent of lookup (visit) history, which is
-        what lets the round-level placeability skip drop fruitless
-        visits without perturbing placements.  Failures are rare, so the
+        what lets the round's placeability plane drop fruitless visits
+        without perturbing placements.  Failures are rare, so the
         O(queue) removal is off any hot path.
         """
         self._claimed.discard(task.task_id)
@@ -96,6 +131,7 @@ class StageIndex:
                 except ValueError:
                     pass
                 queue.append(task)
+        self._note_moved_fronts(task)
 
     def _eligible(self, task: Task) -> bool:
         return (
@@ -151,15 +187,6 @@ class StageIndex:
 
     def has_candidates(self, stage: Stage) -> bool:
         return self.any_candidate(stage) is not None
-
-    def local_machines(self, stage: Stage):
-        """Machine ids with a locality pool for ``stage`` — every machine
-        that holds (or ever held) an input replica of any of the stage's
-        tasks.  The key set is fixed at entry creation (requeues can only
-        re-add tasks whose locations already have pools), so callers may
-        cache derived structures per stage."""
-        entry = self._entries.get(stage.stage_id)
-        return entry.local.keys() if entry is not None else ()
 
     def indexed_stages(self, job: Job) -> List[Stage]:
         """This job's indexed stages that still hold eligible tasks."""

@@ -61,7 +61,7 @@ from repro.schedulers.alignment import (
     get_scorer,
 )
 from repro.schedulers.base import Placement, Scheduler
-from repro.schedulers.candidates import CandidateIndex
+from repro.schedulers.candidates import CandidateIndex, PlaceabilityPlane
 from repro.schedulers.fairness_policy import DRFFairnessPolicy, FairnessPolicy
 from repro.schedulers.stage_index import StageIndex
 from repro.workload.job import Job
@@ -73,6 +73,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.profiling import Profiler
 
 __all__ = ["TetrisConfig", "TetrisScheduler"]
+
+#: a round judges its machines before visiting them only from this many
+#: on: below it the visits cost less than the placeability plane
+_PLANE_MIN_VISITS = 8
 
 
 @dataclass(frozen=True)
@@ -242,40 +246,27 @@ class TetrisScheduler(Scheduler):
             if type(self.scorer) is CosineAlignment
             else None
         )
-        #: per-stage boolean machine masks: True where the stage has a
-        #: locality pool (an input replica), i.e. where the machine's
-        #: view deviates from the shared no-locality view
-        self._stage_local: Dict[int, np.ndarray] = {}
         self._i_netout: Optional[int] = None
         self._i_diskr: Optional[int] = None
         #: grant-independent remote-transfer plans:
         #: task_id -> machine_id -> ((locations, rate), ...)
         self._remote_plans: Dict[int, Dict[int, tuple]] = {}
-        #: per-round OR of the table stages' locality masks; machines
-        #: outside it (no locality pool anywhere, single capacity class)
-        #: share one cached machine-independent view per round, and
-        #: machines inside it clone that view and patch only their
-        #: special stages (resolved via the stacked per-stage matrix)
-        self._round_special: Optional[np.ndarray] = None
-        self._round_special_mat: Optional[np.ndarray] = None
-        #: a machine with no locality pool anywhere this round, through
-        #: which the shared view is (re)built; -1 when every machine has
-        #: one
-        self._round_proxy = -1
-        #: opt-out for the round-level placeability skip.  Harnesses that
+        #: opt-out for the round's placeability plane.  Harnesses that
         #: replay the same backlog with ``index.reset_claims()`` (the
         #: packing benchmarks) revive claimed tasks, whose queue positions
         #: then depend on lazy-pruning progress — i.e. on which machines
         #: were visited — so they must visit every machine to stay
         #: bit-comparable with their committed baselines.
         self.prefilter_machines = True
-        #: cumulative machine-visit tallies: machines a round was asked
-        #: to look at, machines actually filled (the rest were skipped
-        #: as provably unplaceable), and fills that placed something
+        #: cumulative tallies: machines rounds were asked to look at,
+        #: machines filled (the rest were dropped as provably unplaceable),
+        #: fills that placed something; planes built, stage rows judged
         self.visit_stats: Dict[str, int] = {
             "machines_considered": 0,
             "machines_visited": 0,
             "visits_productive": 0,
+            "plane_rounds": 0,
+            "plane_stage_rows": 0,
         }
         #: optional metric instruments (set by use_observability via
         #: _register_metrics); None keeps the hot paths branch-cheap
@@ -286,6 +277,7 @@ class TetrisScheduler(Scheduler):
         self._m_ledger_size = None
         self._m_reservations = None
         self._m_visits = None
+        self._m_plane_rows = None
 
     def _register_metrics(self, registry: "Registry") -> None:
         lookups = registry.counter(
@@ -324,6 +316,12 @@ class TetrisScheduler(Scheduler):
             visits.labels(outcome=outcome)
             for outcome in ("skipped", "empty", "productive")
         )
+        self._m_plane_rows = registry.counter(
+            "repro_tetris_placeability_rows_total",
+            "Stage rows of the round placeability plane computed or "
+            "recomputed (the plane's own work, next to the visits it "
+            "saved)",
+        )
         groups = registry.gauge(
             "repro_tetris_signature_groups",
             "Live (stage, demand-signature) candidate groups in the "
@@ -354,7 +352,6 @@ class TetrisScheduler(Scheduler):
         )
         self._i_netout = cluster.model.index.get("netout")
         self._i_diskr = cluster.model.index.get("diskr")
-        self._stage_local.clear()
         self._remote_plans.clear()
         self._remote_ok_cache.clear()
 
@@ -404,7 +401,6 @@ class TetrisScheduler(Scheduler):
         # placement-adjusted vectors, and any remote-transfer plans
         # derived from the old locations are stale
         self.candidates.invalidate_stage(stage)
-        self._stage_local.pop(stage.stage_id, None)
         for task in stage.tasks:
             self._remote_plans.pop(task.task_id, None)
             self._remote_ok_cache.pop(task.task_id, None)
@@ -412,9 +408,6 @@ class TetrisScheduler(Scheduler):
     def on_task_failed(self, task: Task, time: float) -> None:
         super().on_task_failed(task, time)
         self._release_remote_grants(task.task_id)
-        # the retried task rejoins its stage's pools: recompute the
-        # stage's cached locality mask (cheap, and failures are rare)
-        self._stage_local.pop(task.stage.stage_id, None)
         if self.config.debug_invariants:
             self.check_remote_ledger()
 
@@ -433,9 +426,8 @@ class TetrisScheduler(Scheduler):
         else:
             # a completion can move every estimate (peer means, template
             # history): drop the whole index, signatures included, plus
-            # every derived cache (locality masks, transfer plans)
+            # every derived cache (stage rows, transfer plans)
             self.candidates.clear()
-            self._stage_local.clear()
             self._remote_plans.clear()
             self._remote_ok_cache.clear()
         term = self._task_work.pop(task.task_id, 0.0)
@@ -447,7 +439,6 @@ class TetrisScheduler(Scheduler):
         if task.job.is_finished:
             for stage in task.job.dag:
                 self._stage_last_placement.pop(stage.stage_id, None)
-                self._stage_local.pop(stage.stage_id, None)
 
     # -- candidate job set (fairness knob) ------------------------------------
     def candidate_jobs(self) -> List[Job]:
@@ -776,75 +767,52 @@ class TetrisScheduler(Scheduler):
                         barrier_stages,
                     )
                 visit = self.iter_machine_ids(machine_ids)
-                if (
-                    self._use_vectorized
-                    and self.candidates.single_capacity_class
-                    and self._round_table.stages
-                ):
-                    # machines with no locality pool in any round stage
-                    # share one machine-independent view (content-exact
-                    # reuse, no behavioral gate needed)
-                    masks = [
-                        self._stage_local_mask(s)
-                        for s in self._round_table.stages
-                    ]
-                    mat = np.stack(masks)
-                    special = mat.any(axis=0)
-                    self._round_special = special
-                    self._round_special_mat = mat
-                    nonspecial = np.flatnonzero(~special)
-                    self._round_proxy = (
-                        int(nonspecial[0]) if nonspecial.size else -1
-                    )
-                # exact-fit skip: machines on the shared (no-locality)
-                # view whose free vector (:meth:`_free_matrix` — the
-                # tracker's availability plane when one is bound) fits
-                # no active row place nothing and mutate nothing, so
-                # their visits can be dropped wholesale.  Off under a
-                # trace (skipped visits emit no decision events) and
-                # with live reservations (a reserved machine must be
-                # visited even when nothing fits).
-                skip_special = None
-                skip_any = None
-                skip_gen = None
-                if (
-                    self.prefilter_machines
-                    and self._round_special is not None
-                    and self._round_proxy >= 0
-                    and self.trace is None
-                    and not self._reservations
-                ):
-                    skip_special = self._round_special
+                # a machine on which no round stage can keep a row places
+                # nothing and mutates nothing: the plane drops its visit.
+                # Off under a trace (a skipped visit emits no events), with
+                # a live reservation (its machine must be visited even when
+                # nothing fits) and with more than one capacity class.
+                plane = None
                 visited = productive = 0
                 try:
+                    if (
+                        self.prefilter_machines
+                        and self._use_vectorized
+                        and self.candidates.single_capacity_class
+                        and len(visit) >= _PLANE_MIN_VISITS
+                        and self.trace is None
+                        and not self._reservations
+                    ):
+                        plane = PlaceabilityPlane(
+                            self.candidates, self._round_table, self.index,
+                            self._free_matrix(), self._remote_sources_ok,
+                        )
                     for machine_id in visit:
-                        if (
-                            skip_special is not None
-                            and not skip_special[machine_id]
+                        if plane is not None and not plane.placeable(
+                            machine_id
                         ):
-                            gen = (self._round_table.rep_gen, self._grant_gen)
-                            if skip_gen != gen:
-                                skip_any = self._round_placeable()
-                                skip_gen = gen
-                            if not skip_any[machine_id]:
-                                continue
+                            continue
                         placed = self._fill_machine(
                             machine_id, jobs, barrier_stages, time
                         )
                         visited += 1
+                        if plane is not None:
+                            plane.note_visit([p.task for p in placed])
                         if placed:
                             productive += 1
                             placements.extend(placed)
                 finally:
                     self._round_table = None
-                    self._round_special = None
-                    self._round_special_mat = None
-                    self._round_proxy = -1
                 # per-round flush of the visit tallies (nothing per visit)
                 stats = self.visit_stats
                 stats["machines_considered"] += len(visit)
                 stats["machines_visited"] += visited
                 stats["visits_productive"] += productive
+                if plane is not None:
+                    stats["plane_rounds"] += 1
+                    stats["plane_stage_rows"] += plane.rows_computed
+                    if self._m_plane_rows is not None:
+                        self._m_plane_rows.inc(plane.rows_computed)
                 if self._m_visits is not None:
                     skipped, empty, hit = self._m_visits
                     skipped.inc(len(visit) - visited)
@@ -854,84 +822,6 @@ class TetrisScheduler(Scheduler):
         if prof is not None:
             prof.record("tetris.schedule", perf_counter() - start)
         return placements
-
-    # -- round-level placeability skip -----------------------------------------
-    def _stage_local_mask(self, stage: Stage) -> np.ndarray:
-        """Boolean machine mask: True where ``stage`` has a locality
-        pool (the machine holds, or held, an input replica of one of
-        its tasks).  Exactly the machines where a booked vector can
-        deviate from the all-remote pattern, i.e. whose view is not the
-        shared one.  The index's pool key set is fixed at entry
-        creation, so the mask is cacheable.
-        """
-        mask = self._stage_local.get(stage.stage_id)
-        if mask is None:
-            mask = np.zeros(
-                self.cluster.state.capacity.shape[0], dtype=bool
-            )
-            ids = list(self.index.local_machines(stage))
-            if ids:
-                mask[ids] = True
-            self._stage_local[stage.stage_id] = mask
-        return mask
-
-    def _round_placeable(self) -> np.ndarray:
-        """Per-machine exact first-iteration placeability verdicts for
-        the shared (no-locality) view at the current rep generation.
-
-        ``placeable[m]`` is True iff some active shared-view row both
-        fits machine ``m``'s row of :meth:`_free_matrix` (what
-        ``machine_free(m)`` hands the fill loop, tracker or not) — the
-        same ``booked <= free + EPSILON`` comparisons the fill loop's
-        first iteration runs, as one broadcast over the whole matrix —
-        and passes the remote-headroom check.  A machine with no
-        locality pool holds no input replica of any round stage, so
-        every remote row's transfer plan resolves to the interned
-        machine-independent generic plan: its verdict is the same for
-        all such machines and one check (through the verdict cache)
-        covers them all.
-
-        A False entry means the visit's first ``keep`` set drains to
-        empty, so the fill loop breaks having placed nothing and mutated
-        nothing: skipping the visit is bit-identical.
-
-        Valid only for machines with no locality pool this round (their
-        view content is exactly the shared view) and only at the
-        (rep, grant-ledger) generation it was computed at — a placement
-        changes one stage's rows and may grant remote headroom, and the
-        caller recomputes.
-        """
-        table = self._round_table
-        view = self.candidates.shared_view(
-            table, self.index, self._round_proxy, self.cluster.model.dims
-        )
-        rows = view.active_rows()
-        state = self.cluster.state
-        if rows.size == 0:
-            return np.zeros(state.num_machines, dtype=bool)
-        remote = view.remote
-        if remote[rows].any():
-            tasks = view.tasks
-            proxy = self._round_proxy
-            ok = np.fromiter(
-                (
-                    not remote[r] or self._remote_sources_ok(tasks[r], proxy)
-                    for r in rows
-                ),
-                dtype=bool,
-                count=rows.size,
-            )
-            rows = rows[ok]
-            if rows.size == 0:
-                return np.zeros(state.num_machines, dtype=bool)
-        booked = view.booked_mat[rows]
-        free = self._free_matrix()
-        if not self._mask_all:
-            mask = self._dims_mask
-            booked = booked[:, mask]
-            free = free[:, mask]
-        fit = booked[:, None, :] <= (free + EPSILON)[None, :, :]
-        return fit.all(axis=2).any(axis=0)
 
     # -- starvation prevention (Section 3.5 future work) ---------------------
     def _update_reservations(self, jobs: Sequence[Job], time: float) -> None:
@@ -1287,33 +1177,9 @@ class TetrisScheduler(Scheduler):
                 lambda job: self._remaining_work(job, time),
                 barrier_stages,
             )
-        shared = False
-        if self._round_special is not None and table is self._round_table:
-            if not self._round_special[machine_id]:
-                shared = True
-                view = self.candidates.shared_view(
-                    table, self.index, machine_id, self.cluster.model.dims
-                )
-            elif self._round_proxy >= 0:
-                sis = np.flatnonzero(
-                    self._round_special_mat[:, machine_id]
-                )
-                view = self.candidates.patched_view(
-                    table,
-                    self.index,
-                    machine_id,
-                    self.cluster.model.dims,
-                    sis,
-                    self._round_proxy,
-                )
-            else:
-                view = self.candidates.build_view(
-                    table, self.index, machine_id, self.cluster.model.dims
-                )
-        else:
-            view = self.candidates.build_view(
-                table, self.index, machine_id, self.cluster.model.dims
-            )
+        view = self.candidates.build_view(
+            table, self.index, machine_id, self.cluster.model.dims
+        )
         while True:
             rows = view.active_rows()
             if rows.size == 0:
@@ -1454,11 +1320,6 @@ class TetrisScheduler(Scheduler):
                 score_info=score_info,
             )
             view.refresh_stage(self.index, best_task.stage)
-        if shared:
-            # this loop's own claims were refreshed into the shared view
-            # as they happened, so it is current again at the new rep
-            # generation
-            table._shared_gen = table.rep_gen
         return placements
 
     def _remaining_work(self, job: Job, time: float) -> float:

@@ -12,7 +12,11 @@ Covers the grouping invariants the incremental scheduling core rests on:
   heterogeneous capacities and differing locality patterns get their
   own;
 - the round table's cross-machine cache of each stage's queue-front
-  representative, and its invalidation when a claim consumes the rep.
+  representative, and its invalidation when a claim consumes the rep;
+- the maintained per-stage rows behind the placeability plane
+  (``StageRows``): after any interleaving of the stage index's
+  eligibility changes, every row equals the lookup and the booking
+  recomputed from scratch.
 """
 
 import numpy as np
@@ -199,3 +203,159 @@ class TestRoundTableRepCache:
             scheduler.index, [job], lambda j: 0.0, set()
         )
         table.invalidate_stage_rep(999_999)  # must not raise
+
+
+# -- the maintained stage rows behind the placeability plane --------------------
+
+_NUM_MACHINES = 5
+
+_task_inputs = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 16.0, 64.0]),
+        st.lists(
+            st.integers(0, _NUM_MACHINES - 1), max_size=3, unique=True
+        ).map(tuple),
+    ),
+    max_size=3,
+)
+
+#: demands on both sides of the 125 MB/s NIC and 200 MB/s disk caps
+_task_specs = st.lists(
+    st.tuples(
+        _task_inputs,
+        st.sampled_from([5.0, 124.0, 300.0]),
+        st.sampled_from([5.0, 250.0]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+_index_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["claim", "start", "fail", "finish", "requeue", "forget",
+             "reset_claims", "refresh"]
+        ),
+        st.integers(0, 5),
+    ),
+    max_size=40,
+)
+
+
+def assert_stage_rows_match_oracle(scheduler, stage):
+    """The plane's analogue of ``oracle_available``: refresh the stage's
+    maintained rows through their dirty entries, then recompute every
+    row from scratch — the lookup through ``StageIndex``, the booking
+    through ``booked_demands`` — and compare byte for byte."""
+    index = scheduler.index
+    rep = index.any_candidate(stage)
+    rows = scheduler.candidates.stage_rows(index, stage, rep)
+    assert rows.rep is rep
+    for m in range(scheduler.cluster.num_machines):
+        for plane, task in enumerate((index.local_candidate(stage, m), rep)):
+            if plane == 0:
+                assert rows.tasks[m] is task
+            assert bool(rows.active[plane, m]) == (task is not None)
+            if task is None:
+                continue
+            want = scheduler.booked_demands(task, m)
+            assert rows.booked[plane, m].tobytes() == want.data.tobytes()
+            assert bool(rows.remote[plane, m]) == (
+                task.remote_input_mb(m) > 0
+            )
+            booked, _, remote = scheduler.candidates.pack(task, m)
+            assert booked.data.tobytes() == want.data.tobytes()
+            assert remote == bool(rows.remote[plane, m])
+
+
+class TestStageRowsOracle:
+    @given(specs=_task_specs, ops=_index_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_lookup_and_booking_from_scratch(self, specs, ops):
+        """Random interleavings of ``claim`` / ``requeue`` / ``forget`` /
+        ``reset_claims`` (with the state transitions the engine makes
+        around them, and without) and refreshes at arbitrary points:
+        whenever the rows are refreshed, they equal a from-scratch
+        recomputation.  Nobody but the index is told what changed."""
+        tasks = [
+            make_task(
+                netin=netin, diskr=diskr,
+                inputs=[TaskInput(size, locs) for size, locs in inputs],
+            )
+            for inputs, netin, diskr in specs
+        ]
+        job = Job([Stage("s", tasks)])
+        job.arrive()
+        scheduler = _bound_scheduler(Cluster(_NUM_MACHINES, seed=0), job)
+        stage = next(iter(job.dag))
+        index = scheduler.index
+        assert_stage_rows_match_oracle(scheduler, stage)
+        for kind, i in ops:
+            task = tasks[i % len(tasks)]
+            state = task.state.name
+            if kind == "claim" and index._eligible(task):
+                index.claim(task)
+            elif kind == "start" and state == "RUNNABLE":
+                index.claim(task)
+                task.mark_running(0, 0.0)
+            elif kind == "fail" and state == "RUNNING":
+                # the engine's order: requeue first, then the state flips
+                index.requeue(task)
+                task.mark_failed(1.0)
+            elif kind == "finish" and state == "RUNNING":
+                task.mark_finished(1.0)
+                index.forget(task)
+                if stage.is_finished():
+                    return
+            elif kind == "requeue" and state == "RUNNABLE":
+                index.requeue(task)
+            elif kind == "forget" and state == "RUNNABLE":
+                index.forget(task)  # un-claims a task that never started
+            elif kind == "reset_claims":
+                index.reset_claims()
+            elif kind == "refresh":
+                assert_stage_rows_match_oracle(scheduler, stage)
+        assert_stage_rows_match_oracle(scheduler, stage)
+
+    def test_only_moved_fronts_are_re_resolved(self, monkeypatch):
+        """A claim re-resolves the pools on the claimed task's input
+        machines and nothing else; a quiet stage re-resolves nothing."""
+        job, tasks = _job_with_inputs(
+            [TaskInput(64.0, (0, 1))],
+            [TaskInput(64.0, (2,))],
+            [TaskInput(64.0, (0,))],
+        )
+        scheduler = _bound_scheduler(Cluster(4, seed=0), job)
+        stage = next(iter(job.dag))
+        index, candidates = scheduler.index, scheduler.candidates
+        looked_up = []
+        lookup = index.local_candidate
+        monkeypatch.setattr(
+            index, "local_candidate",
+            lambda s, m: looked_up.append(m) or lookup(s, m),
+        )
+        candidates.stage_rows(index, stage, tasks[0])
+        assert sorted(looked_up) == [0, 1, 2]
+        del looked_up[:]
+        candidates.stage_rows(index, stage, tasks[0])
+        assert looked_up == []
+        index.claim(tasks[0])
+        rows = candidates.stage_rows(index, stage, index.any_candidate(stage))
+        assert sorted(looked_up) == [0, 1]
+        assert rows.tasks[:3] == [tasks[2], None, tasks[1]]
+        assert rows.rep is tasks[1]
+
+    def test_rows_go_where_the_packs_go(self):
+        job, tasks = _job_with_inputs([TaskInput(64.0, (0,))])
+        scheduler = _bound_scheduler(Cluster(2, seed=0), job)
+        stage = next(iter(job.dag))
+        candidates = scheduler.candidates
+        for drop in (
+            lambda: candidates.invalidate_stage(stage),
+            candidates.clear,
+            lambda: scheduler.bind(scheduler.cluster),
+        ):
+            candidates.stage_rows(scheduler.index, stage, tasks[0])
+            assert stage.stage_id in candidates._stage_rows
+            drop()
+            assert candidates._stage_rows == {}

@@ -9,9 +9,15 @@ scalar oracle —
   elementwise with the scalar reference on arbitrary inputs;
 - end-to-end placements and decision-event streams match across
   backends on generated workloads, with and without a tracker;
-- under the tracker, the round-level placeability skip (reading the
+- under the tracker, the round-level placeability plane (reading the
   availability plane) places exactly like visiting every machine and
-  like the scalar oracle — and does skip visits;
+  like the scalar oracle — and does drop visits;
+- the placeability plane on a cluster big enough to have one: plane ≡
+  visit-all ≡ scalar oracle across replication factors, shuffle-pinned
+  multi-input stages, task failures, an unstable estimator, trackers,
+  non-job activity and the streaming daemon; every machine it drops
+  would have placed nothing and mutated nothing; and it drops most of
+  the fruitless visits (a count, no clock);
 - the sparse fluid rate updates equal the dense ``reference_rates``
   oracle exactly;
 - ``TaskTable`` recycles slots, so the arrays track the live population;
@@ -56,7 +62,7 @@ def _workload(seed, num_jobs=6, horizon=120.0):
 
 def _run(trace, config, seed=0, num_machines=4, use_tracker=False,
          decision_trace=None, estimator=None, activities=(), skip=True,
-         stats=None, metrics=None):
+         stats=None, metrics=None, replication=3, failure_prob=0.0):
     """Run the trace under Tetris; returns the placement keys.
 
     ``skip=False`` visits every machine (the ``prefilter_machines``
@@ -65,7 +71,7 @@ def _run(trace, config, seed=0, num_machines=4, use_tracker=False,
     """
     from repro.estimation.tracker import ResourceTracker
 
-    cluster = Cluster(num_machines, seed=seed)
+    cluster = Cluster(num_machines, seed=seed, replication=replication)
     jobs = materialize_trace(trace, cluster, seed=seed)
     tracker = ResourceTracker(cluster) if use_tracker else None
     scheduler = TetrisScheduler(config)
@@ -77,7 +83,7 @@ def _run(trace, config, seed=0, num_machines=4, use_tracker=False,
         activities=activities,
         estimator=estimator,
         tracker=tracker,
-        config=EngineConfig(seed=seed),
+        config=EngineConfig(seed=seed, task_failure_prob=failure_prob),
         decision_trace=decision_trace,
         metrics=metrics,
     )
@@ -324,6 +330,229 @@ class TestTrackerSkipIdentity:
         ) > 0
         assert by_outcome["productive"] == stats["visits_productive"]
         assert sum(by_outcome.values()) == stats["machines_considered"]
+        rows = registry.get("repro_tetris_placeability_rows_total")
+        assert rows.value == stats["plane_stage_rows"] > 0
+
+    def test_inspect_reports_useful_visit_ratio(self, tmp_path, capsys):
+        """``repro inspect --metrics`` reads the plane's tightness and
+        its own work off the exposition an untraced run wrote."""
+        from repro.cli import _print_cache_effectiveness
+        from repro.obs.registry import Registry
+
+        registry, stats = Registry(), {}
+        _run(
+            _workload(seed=11, num_jobs=10, horizon=200.0), self.FAST,
+            num_machines=8, use_tracker=True, stats=stats, metrics=registry,
+        )
+        path = tmp_path / "metrics.prom"
+        path.write_text(registry.render())
+        _print_cache_effectiveness(str(path))
+        text = capsys.readouterr().out
+        ratio = stats["visits_productive"] / stats["machines_visited"]
+        assert f"{stats['visits_productive']} productive, {ratio:.1%} of visits" in text
+        assert f"{stats['plane_stage_rows']} stage rows judged" in text
+
+
+# -- the placeability plane ----------------------------------------------------
+
+def _backlog(seed, num_jobs=10, horizon=40.0, max_map_tasks=24):
+    """A small Facebook-profile burst: map stages on replicated blocks,
+    reduce stages reading three shuffle partitions pinned when the
+    barrier lifts — enough jobs at once that rounds hold a backlog."""
+    from repro.workload.tracegen import (
+        FacebookTraceConfig,
+        generate_facebook_trace,
+    )
+
+    return generate_facebook_trace(
+        FacebookTraceConfig(
+            num_jobs=num_jobs,
+            arrival_horizon=horizon,
+            max_map_tasks=max_map_tasks,
+            seed=seed,
+        )
+    )
+
+
+class TestPlaceabilityPlaneIdentity:
+    """On clusters past the plane's minimum visit list the default path
+    judges every machine before visiting it.  Dropping a machine must
+    change nothing: placements (keys and times) equal the visit-all
+    path and the scalar oracle whatever the run is made of."""
+
+    FAST = TetrisConfig(backend=DEFAULT_BACKEND)
+
+    def _three_ways(self, trace, **kwargs):
+        from repro.estimation.estimator import ProfilingEstimator
+
+        stats = {}
+        make = ProfilingEstimator if kwargs.pop("profiling", False) else (
+            lambda: None
+        )
+        oracle = _run(
+            trace, TetrisConfig(vectorized=False), estimator=make(), **kwargs
+        )
+        visit_all = _run(
+            trace, self.FAST, estimator=make(), skip=False, **kwargs
+        )
+        plane = _run(trace, self.FAST, estimator=make(), stats=stats, **kwargs)
+        assert len(oracle) > 0
+        assert visit_all == oracle
+        assert plane == oracle
+        assert stats["plane_rounds"] > 0
+        assert stats["plane_stage_rows"] >= stats["plane_rounds"]
+        assert stats["machines_visited"] < stats["machines_considered"]
+        return plane
+
+    @given(
+        seed=st.integers(0, 10_000),
+        num_machines=st.integers(12, 20),
+        replication=st.integers(1, 3),
+        use_tracker=st.booleans(),
+        failure_prob=st.sampled_from([0.0, 0.15]),
+        profiling=st.booleans(),
+        ingest=st.booleans(),
+    )
+    @settings(deadline=None, max_examples=8)
+    def test_plane_matches_visit_all_and_oracle(
+        self, seed, num_machines, replication, use_tracker, failure_prob,
+        profiling, ingest,
+    ):
+        from repro.activity.ingestion import ingestion
+
+        activities = [
+            ingestion(m, start, size_mb=6000.0, rate_mbps=150.0)
+            for m, start in ((0, 5.0), (num_machines - 1, 20.0))
+        ] if ingest else ()
+        self._three_ways(
+            _backlog(seed % 97),
+            seed=seed % 31,
+            num_machines=num_machines,
+            replication=replication,
+            use_tracker=use_tracker,
+            failure_prob=failure_prob,
+            profiling=profiling,
+            activities=activities,
+        )
+
+    @pytest.mark.parametrize("use_tracker", [False, True])
+    def test_same_trace_through_the_daemon(self, use_tracker):
+        """Unpaced serve ≡ batch with the plane live in both."""
+        import asyncio
+
+        from repro.estimation.tracker import ResourceTracker
+        from repro.serve import (
+            AdmissionConfig,
+            AdmissionController,
+            SchedulerService,
+            ServeConfig,
+            TraceReplaySource,
+        )
+
+        trace = _backlog(5)
+        batch = self._three_ways(
+            trace, seed=3, num_machines=14, use_tracker=use_tracker
+        )
+        cluster = Cluster(14, seed=3)
+        jobs = materialize_trace(trace, cluster, seed=3)
+        scheduler = TetrisScheduler(self.FAST)
+        engine = Engine(
+            cluster, scheduler, [],
+            tracker=ResourceTracker(cluster) if use_tracker else None,
+            config=EngineConfig(seed=3),
+        )
+        service = SchedulerService(
+            engine,
+            TraceReplaySource(jobs),
+            AdmissionController(AdmissionConfig(queue_cap=10_000)),
+            ServeConfig(max_batch=4),
+        )
+        report = asyncio.run(service.serve())
+        assert report.invariant_violations == 0
+        assert scheduler.visit_stats["plane_rounds"] > 0
+        served = [
+            (task.job.name, task.stage.name, task.index, machine_id)
+            for (task, machine_id, _time, _booked) in engine.placement_log
+        ]
+        # the daemon's clock starts at the first arrival: keys, not times
+        assert served == [key[:4] for key in batch]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(seed=1, num_machines=12, replication=1),
+            dict(seed=2, num_machines=16, use_tracker=True),
+            dict(seed=3, num_machines=12, failure_prob=0.2, replication=2),
+            dict(seed=4, num_machines=14, profiling=True, use_tracker=True),
+        ],
+        ids=["replication-1", "tracker", "failures", "profiling"],
+    )
+    def test_dropped_machines_place_nothing_and_mutate_nothing(
+        self, kwargs, monkeypatch
+    ):
+        """The superset property: run the fill loop on every machine the
+        plane drops.  It must return no placement and leave the claim
+        set and the grant ledger as they were — and the run, which now
+        visits every machine after all, still places like the oracle."""
+        import repro.schedulers.tetris as tetris
+
+        dropped = []
+
+        class CheckingPlane(tetris.PlaceabilityPlane):
+            __slots__ = ()
+
+            def placeable(self, machine_id):
+                if super().placeable(machine_id):
+                    return True
+                scheduler = self.remote_ok.__self__
+                before = (
+                    set(scheduler.index._claimed),
+                    dict(scheduler._remote_granted),
+                    scheduler._grant_gen,
+                )
+                assert scheduler._fill_machine(machine_id, (), set(), 0.0) == []
+                assert before == (
+                    scheduler.index._claimed,
+                    scheduler._remote_granted,
+                    scheduler._grant_gen,
+                )
+                dropped.append(machine_id)
+                return False
+
+        monkeypatch.setattr(tetris, "PlaceabilityPlane", CheckingPlane)
+        self._three_ways(_backlog(kwargs["seed"] + 40), **kwargs)
+        assert len(dropped) > 0
+
+    def test_most_fruitless_visits_are_dropped(self):
+        """The count pin (no clock): on a fixed backlog the plane leaves
+        at most one fruitless visit per productive one — before it,
+        13.7 visits per productive one on the benchmark's backlog."""
+        stats = {}
+        _run(
+            _backlog(11, num_jobs=40, horizon=60.0, max_map_tasks=40),
+            self.FAST, seed=0, num_machines=40, stats=stats,
+        )
+        assert stats["visits_productive"] > 0
+        assert stats["machines_visited"] <= 2 * stats["visits_productive"]
+        assert stats["machines_considered"] > stats["machines_visited"]
+
+    def test_short_visit_lists_build_no_plane(self):
+        """A heartbeat from one machine (Table 7's case) is cheaper to
+        visit than to judge."""
+        from repro.schedulers.tetris import _PLANE_MIN_VISITS
+
+        for num_visited, planes in (
+            (_PLANE_MIN_VISITS - 1, 0), (_PLANE_MIN_VISITS, 1)
+        ):
+            cluster = Cluster(12, seed=0)
+            jobs = materialize_trace(_backlog(3), cluster, seed=0)
+            scheduler = TetrisScheduler(self.FAST)
+            scheduler.bind(cluster)
+            for job in jobs:
+                job.arrive()
+                scheduler.on_job_arrival(job, 0.0)
+            assert scheduler.schedule(0.0, list(range(num_visited)))
+            assert scheduler.visit_stats["plane_rounds"] == planes
 
 
 # -- fluid rates ------------------------------------------------------------
@@ -479,10 +708,8 @@ class TestFillPackedCoherence:
         checked = {"views": 0, "batched": 0}
         orig = cand.CandidateIndex.build_view
 
-        def checking(self, table, stage_index, machine_id, num_dims,
-                     shared=False):
-            view = orig(self, table, stage_index, machine_id, num_dims,
-                        shared)
+        def checking(self, table, stage_index, machine_id, num_dims):
+            view = orig(self, table, stage_index, machine_id, num_dims)
             rows = view.active_rows()
             if rows.size == 0:
                 return view

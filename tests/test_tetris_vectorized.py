@@ -355,8 +355,9 @@ class TestRemoteLedger:
                     assert not value, f"{type(owner).__name__}.{name}"
                     checked += 1
         assert checked >= 15  # the walk really saw the caches
-        for name in ("_stage_local", "_stage_last_placement", "_task_work"):
+        for name in ("_stage_last_placement", "_task_work"):
             assert name in vars(scheduler)
+        assert "_stage_rows" in vars(scheduler.candidates)
         assert scheduler.active_jobs == []
 
     def test_release_clamps_drift(self):
@@ -719,7 +720,7 @@ class TestPackedCacheInvalidation:
         job.arrive()
         scheduler.on_job_arrival(job, 0.0)
         tasks = job.all_tasks()
-        scheduler.candidates.warm(0, tasks)
+        scheduler.candidates.packs_for(0, tasks)
         warmed = scheduler.candidates.pack(tasks[0], 0)
         fresh = TetrisScheduler()
         fresh.bind(cluster)

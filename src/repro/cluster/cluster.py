@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +76,7 @@ class Cluster:
             rng=np.random.default_rng(seed),
         )
         self._total_capacity: Optional[ResourceVector] = None
+        self._memory_slots: Dict[float, Tuple[Tuple[int, ...], int]] = {}
 
     # -- aggregate views -------------------------------------------------------
     @property
@@ -98,6 +99,23 @@ class Cluster:
                 total.add_inplace(m.capacity)
             self._total_capacity = total
         return self._total_capacity.copy()
+
+    def memory_slots(
+        self, slot_mem_gb: float
+    ) -> Tuple[Tuple[int, ...], int]:
+        """Memory-defined slots of every machine, and their sum — what
+        the slot schedulers carve machines into.  A machine holds
+        ``mem // slot_mem_gb`` slots, at least one; like the capacities
+        the counts never change, so they are computed once per slot size.
+        """
+        slots = self._memory_slots.get(slot_mem_gb)
+        if slots is None:
+            counts = tuple(
+                max(1, int(m.capacity.get("mem") // slot_mem_gb))
+                for m in self.machines
+            )
+            slots = self._memory_slots[slot_mem_gb] = (counts, sum(counts))
+        return slots
 
     def total_allocated(self) -> ResourceVector:
         total = self.model.zeros()

@@ -16,6 +16,7 @@ from repro.schedulers.fairness_policy import (
     FairnessPolicy,
     SlotFairnessPolicy,
 )
+from repro.schedulers.fair_share import FairShareScheduler
 from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.flow_network import FlowNetworkScheduler
 from repro.schedulers.slot_fair import SlotFairScheduler
@@ -41,6 +42,7 @@ __all__ = [
     "FairnessPolicy",
     "SlotFairnessPolicy",
     "DRFFairnessPolicy",
+    "FairShareScheduler",
     "FifoScheduler",
     "FlowNetworkScheduler",
     "SlotFairScheduler",

@@ -339,12 +339,21 @@ class Scheduler(abc.ABC):
             self.cluster.model, self._free_matrix()[machine_id].copy()
         )
 
-    def dominant_share(self, job: Job) -> float:
-        """The job's DRF dominant share of the whole cluster."""
+    def dominant_share(self, job: Job, dims=None) -> float:
+        """The job's DRF dominant share of the whole cluster, over every
+        dimension or (as YARN's DRF does) over ``dims`` only."""
         alloc = self.job_alloc.get(job.job_id)
         if alloc is None:
             return 0.0
-        return alloc.dominant_share(self.cluster.total_capacity())
+        capacity = self.cluster.total_capacity()
+        if dims is None:
+            return alloc.dominant_share(capacity)
+        share = 0.0
+        for dim in dims:
+            cap = capacity.get(dim)
+            if cap > 0:
+                share = max(share, alloc.get(dim) / cap)
+        return share
 
     # -- the decision procedure ----------------------------------------------
     @abc.abstractmethod

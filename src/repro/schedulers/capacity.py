@@ -75,24 +75,20 @@ class CapacityScheduler(SlotFairScheduler):
             self._slots_used_by_queue[queue] -= slots
         super().on_task_failed(task, time)
 
-    # -- ordering: most-underserved queue, FIFO within the queue ------------
-    def _job_order(self) -> List[Job]:
-        jobs = self.runnable_jobs()
-        total = self.total_slots()
-
-        def key(job: Job):
-            queue = self._queue_of_job[job.job_id]
-            guaranteed = self.queue_shares[queue] * total
-            # deficit of the queue first (descending), then FIFO
-            deficit = guaranteed - self._slots_used_by_queue[queue]
-            return (-deficit, job.arrival_time, job.job_id)
-
-        return sorted(jobs, key=key)
+    # -- order: most-underserved queue, FIFO within the queue -----------------
+    def _key(self, job: Job) -> tuple:
+        queue = self._queue_of_job[job.job_id]
+        guaranteed = self.queue_shares[queue] * self._total_slots
+        # deficit of the queue first (descending), then FIFO
+        deficit = guaranteed - self._slots_used_by_queue[queue]
+        return (-deficit, job.arrival_time, job.job_id)
 
     def schedule(
         self, time: float, machine_ids: Optional[List[int]] = None
     ) -> List[Placement]:
         placements = super().schedule(time, machine_ids)
+        # queue usage advances only here, after the round: deficits (and
+        # so the order of queues) are frozen while a round hands out slots
         for placement in placements:
             queue = self._queue_of_job[placement.task.job.job_id]
             self._slots_used_by_queue[queue] += self._slots_by_task[

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.resources import ResourceVector
-from repro.schedulers.base import Placement, Scheduler
-from repro.schedulers.stage_index import StageIndex
+import numpy as np
+
+from repro.schedulers.base import Placement
+from repro.schedulers.fair_share import FairShareScheduler
 from repro.workload.job import Job
-from repro.workload.task import Task
 
 __all__ = ["DRFScheduler"]
 
 
-class DRFScheduler(Scheduler):
+class DRFScheduler(FairShareScheduler):
     """Progressive-filling DRF over the chosen dimensions."""
 
     name = "drf"
@@ -31,95 +31,33 @@ class DRFScheduler(Scheduler):
         if not dims:
             raise ValueError("DRF needs at least one dimension")
         self.dims = tuple(dims)
-        self.index = StageIndex()
+        #: dominant shares of this round's jobs; they drift within the
+        #: round as resources are handed out
+        self._shares: Dict[int, float] = {}
 
-    # -- callbacks -------------------------------------------------------------
-    def on_job_arrival(self, job: Job, time: float) -> None:
-        super().on_job_arrival(job, time)
-        self.index.add_job(job)
+    def bind(self, cluster, estimator=None, tracker=None) -> None:
+        super().bind(cluster, estimator=estimator, tracker=tracker)
+        capacity = cluster.total_capacity().data[self._dim_idx]
+        # a dimension the cluster has none of never dominates
+        self._capacity = np.where(capacity > 0, capacity, np.inf)
 
-    def on_stage_released(self, stage, time: float) -> None:
-        self.index.add_stage(stage)
+    def _key(self, job: Job) -> tuple:
+        share = self._shares.get(job.job_id)
+        if share is None:
+            share = self._shares[job.job_id] = self.dominant_share(
+                job, self.dims
+            )
+        return (share, job.job_id)
 
-    def on_task_finished(self, task: Task, time: float) -> None:
-        super().on_task_finished(task, time)
-        self.index.forget(task)
+    def _admit(self, job: Job, task, machine_id: int):
+        booked = super()._admit(job, task, machine_id)
+        if booked is not None:
+            bump = booked.data[self._dim_idx] / self._capacity
+            self._shares[job.job_id] += max(0.0, float(bump.max()))
+        return booked
 
-    # -- DRF bookkeeping -----------------------------------------------------
-    def _dominant_share(self, job: Job) -> float:
-        alloc = self.job_alloc.get(job.job_id)
-        if alloc is None:
-            return 0.0
-        capacity = self.cluster.total_capacity()
-        share = 0.0
-        for dim in self.dims:
-            cap = capacity.get(dim)
-            if cap > 0:
-                share = max(share, alloc.get(dim) / cap)
-        return share
-
-    def _fits(self, demand: ResourceVector, free: ResourceVector) -> bool:
-        return all(
-            demand.get(d) <= free.get(d) + 1e-9 for d in self.dims
-        )
-
-    def _pick_task(
-        self, job: Job, machine_id: int, time: float = 0.0
-    ) -> Optional[Task]:
-        return self.pick_task_with_locality(
-            self.index, job, machine_id, time
-        )
-
-    # -- decisions ----------------------------------------------------------
     def schedule(
         self, time: float, machine_ids: Optional[List[int]] = None
     ) -> List[Placement]:
-        placements: List[Placement] = []
-        #: shares drift within the round as we hand out resources
-        shares: Dict[int, float] = {}
-        for machine_id in self.iter_machine_ids(machine_ids):
-            free = self.cluster.machine(machine_id).free_clamped()
-            while True:
-                jobs = self.runnable_jobs()
-                if not jobs:
-                    return placements
-                jobs.sort(
-                    key=lambda j: (
-                        shares.get(j.job_id, self._dominant_share(j)),
-                        j.job_id,
-                    )
-                )
-                placed = False
-                for job in jobs:
-                    task = self._pick_task(job, machine_id, time)
-                    if task is None:
-                        continue
-                    booked = self.booked_demands(task, machine_id)
-                    if not self._fits(booked, free):
-                        continue
-                    self.index.claim(task)
-                    placements.append(Placement(task, machine_id, booked))
-                    free.sub_inplace(booked)
-                    free = free.clamp_nonnegative()
-                    shares[job.job_id] = self._round_share(job, booked, shares)
-                    placed = True
-                    break
-                if not placed:
-                    break
-        return placements
-
-    def _round_share(
-        self,
-        job: Job,
-        booked: ResourceVector,
-        shares: Dict[int, float],
-    ) -> float:
-        """Dominant share including placements made earlier in this round."""
-        base = shares.get(job.job_id, self._dominant_share(job))
-        capacity = self.cluster.total_capacity()
-        bump = 0.0
-        for dim in self.dims:
-            cap = capacity.get(dim)
-            if cap > 0:
-                bump = max(bump, booked.get(dim) / cap)
-        return base + bump
+        self._shares.clear()
+        return super().schedule(time, machine_ids)

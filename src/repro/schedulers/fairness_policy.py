@@ -41,15 +41,12 @@ class SlotFairnessPolicy(FairnessPolicy):
         self.slot_mem_gb = slot_mem_gb
 
     def total_slots(self, scheduler: "Scheduler") -> int:
-        per_machine = int(
-            scheduler.cluster.machine_capacity().get("mem") // self.slot_mem_gb
-        )
-        return per_machine * scheduler.cluster.num_machines
+        return scheduler.cluster.memory_slots(self.slot_mem_gb)[1]
 
     def deficit(self, scheduler: "Scheduler", job: "Job") -> float:
         active = max(len(scheduler.active_jobs), 1)
         fair = self.total_slots(scheduler) / active
-        used = len(job.running_tasks())
+        used = sum(stage.num_running for stage in job.dag)
         return (fair - used) / max(fair, 1.0)
 
 
@@ -65,18 +62,9 @@ class DRFFairnessPolicy(FairnessPolicy):
         self.dims = tuple(dims)
 
     def dominant_share(self, scheduler: "Scheduler", job: "Job") -> float:
-        alloc = scheduler.job_alloc.get(job.job_id)
-        if alloc is None:
-            return 0.0
-        capacity = scheduler.cluster.total_capacity()
-        share = 0.0
-        for dim in self.dims:
-            cap = capacity.get(dim)
-            if cap > 0:
-                share = max(share, alloc.get(dim) / cap)
-        return share
+        return scheduler.dominant_share(job, self.dims)
 
     def deficit(self, scheduler: "Scheduler", job: "Job") -> float:
         active = max(len(scheduler.active_jobs), 1)
         fair = 1.0 / active
-        return fair - self.dominant_share(scheduler, job)
+        return fair - scheduler.dominant_share(job, self.dims)

@@ -2,28 +2,13 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from repro.resources import ResourceVector
-from repro.schedulers.base import Placement, Scheduler
-from repro.schedulers.stage_index import StageIndex
+from repro.schedulers.fair_share import FairShareScheduler
 from repro.workload.job import Job
-from repro.workload.task import Task
 
 __all__ = ["FifoScheduler"]
 
-#: dimensions a CPU+memory scheduler actually checks before placing
-CHECKED_DIMS = ("cpu", "mem")
 
-
-def fits_on_dims(
-    demand: ResourceVector, free: ResourceVector, dims=CHECKED_DIMS
-) -> bool:
-    """Partial-dimension admission check (what non-packing schedulers do)."""
-    return all(demand.get(d) <= free.get(d) + 1e-9 for d in dims)
-
-
-class FifoScheduler(Scheduler):
+class FifoScheduler(FairShareScheduler):
     """Jobs served strictly in arrival order.
 
     Checks only CPU and memory, so it over-allocates disk and network
@@ -32,54 +17,5 @@ class FifoScheduler(Scheduler):
 
     name = "fifo"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.index = StageIndex()
-
-    def on_job_arrival(self, job: Job, time: float) -> None:
-        super().on_job_arrival(job, time)
-        self.index.add_job(job)
-
-    def on_stage_released(self, stage, time: float) -> None:
-        self.index.add_stage(stage)
-
-    def on_task_finished(self, task: Task, time: float) -> None:
-        super().on_task_finished(task, time)
-        self.index.forget(task)
-
-    def _pick_task(
-        self, job: Job, machine_id: int, time: float = 0.0
-    ) -> Optional[Task]:
-        return self.pick_task_with_locality(
-            self.index, job, machine_id, time
-        )
-
-    def schedule(
-        self, time: float, machine_ids: Optional[List[int]] = None
-    ) -> List[Placement]:
-        placements: List[Placement] = []
-        jobs = sorted(
-            self.runnable_jobs(), key=lambda j: (j.arrival_time, j.job_id)
-        )
-        if not jobs:
-            return placements
-        for machine_id in self.iter_machine_ids(machine_ids):
-            free = self.cluster.machine(machine_id).free_clamped()
-            while True:
-                placed = False
-                for job in jobs:
-                    task = self._pick_task(job, machine_id, time)
-                    if task is None:
-                        continue
-                    booked = self.booked_demands(task, machine_id)
-                    if not fits_on_dims(booked, free):
-                        continue
-                    self.index.claim(task)
-                    placements.append(Placement(task, machine_id, booked))
-                    free.sub_inplace(booked)
-                    free = free.clamp_nonnegative()
-                    placed = True
-                    break
-                if not placed:
-                    break
-        return placements
+    def _key(self, job: Job) -> tuple:
+        return (job.arrival_time, job.job_id)

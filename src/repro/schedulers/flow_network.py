@@ -79,12 +79,9 @@ class FlowNetworkScheduler(Scheduler):
     # -- wiring / callbacks -----------------------------------------------
     def bind(self, cluster, estimator=None, tracker=None) -> None:
         super().bind(cluster, estimator=estimator, tracker=tracker)
-        self._slots_free = {
-            m.machine_id: max(
-                1, int(m.capacity.get("mem") // self.slot_mem_gb)
-            )
-            for m in cluster.machines
-        }
+        self._slots_free = dict(
+            enumerate(cluster.memory_slots(self.slot_mem_gb)[0])
+        )
 
     def on_job_arrival(self, job: Job, time: float) -> None:
         super().on_job_arrival(job, time)

@@ -10,17 +10,16 @@ fragment memory — the two pathologies of Section 2.1.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.schedulers.base import Placement, Scheduler
-from repro.schedulers.stage_index import StageIndex
+from repro.schedulers.fair_share import FairShareScheduler
 from repro.workload.job import Job
 from repro.workload.task import Task
 
 __all__ = ["SlotFairScheduler"]
 
 
-class SlotFairScheduler(Scheduler):
+class SlotFairScheduler(FairShareScheduler):
     """Fair sharing of memory-defined slots."""
 
     name = "slot-fair"
@@ -30,30 +29,32 @@ class SlotFairScheduler(Scheduler):
         if slot_mem_gb <= 0:
             raise ValueError("slot size must be positive")
         self.slot_mem_gb = slot_mem_gb
-        self.index = StageIndex()
         self._slots_free: Dict[int, int] = {}
         self._slots_by_task: Dict[int, int] = {}
         self._slots_used_by_job: Dict[int, int] = {}
+        #: position in arrival order per active job (ties in the order)
+        self._arrival_pos: Dict[int, int] = {}
+        self._arrivals = 0
 
     # -- wiring -----------------------------------------------------------------
     def bind(self, cluster, estimator=None, tracker=None) -> None:
         super().bind(cluster, estimator=estimator, tracker=tracker)
-        self._slots_free = {
-            m.machine_id: self.slots_of(m) for m in cluster.machines
-        }
+        #: per-machine slot counts and their sum, fixed for the cluster
+        self._slot_counts, self._total_slots = cluster.memory_slots(
+            self.slot_mem_gb
+        )
+        self._slots_free = dict(enumerate(self._slot_counts))
 
     def slots_of(self, machine) -> int:
         """Memory-defined slot count of one machine."""
-        return max(1, int(machine.capacity.get("mem") // self.slot_mem_gb))
+        return self._slot_counts[machine.machine_id]
 
     def slots_per_machine(self) -> int:
         """Slot count of the reference machine (homogeneous clusters)."""
-        return max(
-            1, int(self.cluster.machine_capacity().get("mem") // self.slot_mem_gb)
-        )
+        return self._slot_counts[0]
 
     def total_slots(self) -> int:
-        return sum(self.slots_of(m) for m in self.cluster.machines)
+        return self._total_slots
 
     def task_slots(self, task: Task) -> int:
         """Slots a task occupies: enough to cover its estimated memory."""
@@ -63,11 +64,9 @@ class SlotFairScheduler(Scheduler):
     # -- callbacks -----------------------------------------------------------
     def on_job_arrival(self, job: Job, time: float) -> None:
         super().on_job_arrival(job, time)
-        self.index.add_job(job)
         self._slots_used_by_job.setdefault(job.job_id, 0)
-
-    def on_stage_released(self, stage, time: float) -> None:
-        self.index.add_stage(stage)
+        self._arrival_pos[job.job_id] = self._arrivals
+        self._arrivals += 1
 
     def _release_slots(self, task: Task, machine_id) -> None:
         slots = self._slots_by_task.pop(task.task_id, 0)
@@ -78,60 +77,31 @@ class SlotFairScheduler(Scheduler):
 
     def on_task_finished(self, task: Task, time: float) -> None:
         super().on_task_finished(task, time)
-        self.index.forget(task)
         self._release_slots(task, task.machine_id)
         if task.job.is_finished:
             self._slots_used_by_job.pop(task.job.job_id, None)
+            self._arrival_pos.pop(task.job.job_id, None)
 
     def on_task_failed(self, task: Task, time: float) -> None:
         machine_id = task.machine_id  # engine calls this before mark_failed
         super().on_task_failed(task, time)
         self._release_slots(task, machine_id)
 
-    # -- ordering -----------------------------------------------------------------
-    def _job_order(self) -> List[Job]:
-        """Jobs sorted most-starved first (fewest slots vs. fair share)."""
-        jobs = self.runnable_jobs()
-        active = max(len(self.active_jobs), 1)
-        fair = self.total_slots() / active
-
-        def deficit(job: Job) -> float:
-            return fair - self._slots_used_by_job.get(job.job_id, 0)
-
-        return sorted(jobs, key=deficit, reverse=True)
-
-    def _pick_task(
-        self, job: Job, machine_id: int, time: float = 0.0
-    ) -> Optional[Task]:
-        return self.pick_task_with_locality(
-            self.index, job, machine_id, time
+    # -- plug-ins: fewest slots first, the next free slot if it is enough -----
+    def _key(self, job: Job) -> tuple:
+        return (
+            self._slots_used_by_job[job.job_id],
+            self._arrival_pos[job.job_id],
         )
 
-    # -- decisions ------------------------------------------------------------
-    def schedule(
-        self, time: float, machine_ids: Optional[List[int]] = None
-    ) -> List[Placement]:
-        placements: List[Placement] = []
-        for machine_id in self.iter_machine_ids(machine_ids):
-            while self._slots_free[machine_id] > 0:
-                placed = False
-                for job in self._job_order():
-                    task = self._pick_task(job, machine_id, time)
-                    if task is None:
-                        continue
-                    slots = self.task_slots(task)
-                    if slots > self._slots_free[machine_id]:
-                        continue
-                    booked = self.booked_demands(task, machine_id)
-                    self.index.claim(task)
-                    self._slots_free[machine_id] -= slots
-                    self._slots_by_task[task.task_id] = slots
-                    self._slots_used_by_job[job.job_id] = (
-                        self._slots_used_by_job.get(job.job_id, 0) + slots
-                    )
-                    placements.append(Placement(task, machine_id, booked))
-                    placed = True
-                    break
-                if not placed:
-                    break
-        return placements
+    def _has_room(self, machine_id: int) -> bool:
+        return self._slots_free[machine_id] > 0
+
+    def _admit(self, job: Job, task: Task, machine_id: int):
+        slots = self.task_slots(task)
+        if slots > self._slots_free[machine_id]:
+            return None
+        self._slots_free[machine_id] -= slots
+        self._slots_by_task[task.task_id] = slots
+        self._slots_used_by_job[job.job_id] += slots
+        return self.booked_demands(task, machine_id)

@@ -43,10 +43,13 @@ class StageIndex:
         self._claimed: Set[int] = set()
 
     # -- maintenance ----------------------------------------------------------
-    def add_stage(self, stage: Stage) -> None:
+    def add_stage(self, stage: Stage) -> bool:
+        """Index ``stage``; False when it already was."""
         key = stage.stage_id
-        if key not in self._entries:
-            self._entries[key] = _StageEntry(stage)
+        if key in self._entries:
+            return False
+        self._entries[key] = _StageEntry(stage)
+        return True
 
     def add_job(self, job: Job) -> None:
         """Index every already-released stage of a newly-arrived job."""

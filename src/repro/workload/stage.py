@@ -87,6 +87,16 @@ class Stage:
         return self._num_blocked
 
     @property
+    def num_running(self) -> int:
+        """Tasks that are neither blocked, runnable nor finished."""
+        return (
+            len(self.tasks)
+            - self._num_blocked
+            - self._num_runnable
+            - self._num_finished
+        )
+
+    @property
     def finished_fraction(self) -> float:
         if not self.tasks:
             return 1.0

@@ -8,6 +8,7 @@ from repro.schedulers.fairness_policy import (
     DRFFairnessPolicy,
     SlotFairnessPolicy,
 )
+from repro.schedulers.slot_fair import SlotFairScheduler
 from repro.schedulers.tetris import TetrisScheduler
 
 from conftest import make_simple_job
@@ -43,6 +44,38 @@ class TestSlotFairnessPolicy:
         assert policy.deficit(bound_scheduler, idle) > policy.deficit(
             bound_scheduler, busy
         )
+
+    def test_heterogeneous_total_matches_the_scheduler(self):
+        """Slots are summed per machine (96/2 + 96/2 + 8/2 + 8/2), not
+        the reference machine's count times the machine count (192) —
+        one helper for the policy and the slot-fair scheduler."""
+        big = DEFAULT_MODEL.vector(cpu=32, mem=96, diskr=400, diskw=400,
+                                   netin=250, netout=250)
+        small = DEFAULT_MODEL.vector(cpu=4, mem=8, diskr=50, diskw=50,
+                                     netin=30, netout=30)
+        cluster = Cluster(4, machines_per_rack=2,
+                          machine_capacities=[big, big, small, small])
+        tetris, slot_fair = TetrisScheduler(), SlotFairScheduler()
+        tetris.bind(cluster)
+        slot_fair.bind(cluster)
+        policy = SlotFairnessPolicy(slot_mem_gb=2.0)
+        assert policy.total_slots(tetris) == slot_fair.total_slots() == 104
+        assert cluster.memory_slots(2.0) == ((48, 48, 4, 4), 104)
+        # a machine smaller than one slot still holds one
+        assert cluster.memory_slots(16.0) == ((6, 6, 1, 1), 14)
+
+    def test_deficit_counts_running_tasks_only(self, bound_scheduler):
+        policy = SlotFairnessPolicy()
+        job = make_simple_job(num_tasks=6, name="mixed")
+        arrive(bound_scheduler, job)
+        tasks = job.all_tasks()
+        for task in tasks[:3]:
+            task.mark_running(0, 0.0)
+        tasks[0].mark_finished(1.0)
+        tasks[1].mark_failed(1.0)  # back to runnable
+        fair = 48.0  # one active job
+        assert policy.deficit(bound_scheduler, job) == (fair - 1) / fair
+        assert len(job.running_tasks()) == 1
 
     def test_invalid_slot_size(self):
         with pytest.raises(ValueError):

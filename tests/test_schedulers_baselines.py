@@ -137,6 +137,19 @@ class TestCapacity:
                                       num_machines=1)
         assert all(p.task.job.name == "early" for p in placements)
 
+    def test_queue_deficits_are_frozen_within_a_round(self):
+        """Pinned, not endorsed: ``_slots_used_by_queue`` advances only
+        after the round, so the order of queues cannot change while a
+        round hands out slots and one queue can take every free slot —
+        here 24 against a guarantee of 12.  ROADMAP item 8 decides it."""
+        scheduler = CapacityScheduler(num_queues=2)
+        first = make_simple_job(num_tasks=30, mem=2, name="first")
+        second = make_simple_job(num_tasks=30, mem=2, name="second")
+        _, placements = schedule_once(scheduler, [first, second],
+                                      num_machines=1)
+        assert [p.task.job.name for p in placements] == ["first"] * 24
+        assert scheduler._slots_used_by_queue == [24, 0]
+
     def test_runs_end_to_end(self):
         jobs = [make_simple_job(num_tasks=3, arrival_time=i)
                 for i in range(3)]

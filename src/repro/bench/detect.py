@@ -221,17 +221,6 @@ def _calibration_ratio(baseline: Dict, current: Dict):
     return sides["current"] / sides["baseline"], None
 
 
-def _kernel_backend_of(profile: Dict) -> str:
-    """The kernel-backend stamp of one profile.
-
-    Profiles captured before the stamp existed ran the only backend that
-    existed then — the numpy default — so a missing stamp reads as
-    ``numpy`` and old baselines stay comparable.
-    """
-    stamp = (profile.get("meta") or {}).get("kernel_backend")
-    return str(stamp) if stamp else "numpy"
-
-
 def compare_profiles(
     baseline: Dict[str, object],
     current: Dict[str, object],
@@ -256,17 +245,6 @@ def compare_profiles(
         result.notes.append(
             f"config fingerprint mismatch ({base_fp} != {cur_fp}); "
             "refresh the baseline after a scenario change"
-        )
-        return result
-    base_kb = _kernel_backend_of(baseline)
-    cur_kb = _kernel_backend_of(current)
-    if base_kb != cur_kb:
-        result.config_mismatch = True
-        result.notes.append(
-            f"kernel backend mismatch (baseline={base_kb}, "
-            f"current={cur_kb}); profiles captured on different "
-            "backends are never compared — capture a matching baseline "
-            "with `repro bench run --backend`"
         )
         return result
 

@@ -37,11 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.bench.detect import (
-    ComparisonResult,
-    _kernel_backend_of,
-    compare_profiles,
-)
+from repro.bench.detect import ComparisonResult, compare_profiles
 from repro.bench.profile import SCHEMA as PROFILE_SCHEMA
 from repro.bench.profile import dump_json
 
@@ -387,14 +383,7 @@ def trend_rows(
     header = ["captured", "git", "stamp"] + list(metrics)
     rows: List[List[str]] = []
     previous: Dict[str, float] = {}
-    previous_mode: Optional[str] = None
     for entry in entries:
-        mode = _kernel_backend_of(entry.profile)
-        if previous_mode is not None and mode != previous_mode:
-            # never show deltas across a kernel-backend switch: the
-            # timing change is the execution mode, not the commit
-            previous = {}
-        previous_mode = mode
         when = time.strftime(
             "%Y-%m-%d %H:%M", time.gmtime(entry.recorded_unix)
         )

@@ -396,7 +396,6 @@ def capture(
     repeats: int = 3,
     workers: Optional[int] = None,
     backend=None,
-    kernel_backend: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run one scenario ``repeats`` times and return its profile dict.
 
@@ -408,16 +407,7 @@ def capture(
     produced.  Note that with more repeats in flight than cores, the
     repeats contend for CPU and wall-clock timing metrics degrade —
     fidelity metrics are unaffected.
-
-    ``kernel_backend`` selects the scheduling hot-path kernels
-    (``scalar`` / ``numpy`` / ``numba``, see :mod:`repro.kernels`) by
-    exporting ``$REPRO_BACKEND`` for the duration of the capture, so
-    process-pool repeats inherit it too.  The *resolved* backend name is
-    stamped into ``meta.kernel_backend`` either way; the comparison
-    tooling refuses to gate profiles across different stamps.
     """
-    from repro import kernels as _kernels
-
     scenario = (
         get_scenario(scenario_or_name)
         if isinstance(scenario_or_name, str)
@@ -425,29 +415,15 @@ def capture(
     )
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    # resolve early: unknown names (and numba-without-numba) fail before
-    # any simulation work is spent
-    resolved_kernels = _kernels.get_backend(kernel_backend)
     if backend is None:
         backend = get_backend(workers)
-    saved_env = os.environ.get(_kernels.ENV_VAR)
-    if kernel_backend is not None:
-        os.environ[_kernels.ENV_VAR] = resolved_kernels.name
-    try:
-        if isinstance(scenario, TraceScenario):
-            body = _capture_trace(scenario, repeats, backend)
-        elif isinstance(scenario, ServeScenario):
-            body = _capture_serve(scenario, repeats, backend)
-        else:
-            body = _capture_packing(scenario, repeats, backend)
-    finally:
-        if kernel_backend is not None:
-            if saved_env is None:
-                os.environ.pop(_kernels.ENV_VAR, None)
-            else:
-                os.environ[_kernels.ENV_VAR] = saved_env
+    if isinstance(scenario, TraceScenario):
+        body = _capture_trace(scenario, repeats, backend)
+    elif isinstance(scenario, ServeScenario):
+        body = _capture_serve(scenario, repeats, backend)
+    else:
+        body = _capture_packing(scenario, repeats, backend)
     meta = _meta(scenario, repeats)
-    meta["kernel_backend"] = resolved_kernels.name
     meta["execution"] = {"backend": backend.name, "workers": backend.workers}
     profile = {
         "schema": SCHEMA,

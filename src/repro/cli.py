@@ -817,10 +817,7 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
         except KeyError as exc:
             raise SystemExit(str(exc))
         profile = capture(
-            scenario,
-            repeats=args.repeats,
-            workers=args.workers,
-            kernel_backend=args.backend,
+            scenario, repeats=args.repeats, workers=args.workers
         )
         path = store.save(profile)
         wall = profile["metrics"].get("wall_seconds") or \
@@ -1314,12 +1311,6 @@ def build_parser() -> argparse.ArgumentParser:
     brun.add_argument("--no-trajectory", action="store_true",
                       help="append to history without refreshing the "
                       "trajectory artifacts")
-    brun.add_argument("--backend", default=None,
-                      choices=("scalar", "numpy", "numba"),
-                      help="kernel backend for the scheduling hot path "
-                      "(default: $REPRO_BACKEND or numpy); recorded in "
-                      "the profile meta — comparisons never cross "
-                      "backends")
     workers_arg(brun)
     brun.set_defaults(func=cmd_bench_run)
 

@@ -20,12 +20,6 @@ of completion order.  Two implementations:
   would fail identically — and are returned as failed outcomes with the
   worker's traceback.
 
-With ``sticky=True`` item ``i`` is always routed to worker slot
-``i % workers``: callers that keep per-item state inside the worker
-get a stable item→process mapping across calls.  A replaced worker
-keeps its *slot*, so the mapping survives crashes — the process behind
-it is fresh, which stateful callers must detect themselves.
-
 Worker counts resolve ``workers`` argument → ``REPRO_WORKERS`` env var →
 1, so CI and users can set a fleet-wide default without threading an
 argument through every call site.
@@ -213,8 +207,7 @@ class ProcessPoolBackend:
     gets, so total attempts are at most ``retries + 1``.
     ``start_method`` selects the multiprocessing context (platform
     default when ``None``; items and ``fn`` must be picklable under
-    ``spawn``).  ``sticky`` pins item ``i`` to worker slot
-    ``i % workers`` across calls.
+    ``spawn``).
 
     The pool is usable as a context manager; otherwise call
     :meth:`close` (or rely on daemonized workers dying with the parent).
@@ -229,7 +222,6 @@ class ProcessPoolBackend:
         retries: int = 1,
         start_method: Optional[str] = None,
         poll_interval: float = 0.05,
-        sticky: bool = False,
     ) -> None:
         self.workers = resolve_workers(workers)
         if timeout is not None and timeout <= 0:
@@ -239,7 +231,6 @@ class ProcessPoolBackend:
         self.timeout = timeout
         self.retries = retries
         self.poll_interval = poll_interval
-        self.sticky = sticky
         self._ctx = (
             mp.get_context(start_method) if start_method else mp.get_context()
         )
@@ -327,14 +318,8 @@ class ProcessPoolBackend:
         items = list(items)
         total = len(items)
         results: List[Optional[TaskOutcome]] = [None] * total
-        #: per-slot dispatch queues: sticky routing pins item i to slot
-        #: i % workers; the non-sticky path keeps one shared queue
-        if self.sticky:
-            queues = [deque() for _ in range(self.workers)]
-            for i, item in enumerate(items):
-                queues[i % self.workers].append(_Attempt(i, item))
-        else:
-            queues = [deque(_Attempt(i, item) for i, item in enumerate(items))]
+        #: one dispatch queue shared by every slot
+        queue = deque(_Attempt(i, item) for i, item in enumerate(items))
         done = 0
 
         def finish(outcome: TaskOutcome) -> None:
@@ -345,7 +330,7 @@ class ProcessPoolBackend:
                 progress(done, total, outcome)
 
         def retry_or_fail(
-            attempt: _Attempt, queue, error: str, elapsed: float
+            attempt: _Attempt, error: str, elapsed: float
         ) -> None:
             """Requeue a dead/expired attempt, or fail it for good.
 
@@ -363,11 +348,6 @@ class ProcessPoolBackend:
                     attempts=attempt.attempts,
                     wall_seconds=elapsed,
                 ))
-
-        def queue_of(attempt: _Attempt):
-            if self.sticky:
-                return queues[attempt.index % self.workers]
-            return queues[0]
 
         def dispatch(slot: int, attempt: _Attempt) -> bool:
             """Hand one attempt to a slot's worker.
@@ -415,7 +395,7 @@ class ProcessPoolBackend:
                 exitcode = worker.proc.exitcode
                 self._discard(worker)
                 retry_or_fail(
-                    attempt, queue_of(attempt),
+                    attempt,
                     f"worker exited with code {exitcode} "
                     "before returning a result",
                     time.monotonic() - worker.started,
@@ -446,7 +426,7 @@ class ProcessPoolBackend:
             worker.attempt = None
             self._discard(worker)
             retry_or_fail(
-                attempt, queue_of(attempt),
+                attempt,
                 f"timed out after {self.timeout}s "
                 f"(attempt {attempt.attempts})",
                 time.monotonic() - worker.started,
@@ -454,32 +434,21 @@ class ProcessPoolBackend:
 
         try:
             while done < total:
-                # fill idle slots from their queues
-                if self.sticky:
-                    for slot in range(self.workers):
-                        queue = queues[slot]
-                        while queue:
-                            worker = self._slots[slot]
-                            if worker is not None and worker.attempt is not None:
-                                break
-                            if dispatch(slot, queue[0]):
-                                queue.popleft()
-                else:
-                    queue = queues[0]
-                    while queue:
-                        slot = next(
-                            (
-                                s
-                                for s in range(self.workers)
-                                if self._slots[s] is None
-                                or self._slots[s].attempt is None
-                            ),
-                            None,
-                        )
-                        if slot is None:
-                            break
-                        if dispatch(slot, queue[0]):
-                            queue.popleft()
+                # fill idle slots from the queue
+                while queue:
+                    slot = next(
+                        (
+                            s
+                            for s in range(self.workers)
+                            if self._slots[s] is None
+                            or self._slots[s].attempt is None
+                        ),
+                        None,
+                    )
+                    if slot is None:
+                        break
+                    if dispatch(slot, queue[0]):
+                        queue.popleft()
                 busy = {
                     w.conn: w
                     for w in self._slots

@@ -52,11 +52,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.kernels import get_backend
 from repro.resources import EPSILON, ResourceVector
 from repro.schedulers.alignment import (
     AlignmentScorer,
-    CosineAlignment,
     batch_capable,
     get_scorer,
 )
@@ -114,11 +112,6 @@ class TetrisConfig:
       identical to the scalar path; flip off to run the scalar
       reference oracle.  Scorers without a ``score_batch`` override
       fall back to the scalar path automatically;
-    - ``backend``: kernel backend for the batched fill loop
-      (``scalar`` / ``numpy`` / ``numba``, see :mod:`repro.kernels`).
-      ``None`` (default) honours ``$REPRO_BACKEND`` and falls back to
-      ``numpy`` — or to the scalar reference when ``vectorized`` is
-      off.  All backends produce bit-identical placements;
     - ``debug_invariants``: run the remote-grant ledger invariant check
       after every grant/release (test/debug aid; off in production).
     """
@@ -134,7 +127,6 @@ class TetrisConfig:
     starvation_timeout: Optional[float] = None
     progress_aware_srtf: bool = False
     vectorized: bool = True
-    backend: Optional[str] = None
     debug_invariants: bool = False
 
     def __post_init__(self) -> None:
@@ -225,26 +217,9 @@ class TetrisScheduler(Scheduler):
         self._dims_mask: Optional[np.ndarray] = None
         self._mask_all = True
         self._masked_names: Tuple[str, ...] = ()
-        #: kernel backend for the batched fill loop (repro.kernels).  An
-        #: explicit config.backend wins; otherwise ``vectorized=False``
-        #: maps to the scalar reference and the env/default resolution
-        #: applies.  The scalar backend runs the object-path oracle.
-        if self.config.backend is not None:
-            self.kernels = get_backend(self.config.backend)
-        elif not self.config.vectorized:
-            self.kernels = get_backend("scalar")
-        else:
-            self.kernels = get_backend(None)
         # scorers without a batch implementation run the scalar oracle
-        self._use_vectorized = self.kernels.vectorized and batch_capable(
+        self._use_vectorized = self.config.vectorized and batch_capable(
             self.scorer
-        )
-        # cosine alignment IS the row-dot kernel; other scorers keep
-        # their own score_batch
-        self._dot_kernel = (
-            self.kernels.dot_rows
-            if type(self.scorer) is CosineAlignment
-            else None
         )
         self._i_netout: Optional[int] = None
         self._i_diskr: Optional[int] = None
@@ -769,9 +744,10 @@ class TetrisScheduler(Scheduler):
                 visit = self.iter_machine_ids(machine_ids)
                 # a machine on which no round stage can keep a row places
                 # nothing and mutates nothing: the plane drops its visit.
-                # Off under a trace (a skipped visit emits no events), with
-                # a live reservation (its machine must be visited even when
-                # nothing fits) and with more than one capacity class.
+                # Off on the oracle path, under a trace (a skipped visit
+                # emits no events), with a live reservation (its machine
+                # must be visited even when nothing fits) and with more
+                # than one capacity class.
                 plane = None
                 visited = productive = 0
                 try:
@@ -1167,7 +1143,6 @@ class TetrisScheduler(Scheduler):
         capacity = self.cluster.machine(machine_id).capacity
         mask = self._dims_mask
         mask_all = self._mask_all
-        kernels = self.kernels
         trace = self.trace
         table = self._round_table
         if table is None:  # direct call outside a schedule() round
@@ -1185,15 +1160,13 @@ class TetrisScheduler(Scheduler):
             if rows.size == 0:
                 break
             if mask_all:
-                fits = kernels.fit_rows(
-                    view.booked_mat[rows], free.data, EPSILON
+                fits = (view.booked_mat[rows] <= free.data + EPSILON).all(
+                    axis=1
                 )
             else:
-                fits = kernels.fit_rows(
-                    view.booked_mat[rows][:, mask],
-                    free.data[mask],
-                    EPSILON,
-                )
+                fits = (
+                    view.booked_mat[rows][:, mask] <= free.data[mask] + EPSILON
+                ).all(axis=1)
             keep = rows[fits]
             if keep.size:
                 remote_rows = np.flatnonzero(view.remote[keep])
@@ -1225,10 +1198,7 @@ class TetrisScheduler(Scheduler):
                 break
             demand_matrix = view.norm_mat[keep]
             free_norm = self._masked(free).normalized_by(capacity)
-            if self._dot_kernel is not None:
-                align = self._dot_kernel(demand_matrix, free_norm.data)
-            else:
-                align = self.scorer.score_batch(demand_matrix, free_norm.data)
+            align = self.scorer.score_batch(demand_matrix, free_norm.data)
             remote_flags = view.remote[keep]
             if remote_flags.any():
                 align = np.where(
@@ -1239,8 +1209,8 @@ class TetrisScheduler(Scheduler):
                 align.tolist(), kept_remaining.tolist()
             )
             srtf_weight = cfg.srtf_multiplier * epsilon
-            scores = kernels.combine_scores(
-                align, kept_remaining, cfg.alignment_weight, srtf_weight
+            scores = (
+                cfg.alignment_weight * align - srtf_weight * kept_remaining
             )
             if trace is not None:
                 pos = {int(i): k for k, i in enumerate(keep)}

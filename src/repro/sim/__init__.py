@@ -1,13 +1,12 @@
 """Discrete-event fluid simulator for the cluster."""
 
-from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.events import Event, EventKind
 from repro.sim.fluid import FlowTable, FluidConfig
 from repro.sim.engine import Engine, EngineConfig
 
 __all__ = [
     "Event",
     "EventKind",
-    "EventQueue",
     "FlowTable",
     "FluidConfig",
     "Engine",

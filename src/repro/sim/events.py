@@ -1,32 +1,27 @@
-"""Event queues for the discrete-event engine.
+"""Event queue for the discrete-event engine.
 
-Two implementations with identical semantics:
+:class:`ArrayEventQueue` is the structure-of-arrays queue the engine
+runs on: the heap lives in parallel numpy arrays (times, sequence
+numbers, kind codes) plus a payload list, so the pending-event state
+can be inspected, snapshotted, and scanned (``has_pending``) without
+walking an object heap.
 
-- :class:`EventQueue` — the original ``heapq``-of-``Event``-objects
-  queue, kept as the reference implementation;
-- :class:`ArrayEventQueue` — the structure-of-arrays queue the engine
-  runs on: the heap lives in parallel numpy arrays (times, sequence
-  numbers, kind codes) plus a payload list, so the pending-event state
-  can be inspected, snapshotted, and scanned (``has_pending``) without
-  walking an object heap.
-
-Both resolve ``pop_until`` ties with the same *relative* tolerance
-(``TIE_RTOL``), so tie handling is scale-invariant at any simulated
-clock — the property tests drive both queues with the same traffic and
-require identical pop sequences.
+``pop_until`` resolves ties with a *relative* tolerance (``TIE_RTOL``),
+so tie handling is scale-invariant at any simulated clock.  The
+``heapq``-of-``Event``-objects reference it is tested against lives in
+``tests/event_oracles.py``: the property tests drive both queues with
+the same traffic and require identical pop sequences.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, List
 
 import numpy as np
 
-__all__ = ["Event", "EventKind", "EventQueue", "ArrayEventQueue"]
+__all__ = ["Event", "EventKind", "ArrayEventQueue"]
 
 
 class EventKind(enum.Enum):
@@ -48,64 +43,6 @@ class Event:
     payload: Any = field(compare=False, default=None)
 
 
-class EventQueue:
-    """A deterministic min-heap of events."""
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-        self._seq = itertools.count()
-
-    def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
-        if time < 0:
-            raise ValueError(f"negative event time: {time}")
-        event = Event(time, next(self._seq), kind, payload)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def peek_time(self) -> float:
-        """Time of the earliest event, or +inf when empty."""
-        return self._heap[0].time if self._heap else float("inf")
-
-    #: relative tie tolerance for :meth:`pop_until`.  An event whose time
-    #: differs from the query time by less than this *fraction* is a tie:
-    #: both times came from the same arithmetic (``now + dt`` chains) and
-    #: differ only by accumulated rounding.  A fixed absolute epsilon
-    #: breaks at large clocks — 1e-12 is below one ulp of any time beyond
-    #: ~4096s, so late-simulation ties would silently stop matching while
-    #: early ones did.
-    TIE_RTOL = 1e-12
-
-    def pop_until(self, time: float) -> List[Event]:
-        """Pop every event with ``event.time <= time`` (in order).
-
-        Ties are resolved with a tolerance *relative* to the clock
-        (``TIE_RTOL``), so tie handling is scale-invariant: an event one
-        rounding error past ``time`` pops now whether the simulation is
-        at t=1 or t=1e9.
-        """
-        cutoff = time + self.TIE_RTOL * max(1.0, abs(time))
-        out: List[Event] = []
-        while self._heap and self._heap[0].time <= cutoff:
-            out.append(heapq.heappop(self._heap))
-        return out
-
-    def has_pending(self, *kinds: EventKind) -> bool:
-        """Whether any queued event has one of the given kinds (or any
-        event at all when no kinds are named).  The supported way for
-        callers to ask "is anything still coming?" without reaching into
-        the heap."""
-        if not kinds:
-            return bool(self._heap)
-        wanted = set(kinds)
-        return any(event.kind in wanted for event in self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-
 #: EventKind <-> small-int codes for the array-backed queue
 _KIND_LIST = list(EventKind)
 _KIND_CODES = {kind: code for code, kind in enumerate(_KIND_LIST)}
@@ -117,13 +54,20 @@ class ArrayEventQueue:
     A binary min-heap ordered by ``(time, seq)`` whose node storage is
     three parallel numpy arrays (``float64`` times, ``int64`` sequence
     numbers, ``int8`` kind codes) plus a payload list.  Pop order is
-    identical to :class:`EventQueue`: ``seq`` is unique, so the
+    identical to the ``heapq`` reference: ``seq`` is unique, so the
     ``(time, seq)`` order is total and any conforming heap pops the
     same sequence.  ``has_pending`` becomes a vectorized scan over the
     kind-code array instead of a walk over event objects.
     """
 
-    TIE_RTOL = EventQueue.TIE_RTOL
+    #: relative tie tolerance for :meth:`pop_until`.  An event whose time
+    #: differs from the query time by less than this *fraction* is a tie:
+    #: both times came from the same arithmetic (``now + dt`` chains) and
+    #: differ only by accumulated rounding.  A fixed absolute epsilon
+    #: breaks at large clocks — 1e-12 is below one ulp of any time beyond
+    #: ~4096s, so late-simulation ties would silently stop matching while
+    #: early ones did.
+    TIE_RTOL = 1e-12
 
     def __init__(self, capacity: int = 256) -> None:
         capacity = max(int(capacity), 1)
@@ -199,7 +143,7 @@ class ArrayEventQueue:
             self._sift_down(0)
         return event
 
-    # -- EventQueue API ----------------------------------------------------
+    # -- queue API ---------------------------------------------------------
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         if time < 0:
             raise ValueError(f"negative event time: {time}")
@@ -221,9 +165,13 @@ class ArrayEventQueue:
         return float(self._time[0]) if self._size else float("inf")
 
     def pop_until(self, time: float) -> List[Event]:
-        """Pop every event with ``event.time <= time`` (in order), with
-        the same scale-invariant relative tie tolerance as
-        :meth:`EventQueue.pop_until`."""
+        """Pop every event with ``event.time <= time`` (in order).
+
+        Ties are resolved with a tolerance *relative* to the clock
+        (``TIE_RTOL``), so tie handling is scale-invariant: an event one
+        rounding error past ``time`` pops now whether the simulation is
+        at t=1 or t=1e9.
+        """
         cutoff = time + self.TIE_RTOL * max(1.0, abs(time))
         out: List[Event] = []
         while self._size and self._time[0] <= cutoff:

@@ -368,6 +368,20 @@ class TestParser:
         with pytest.raises(ModuleNotFoundError):
             import repro.federation  # noqa: F401
 
+    def test_kernel_registry_stays_deleted(self, capsys, monkeypatch):
+        """Never measured, one leg uninstallable, and removed: see
+        docs/performance.md.  ``vectorized`` is the only switch."""
+        from repro.schedulers.tetris import TetrisConfig, TetrisScheduler
+
+        with pytest.raises(ModuleNotFoundError):
+            import repro.kernels  # noqa: F401
+        assert "backend" not in TetrisConfig.__dataclass_fields__
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "run", "--backend", "numpy"])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_BACKEND", "scalar")
+        assert TetrisScheduler()._use_vectorized is True
+
 
 class TestWorkers:
     def test_compare_parallel_json_matches_serial(self, trace_file, tmp_path):

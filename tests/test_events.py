@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.events import ArrayEventQueue, EventKind, EventQueue
+from repro.sim.events import ArrayEventQueue, EventKind
+
+from event_oracles import EventQueue
 
 QUEUES = [EventQueue, ArrayEventQueue]
 

@@ -228,14 +228,14 @@ class TestBackendMap:
 
 class TestPersistentPool:
     def test_worker_pids_stable_across_fanouts(self):
-        with ProcessPoolBackend(workers=2, sticky=True) as backend:
-            first = [o.value for o in backend.map(_getpid, range(4))]
-            second = [o.value for o in backend.map(_getpid, range(4))]
-        # sticky routing pins item i to slot i % workers, so the same
-        # item index must land on the same (still-alive) process in two
-        # consecutive fan-outs — i.e. the pool was not rebuilt per call
-        assert first == second
-        assert len(set(first)) == 2
+        with ProcessPoolBackend(workers=2) as backend:
+            backend.map(_getpid, range(4))
+            pids = backend.worker_pids()
+            backend.map(_getpid, range(4))
+            # the same two processes sit behind the slots after a second
+            # fan-out — i.e. the pool was not rebuilt per call
+            assert backend.worker_pids() == pids
+        assert None not in pids and len(set(pids)) == 2
 
     def test_nonsticky_pool_is_also_persistent(self):
         with ProcessPoolBackend(workers=2) as backend:
@@ -246,16 +246,21 @@ class TestPersistentPool:
         assert second <= pids
 
     def test_crashed_worker_is_replaced_in_place(self):
-        with ProcessPoolBackend(workers=2, retries=1, sticky=True) as backend:
-            before = backend.map(_getpid, range(2))
-            # item 0 crashes its slot's worker once; slot 1 is untouched
+        with ProcessPoolBackend(workers=2, retries=1) as backend:
+            backend.map(_getpid, range(2))
+            before = backend.worker_pids()
+            # item 0 kills the worker it runs on, on both attempts; the
+            # other slot's worker serves item 1 and is untouched
             outs = backend.map(_crash_on_zero, range(2))
             assert not outs[0].ok and outs[0].attempts == 2
-            assert outs[1].ok and outs[1].value == before[1].value
-            # the replaced slot serves later fan-outs with a fresh process
+            assert outs[1].ok and outs[1].value in before
+            # the crashed slot serves later fan-outs with a fresh process
             after = backend.map(_getpid, range(2))
-            assert after[0].ok and after[0].value != before[0].value
-            assert after[1].value == before[1].value
+            assert all(o.ok for o in after)
+            now = backend.worker_pids()
+            survivor = before.index(outs[1].value)
+            assert now[survivor] == before[survivor]
+            assert now[1 - survivor] not in (None, before[1 - survivor])
 
     def test_closed_backend_rejects_map(self):
         backend = ProcessPoolBackend(workers=2)

@@ -1,14 +1,12 @@
 """The structure-of-arrays core's identity bar.
 
-Property tests pinning the tentpole's central invariant: every kernel
-backend (``scalar`` / ``numpy`` / ``numba`` when importable) and every
-SoA fast path produces *bit-identical* decisions to the pure-python
-scalar oracle —
+Property tests pinning the central invariant: the batched fill loop
+(``TetrisConfig(vectorized=True)``, the default) and every SoA fast
+path produce *bit-identical* decisions to the pure-python scalar oracle
+(``vectorized=False``) —
 
-- kernel primitives (fit mask, alignment dot, score combine) agree
-  elementwise with the scalar reference on arbitrary inputs;
-- end-to-end placements and decision-event streams match across
-  backends on generated workloads, with and without a tracker;
+- end-to-end placements and decision-event streams match the oracle on
+  generated workloads, with and without a tracker;
 - under the tracker, the round-level placeability plane (reading the
   availability plane) places exactly like visiting every machine and
   like the scalar oracle — and does drop visits;
@@ -30,9 +28,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cluster import Cluster
-from repro.kernels import DEFAULT_BACKEND, available_backends, get_backend
 from repro.obs.trace import DecisionTrace
-from repro.resources import DEFAULT_MODEL, EPSILON
+from repro.resources import DEFAULT_MODEL
 from repro.schedulers.tetris import TetrisConfig, TetrisScheduler
 from repro.sim.engine import Engine, EngineConfig
 from repro.sim.fluid import FluidConfig, FlowSpec, FlowTable
@@ -42,11 +39,6 @@ from repro.workload.trace import materialize_trace
 from repro.workload.tracegen import WorkloadSuiteConfig, generate_workload_suite
 
 from conftest import make_simple_job
-
-BACKENDS = available_backends()
-HAS_NUMBA = "numba" in BACKENDS
-
-finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
 def _workload(seed, num_jobs=6, horizon=120.0):
@@ -97,95 +89,11 @@ def _run(trace, config, seed=0, num_machines=4, use_tracker=False,
     ]
 
 
-# -- kernel primitives ------------------------------------------------------
-
-class TestKernelPrimitiveIdentity:
-    """Every registered backend computes the three hot kernels with the
-    exact float semantics of the scalar reference."""
-
-    @given(
-        st.integers(1, 7).flatmap(
-            lambda d: st.tuples(
-                st.lists(
-                    st.lists(finite, min_size=d, max_size=d),
-                    min_size=1,
-                    max_size=24,
-                ),
-                st.lists(finite, min_size=d, max_size=d),
-            )
-        )
-    )
-    @settings(deadline=None)
-    def test_fit_and_dot_bitwise(self, data):
-        rows_list, vec_list = data
-        rows = np.array(rows_list, dtype=float)
-        vec = np.array(vec_list, dtype=float)
-        oracle = get_backend("scalar")
-        want_fit = oracle.fit_rows(rows, vec, EPSILON)
-        want_dot = oracle.dot_rows(rows, vec)
-        for name in BACKENDS:
-            backend = get_backend(name)
-            got_fit = backend.fit_rows(rows, vec, EPSILON)
-            got_dot = backend.dot_rows(rows, vec)
-            assert np.array_equal(got_fit, want_fit), name
-            # bitwise: same products reduced in the same order
-            assert np.array_equal(got_dot, want_dot), name
-
-    @given(
-        st.lists(finite, min_size=1, max_size=24),
-        st.lists(finite, min_size=1, max_size=24),
-        finite,
-        finite,
-    )
-    @settings(deadline=None)
-    def test_combine_scores_bitwise(self, align, remaining, w, srtf_w):
-        n = min(len(align), len(remaining))
-        a = np.array(align[:n])
-        r = np.array(remaining[:n])
-        oracle = get_backend("scalar")
-        want = oracle.combine_scores(a, r, w, srtf_w)
-        for name in BACKENDS:
-            got = get_backend(name).combine_scores(a, r, w, srtf_w)
-            assert np.array_equal(got, want), name
-
-
-# -- backend registry -------------------------------------------------------
-
-class TestBackendRegistry:
-    def test_default_is_numpy(self):
-        assert DEFAULT_BACKEND == "numpy"
-        assert get_backend(None).name == "numpy"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "scalar")
-        assert get_backend(None).name == "scalar"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_backend("cuda")
-
-    def test_scalar_is_not_vectorized(self):
-        assert not get_backend("scalar").vectorized
-        assert get_backend("numpy").vectorized
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba installed here")
-    def test_numba_absent_raises_cleanly(self):
-        """Requesting numba without the package is a clean ValueError
-        naming the usable alternatives — not an ImportError mid-round."""
-        with pytest.raises(ValueError, match="numba"):
-            get_backend("numba")
-        assert available_backends() == ["scalar", "numpy"]
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-    def test_numba_backend_resolves(self):
-        assert get_backend("numba").name == "numba"
-
-
 # -- end-to-end placement / trace identity ---------------------------------
 
 class TestBackendPlacementIdentity:
-    """Scheduling through any backend lands every task on the same
-    machine at the same instant as the scalar object-path oracle."""
+    """The batched fill loop lands every task on the same machine at the
+    same instant as the scalar object-path oracle."""
 
     @given(st.integers(0, 10_000))
     @settings(deadline=None, max_examples=5)
@@ -193,15 +101,8 @@ class TestBackendPlacementIdentity:
         trace = _workload(seed=seed % 997)
         oracle = _run(trace, TetrisConfig(vectorized=False), seed=seed % 31)
         assert len(oracle) > 0
-        for name in BACKENDS:
-            if name == "scalar":
-                continue
-            got = _run(
-                trace,
-                TetrisConfig(vectorized=True, backend=name),
-                seed=seed % 31,
-            )
-            assert got == oracle, name
+        got = _run(trace, TetrisConfig(vectorized=True), seed=seed % 31)
+        assert got == oracle
 
     @given(st.integers(0, 10_000))
     @settings(deadline=None, max_examples=3)
@@ -211,40 +112,33 @@ class TestBackendPlacementIdentity:
             trace, TetrisConfig(vectorized=False), use_tracker=True
         )
         assert len(oracle) > 0
-        for name in BACKENDS:
-            if name == "scalar":
-                continue
-            got = _run(
-                trace,
-                TetrisConfig(vectorized=True, backend=name),
-                use_tracker=True,
-            )
-            assert got == oracle, name
+        got = _run(trace, TetrisConfig(vectorized=True), use_tracker=True)
+        assert got == oracle
 
+    # the batched path is the numpy one; the id keeps this node's name
     @pytest.mark.parametrize(
-        "name", [n for n in BACKENDS if n != "scalar"]
+        "config", [pytest.param(TetrisConfig(vectorized=True), id="numpy")]
     )
-    def test_decision_stream_matches_oracle(self, name):
-        """With a trace attached, the backend emits the *same decision
-        events* — every candidate considered, every score, every
-        decline — as the scalar reference."""
+    def test_decision_stream_matches_oracle(self, config):
+        """With a trace attached, the batched loop emits the *same
+        decision events* — every candidate considered, every score,
+        every decline — as the scalar reference."""
         trace = _workload(seed=23)
         with DecisionTrace() as ref_sink:
             _run(trace, TetrisConfig(vectorized=False),
                  decision_trace=ref_sink)
             want = ref_sink.events()
         with DecisionTrace() as got_sink:
-            _run(trace, TetrisConfig(vectorized=True, backend=name),
-                 decision_trace=got_sink)
+            _run(trace, config, decision_trace=got_sink)
             got = got_sink.events()
         assert len(want) > 0
         assert got == want
 
     def test_scalar_backend_runs_reference_loop(self):
-        cluster = Cluster(2, seed=0)
-        sched = TetrisScheduler(TetrisConfig(backend="scalar"))
-        sched.bind(cluster)
-        assert not sched._use_vectorized
+        assert TetrisScheduler(TetrisConfig())._use_vectorized
+        assert not TetrisScheduler(
+            TetrisConfig(vectorized=False)
+        )._use_vectorized
 
 
 # -- the placeability skip under the tracker -----------------------------------
@@ -252,11 +146,9 @@ class TestBackendPlacementIdentity:
 class TestTrackerSkipIdentity:
     """Tracker-on rounds run the same skip as tracker-off rounds: it
     reads the tracker's availability plane, and dropping the visits it
-    proves fruitless changes no placement.  The batched runs name their
-    backend: under ``REPRO_BACKEND=scalar`` a default config would run
-    the scalar loop, which visits every machine."""
+    proves fruitless changes no placement."""
 
-    FAST = TetrisConfig(backend=DEFAULT_BACKEND)
+    FAST = TetrisConfig()
 
     def _three_ways(self, trace, seed=0, **kwargs):
         """(skip stats, placements) after checking skip == visit-all ==
@@ -380,7 +272,7 @@ class TestPlaceabilityPlaneIdentity:
     change nothing: placements (keys and times) equal the visit-all
     path and the scalar oracle whatever the run is made of."""
 
-    FAST = TetrisConfig(backend=DEFAULT_BACKEND)
+    FAST = TetrisConfig()
 
     def _three_ways(self, trace, **kwargs):
         from repro.estimation.estimator import ProfilingEstimator

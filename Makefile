@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-profiles bench-gate bench-history bench-trend serve sweep figures examples clean
+.PHONY: install test bench serve sweep figures examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -12,23 +12,6 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-bench-profiles:
-	$(PYTHON) -m repro bench run --quick -o bench-out
-
-bench-gate: bench-profiles
-	$(PYTHON) -m repro bench compare --current bench-out
-
-# Capture the quick set and append to the per-commit history store
-# (.bench-history/), refreshing the BENCH_<scenario>.json trajectory
-# artifacts at the repo root (see docs/benchmarking.md).
-bench-history:
-	$(PYTHON) -m repro bench run --quick -o bench-out --history
-
-# Per-commit perf trend of one scenario (SCENARIO=smoke by default).
-SCENARIO ?= smoke
-bench-trend:
-	$(PYTHON) -m repro bench history --scenario $(SCENARIO)
 
 # Streaming scheduler daemon over a generated trace (see docs/serving.md).
 serve:

@@ -17,21 +17,29 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Sequence
 
-from repro.bench.scenarios import (  # noqa: F401  (re-exported for benches)
-    DEPLOY_MACHINES,
-    DEPLOY_SUITE,
-    FB_MACHINES,
-    FB_TRACE,
-)
 from repro.experiments.harness import ExperimentConfig, run_comparison
 from repro.schedulers.capacity import CapacityScheduler
 from repro.schedulers.drf import DRFScheduler
 from repro.schedulers.slot_fair import SlotFairScheduler
 from repro.schedulers.tetris import TetrisScheduler
 from repro.workload.tracegen import (
+    FacebookTraceConfig,
+    WorkloadSuiteConfig,
     generate_facebook_trace,
     generate_workload_suite,
 )
+
+#: the Section 5.2 deployment-style workload (Tetris vs CS vs DRF)
+DEPLOY_SUITE = WorkloadSuiteConfig(
+    num_jobs=40, task_scale=0.05, arrival_horizon=1000, seed=1
+)
+DEPLOY_MACHINES = 20
+
+#: the Section 5.3 simulation workload (Facebook statistics)
+FB_TRACE = FacebookTraceConfig(
+    num_jobs=60, arrival_horizon=1500, max_map_tasks=150, seed=7
+)
+FB_MACHINES = 30
 
 
 def deploy_trace():

@@ -7,17 +7,16 @@ the Tetris packing round (scalar reference vs the batched engine).
 They guard against performance regressions as the library evolves.
 """
 
-import dataclasses
 from time import perf_counter
 
 import pytest
 from conftest import print_table
 
-from repro.bench.scenarios import get_scenario, packing_state
 from repro.cluster.cluster import Cluster
 from repro.profiling import Profiler
 from repro.resources import DEFAULT_MODEL
 from repro.schedulers.stage_index import StageIndex
+from repro.schedulers.tetris import TetrisConfig, TetrisScheduler
 from repro.sim.fluid import FlowSpec, FlowTable
 from repro.workload.job import Job
 from repro.workload.stage import Stage
@@ -103,13 +102,35 @@ def test_stage_index_candidate_lookup(benchmark):
 
 def _packing_state(vectorized):
     """A 100-machine x 200-job scheduler mid-simulation: every machine
-    partially loaded, every job with pending work.  The workload is the
-    ``packing-full`` bench scenario, so this pytest benchmark and
-    ``repro bench run`` time the identical state."""
-    scenario = dataclasses.replace(
-        get_scenario("packing-full"), vectorized=vectorized
-    )
-    return packing_state(scenario)
+    partially loaded (one long-running filler task each), every job with
+    20 pending tasks, so one ``schedule()`` call exercises candidate
+    lookup, scoring and placement exactly as a heartbeat burst would."""
+    cluster = Cluster(100, seed=0)
+    scheduler = TetrisScheduler(TetrisConfig(vectorized=vectorized))
+    scheduler.bind(cluster)
+    for j in range(200):
+        tasks = [
+            Task(
+                DEFAULT_MODEL.vector(
+                    cpu=4 + (j % 3), mem=12, diskr=40, diskw=10
+                ),
+                TaskWork(cpu_core_seconds=60.0 + 5 * (j % 7)),
+            )
+            for _ in range(20)
+        ]
+        job = Job(
+            [Stage("work", tasks)], arrival_time=0.0, name=f"job-{j}"
+        )
+        job.arrive()
+        scheduler.on_job_arrival(job, 0.0)
+    for machine in cluster.machines:
+        filler = Task(
+            DEFAULT_MODEL.vector(cpu=8, mem=24, diskr=100),
+            TaskWork(cpu_core_seconds=1e6),
+        )
+        filler.mark_runnable()
+        machine.place(filler, filler.demands)
+    return scheduler
 
 
 def _round_time(scheduler, machine_ids, rounds=3, warmup=1):

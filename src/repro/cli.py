@@ -85,6 +85,23 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+def _dump_json(payload: Dict[str, object], path) -> None:
+    """Write a ``--json`` payload as strict JSON (no NaN), sorted keys,
+    indent 2, atomically (a temp file renamed over ``path``)."""
+    import json
+    import os
+
+    path = os.fspath(path)
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True, allow_nan=False)
+        f.write("\n")
+    os.replace(tmp, path)
+
+
 def _print_summary(name: str, result) -> None:
     s = result.summary()
     print(
@@ -155,9 +172,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = outcome.result
     _print_summary(args.scheduler, result)
     if args.json:
-        from repro.bench.profile import dump_json
-
-        dump_json(
+        _dump_json(
             {
                 "scheduler": args.scheduler,
                 "trace": args.trace,
@@ -266,9 +281,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 f"{report.fragmentation_delta_points:+5.2f}pp"
             )
     if args.json:
-        from repro.bench.profile import dump_json
-
-        dump_json(
+        _dump_json(
             {
                 "trace": args.trace,
                 "machines": args.machines,
@@ -392,54 +405,27 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _print_profile_phases(path: str) -> int:
-    """Render the phase table of an offline profile capture.
-
-    Accepts any of the three phase-bearing artifacts in the repo: a
-    ``BENCH_<scenario>.json`` bench profile, a history-store entry
-    (which wraps one), or a saved ``/debug/profile`` response from a
-    live serve daemon.
-    """
-    import json as _json
+    """Render the phase table of a saved ``/debug/profile`` response
+    from a live serve daemon."""
+    import json
 
     with open(path, encoding="utf-8") as f:
-        payload = _json.load(f)
-    schema = payload.get("schema", "")
-    if isinstance(schema, str) and schema.startswith(
-        "repro.bench.history-entry/"
-    ):
-        meta = {
-            "scenario": payload.get("scenario"),
-            "git_sha": (payload.get("key") or {}).get("git_sha"),
-        }
-        payload = payload.get("profile", {})
-    else:
-        meta = {
-            "scenario": payload.get("scenario"),
-            "git_sha": (payload.get("meta") or {}).get("git_sha"),
-        }
+        payload = json.load(f)
+    if "enabled" not in payload:
+        print(f"{path}: not a saved /debug/profile response")
+        return 1
     phases = payload.get("phases") or {}
     if not phases:
         print(f"no phase data in {path}")
         return 1
-    title = meta.get("scenario") or payload.get("phase") or "live"
-    sha = meta.get("git_sha")
-    print(f"profile: {title}" + (f" @ {str(sha)[:12]}" if sha else ""))
-    header = (f"  {'phase':<28} {'count':>8} {'total ms':>12} "
-              f"{'self ms':>12} {'mean ms':>10}")
-    print(header)
+    print(f"profile: {payload.get('phase') or 'live'}")
+    print(f"  {'phase':<28} {'count':>8} {'total ms':>12} "
+          f"{'self ms':>12} {'mean ms':>10}")
     for label in sorted(phases):
         st = phases[label]
-        # bench profiles store seconds under total/self_total; live
-        # /debug/profile dumps store total_seconds/self_seconds + mean_ms
-        total = st.get("total", st.get("total_seconds", 0.0)) * 1e3
-        self_s = st.get("self_total", st.get("self_seconds"))
-        self_ms = f"{self_s * 1e3:>12.2f}" if self_s is not None \
-            else f"{'-':>12}"
-        mean_ms = st.get("mean_ms")
-        if mean_ms is None:
-            mean_ms = st.get("mean", 0.0) * 1e3
-        line = (f"  {label:<28} {st.get('count', 0):>8} {total:>12.2f} "
-                f"{self_ms} {mean_ms:>10.3f}")
+        line = (f"  {label:<28} {st['count']:>8} "
+                f"{st['total_seconds'] * 1e3:>12.2f} "
+                f"{st['self_seconds'] * 1e3:>12.2f} {st['mean_ms']:>10.3f}")
         window = st.get("window")
         if isinstance(window, dict):
             line += (f"  [{window['rate_per_sec']:.2f}/s, "
@@ -715,9 +701,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"{report.invariant_violations} violations"
     )
     if args.json:
-        from repro.bench.profile import dump_json
-
-        dump_json(report.as_dict(), args.json)
+        _dump_json(report.as_dict(), args.json)
         print(f"wrote {args.json}")
     return 1 if report.invariant_violations else 0
 
@@ -780,297 +764,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
     print(f"wrote {path}")
     return 0
-
-
-#: where the repo keeps its committed baseline profiles
-BENCH_BASELINE_DIR = "benchmarks/baselines"
-
-#: default root of the per-commit profile history store (mirrors
-#: repro.bench.history.DEFAULT_HISTORY_DIR without importing it at
-#: parser-build time)
-DEFAULT_HISTORY_DIR = ".bench-history"
-
-
-def _bench_scenarios(args: argparse.Namespace) -> list:
-    from repro.bench import scenario_names
-
-    if args.scenarios:
-        return [n.strip() for n in args.scenarios.split(",") if n.strip()]
-    return scenario_names(quick_only=args.quick)
-
-
-def cmd_bench_run(args: argparse.Namespace) -> int:
-    """Capture a BENCH_<scenario>.json profile per requested scenario."""
-    from repro.bench import (
-        HistoryStore,
-        ProfileStore,
-        capture,
-        get_scenario,
-        write_trajectory_artifact,
-    )
-
-    store = ProfileStore(args.output)
-    history = HistoryStore(args.history) if args.history else None
-    for name in _bench_scenarios(args):
-        try:
-            scenario = get_scenario(name)  # fail fast on unknown names
-        except KeyError as exc:
-            raise SystemExit(str(exc))
-        profile = capture(
-            scenario, repeats=args.repeats, workers=args.workers
-        )
-        path = store.save(profile)
-        wall = profile["metrics"].get("wall_seconds") or \
-            profile["metrics"].get("round_ms")
-        headline = f"{wall['value']:.2f}{wall['unit']}" if wall else "-"
-        print(f"{name:<14} captured ({headline} median of "
-              f"{args.repeats}) -> {path}")
-        if history is not None:
-            entry = history.append(profile)
-            print(f"{'':<14} history  -> {entry.path}")
-            if not args.no_trajectory:
-                artifact = write_trajectory_artifact(
-                    history, name, args.trajectory_dir
-                )
-                print(f"{'':<14} trajectory -> {artifact}")
-    return 0
-
-
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    """Gate fresh profiles against the committed baseline."""
-    from repro.bench import ProfileStore, compare_profiles
-    from repro.bench.profile import dump_json
-
-    baseline_store = ProfileStore(args.baseline)
-    current_store = ProfileStore(args.current)
-    names = (
-        [n.strip() for n in args.scenarios.split(",") if n.strip()]
-        if args.scenarios
-        else current_store.scenarios()
-    )
-    if not names:
-        print(f"no profiles found under {args.current}")
-        return 1
-    failed = []
-    results = []
-    for name in names:
-        current = current_store.load(name)
-        if current is None:
-            print(f"scenario {name}: no current profile under "
-                  f"{args.current}")
-            failed.append(name)
-            continue
-        baseline = baseline_store.load(name)
-        if baseline is None:
-            print(f"scenario {name}: no baseline under {args.baseline} "
-                  "(skipped; commit one with `repro bench run -o "
-                  f"{args.baseline}`)")
-            continue
-        result = compare_profiles(
-            baseline,
-            current,
-            timing_tolerance=args.timing_tolerance,
-            fidelity_tolerance=args.fidelity_tolerance,
-        )
-        results.append(result)
-        print(result.render())
-        if not result.ok:
-            failed.append(name)
-    if args.json:
-        dump_json(
-            {
-                "baseline_dir": args.baseline,
-                "current_dir": args.current,
-                "failed": sorted(failed),
-                "scenarios": {
-                    r.scenario: {
-                        "ok": r.ok,
-                        "config_mismatch": r.config_mismatch,
-                        "notes": r.notes,
-                        "verdicts": [
-                            {
-                                "name": v.name,
-                                "kind": v.kind,
-                                "status": v.status,
-                                "baseline": v.baseline,
-                                "current": v.current,
-                                "ratio": v.ratio,
-                                "note": v.note,
-                            }
-                            for v in r.verdicts
-                        ],
-                    }
-                    for r in results
-                },
-            },
-            args.json,
-        )
-        print(f"wrote {args.json}")
-    if failed:
-        print(f"\nDEGRADED: {', '.join(sorted(failed))}")
-        return 1
-    print("\nall scenarios within tolerance")
-    return 0
-
-
-def cmd_bench_report(args: argparse.Namespace) -> int:
-    """Render the perf trajectory across every stored profile."""
-    from repro.bench import collect_profiles, render_trajectory
-
-    directories = [d.strip() for d in args.dirs.split(",") if d.strip()]
-    profiles = collect_profiles(directories)
-    if not profiles:
-        print(f"no BENCH_*.json profiles under: {', '.join(directories)}")
-        return 1
-    text = render_trajectory(profiles, fmt=args.format)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-        print(f"wrote {args.output} ({len(profiles)} profiles)")
-    else:
-        print(text)
-    return 0
-
-
-def _history_dirs(spec: str) -> list:
-    return [d.strip() for d in spec.split(",") if d.strip()]
-
-
-def cmd_bench_history(args: argparse.Namespace) -> int:
-    """Render a scenario's per-commit perf trend from the history store."""
-    from repro.bench import HistoryStore, collect_history, render_trend
-    from repro.bench.profile import dump_json
-
-    directories = _history_dirs(args.history)
-    if args.compact is not None:
-        for directory in directories:
-            removed = HistoryStore(directory).compact(
-                scenario=args.scenario, keep_last=args.compact
-            )
-            if removed:
-                print(f"compacted {directory}: removed {len(removed)} "
-                      "superseded entries")
-    entries = collect_history(directories, args.scenario)
-    if not entries:
-        print(f"no history entries for scenario {args.scenario!r} "
-              f"under: {', '.join(directories)}")
-        return 1
-    if args.limit is not None and args.limit > 0:
-        entries = entries[-args.limit:]
-    metrics = (
-        [m.strip() for m in args.metrics.split(",") if m.strip()]
-        if args.metrics
-        else None
-    )
-    print(render_trend(entries, metrics=metrics, fmt=args.format))
-    if args.json:
-        dump_json(
-            {
-                "scenario": args.scenario,
-                "history_dirs": directories,
-                "entries": [e.as_index_row() for e in entries],
-            },
-            args.json,
-        )
-        print(f"wrote {args.json}")
-    return 0
-
-
-def cmd_bench_diff(args: argparse.Namespace) -> int:
-    """Per-phase delta view between two history entries (commits)."""
-    from repro.bench import HistoryStore, diff_entries
-    from repro.bench.profile import dump_json
-
-    store = HistoryStore(args.history)
-    try:
-        older = store.resolve(args.scenario, args.ref_a)
-        newer = store.resolve(args.scenario, args.ref_b)
-    except KeyError as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}")
-        return 1
-    print(f"diff {older.short_sha} ({older.calibration_stamp}) -> "
-          f"{newer.short_sha} ({newer.calibration_stamp})")
-    result = diff_entries(
-        older,
-        newer,
-        timing_tolerance=args.timing_tolerance,
-        fidelity_tolerance=args.fidelity_tolerance,
-    )
-    print(result.render())
-    attribution = result.attribution()
-    if attribution:
-        print("phase attribution (worst first): "
-              + ", ".join(v.name for v in attribution))
-    if args.json:
-        dump_json(
-            {
-                "scenario": args.scenario,
-                "older": older.as_index_row(),
-                "newer": newer.as_index_row(),
-                "ok": result.ok,
-                "notes": result.notes,
-                "degraded": [v.name for v in result.degraded],
-                "attribution": [v.name for v in attribution],
-            },
-            args.json,
-        )
-        print(f"wrote {args.json}")
-    if not result.ok and not args.no_gate:
-        return 1
-    return 0
-
-
-def cmd_bench_bisect(args: argparse.Namespace) -> int:
-    """Localize the first commit that degraded a scenario."""
-    from repro.bench import HistoryStore, git_bisect
-    from repro.bench.profile import dump_json
-
-    history = HistoryStore(args.history) if args.history else None
-    try:
-        result = git_bisect(
-            args.scenario,
-            good=args.good,
-            bad=args.bad,
-            repo=args.repo,
-            history=history,
-            timing_tolerance=args.timing_tolerance,
-            fidelity_tolerance=args.fidelity_tolerance,
-            min_repeats=args.min_repeats,
-            max_repeats=args.max_repeats,
-            capture_timeout=args.timeout,
-            progress=print,
-        )
-    except RuntimeError as exc:
-        print(f"error: {exc}")
-        return 1
-    print(result.render())
-    for line in result.log:
-        print(f"  | {line}")
-    if args.json:
-        dump_json(
-            {
-                "scenario": args.scenario,
-                "good": args.good,
-                "bad": args.bad,
-                "culprit": result.culprit,
-                "oracle_calls": result.oracle_calls,
-                "steps": [
-                    {
-                        "sha": s.sha,
-                        "verdict": s.verdict,
-                        "repeats": s.repeats,
-                        "escalations": s.escalations,
-                        "cached": s.cached,
-                        "degraded": s.degraded,
-                    }
-                    for s in result.steps
-                ],
-                "log": result.log,
-            },
-            args.json,
-        )
-        print(f"wrote {args.json}")
-    return 0 if result.culprit else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1158,14 +851,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ins = sub.add_parser(
         "inspect", help="summarize a decision log from `repro trace` "
-        "and/or an offline profile capture"
+        "and/or a saved serve profile"
     )
     ins.add_argument("log", nargs="?", default=None,
                      help="decisions.jsonl path")
     ins.add_argument("--profile", default=None, metavar="PATH",
-                     help="render the phase table of an offline profile: "
-                     "a BENCH_<scenario>.json capture, a history-store "
-                     "entry, or a saved /debug/profile response")
+                     help="render the phase table of a saved "
+                     "/debug/profile response")
     ins.add_argument("--strict", action="store_true",
                      help="exit non-zero if any event fails validation")
     ins.add_argument("--metrics", default=None, metavar="PATH",
@@ -1276,145 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--seed", type=int, default=1)
     report.set_defaults(func=cmd_report)
 
-    bench = sub.add_parser(
-        "bench",
-        help="capture, compare, and report performance profiles "
-        "(BENCH_<scenario>.json)",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    brun = bench_sub.add_parser(
-        "run", help="capture profiles for the benchmark scenarios"
-    )
-    brun.add_argument("--scenarios", default=None,
-                      help="comma-separated scenario names "
-                      "(default: the quick set, or all with --all)")
-    group = brun.add_mutually_exclusive_group()
-    group.add_argument("--quick", dest="quick", action="store_true",
-                       default=True,
-                       help="quick scenario set (default)")
-    group.add_argument("--all", dest="quick", action="store_false",
-                       help="every scenario, including the slow ones")
-    brun.add_argument("--repeats", type=int, default=3,
-                      help="independent repeats per scenario "
-                      "(profiles store the median + raw samples)")
-    brun.add_argument("-o", "--output", default="bench-out",
-                      help="profile output directory")
-    brun.add_argument("--history", nargs="?", default=None,
-                      const=DEFAULT_HISTORY_DIR, metavar="DIR",
-                      help="also append each capture to the per-commit "
-                      f"history store (default dir: {DEFAULT_HISTORY_DIR})")
-    brun.add_argument("--trajectory-dir", default=".", metavar="DIR",
-                      help="where BENCH_<scenario>.json trajectory "
-                      "pointer artifacts land when --history is on "
-                      "(default: repo root)")
-    brun.add_argument("--no-trajectory", action="store_true",
-                      help="append to history without refreshing the "
-                      "trajectory artifacts")
-    workers_arg(brun)
-    brun.set_defaults(func=cmd_bench_run)
-
-    bcmp = bench_sub.add_parser(
-        "compare",
-        help="compare fresh profiles against the committed baseline; "
-        "exits non-zero on confirmed degradation",
-    )
-    bcmp.add_argument("--baseline", default=BENCH_BASELINE_DIR,
-                      help="baseline profile directory")
-    bcmp.add_argument("--current", default="bench-out",
-                      help="freshly captured profile directory")
-    bcmp.add_argument("--scenarios", default=None,
-                      help="restrict to these scenarios "
-                      "(default: every current profile)")
-    bcmp.add_argument("--timing-tolerance", type=float, default=0.5,
-                      help="relative band for timing metrics "
-                      "(0.5 = flag beyond 1.5x)")
-    bcmp.add_argument("--fidelity-tolerance", type=float, default=0.02,
-                      help="relative band for fidelity metrics")
-    bcmp.add_argument("--json", default=None, metavar="PATH",
-                      help="also write the structured verdicts as JSON")
-    bcmp.set_defaults(func=cmd_bench_compare)
-
-    brep = bench_sub.add_parser(
-        "report", help="render the trajectory across stored profiles"
-    )
-    brep.add_argument("--dirs",
-                      default=f"{BENCH_BASELINE_DIR},bench-out",
-                      help="comma-separated profile directories "
-                      "(missing ones are skipped)")
-    brep.add_argument("--format", choices=("term", "md"), default="term")
-    brep.add_argument("-o", "--output", default=None,
-                      help="write to a file instead of stdout")
-    brep.set_defaults(func=cmd_bench_report)
-
-    bhist = bench_sub.add_parser(
-        "history",
-        help="per-commit perf trend of one scenario from the history "
-        "store",
-    )
-    bhist.add_argument("--scenario", required=True)
-    bhist.add_argument("--history", default=DEFAULT_HISTORY_DIR,
-                       help="comma-separated history store roots")
-    bhist.add_argument("--metrics", default=None,
-                       help="comma-separated metric names "
-                       "(default: headline + phase timings present)")
-    bhist.add_argument("--limit", type=int, default=None,
-                       help="show only the newest N entries")
-    bhist.add_argument("--format", choices=("term", "md"), default="term")
-    bhist.add_argument("--compact", type=int, default=None, metavar="N",
-                       help="first compact each store: keep the newest N "
-                       "entries plus one per (commit, host-speed class)")
-    bhist.add_argument("--json", default=None, metavar="PATH",
-                       help="also write the entry index as JSON")
-    bhist.set_defaults(func=cmd_bench_history)
-
-    bdiff = bench_sub.add_parser(
-        "diff",
-        help="per-phase delta view between two commits' history "
-        "entries; exits non-zero on confirmed degradation",
-    )
-    bdiff.add_argument("ref_a", help="older entry: SHA prefix or @N "
-                       "(@0 = newest)")
-    bdiff.add_argument("ref_b", help="newer entry: SHA prefix or @N")
-    bdiff.add_argument("--scenario", required=True)
-    bdiff.add_argument("--history", default=DEFAULT_HISTORY_DIR,
-                       help="history store root")
-    bdiff.add_argument("--timing-tolerance", type=float, default=None)
-    bdiff.add_argument("--fidelity-tolerance", type=float, default=None)
-    bdiff.add_argument("--no-gate", action="store_true",
-                       help="informational mode: report deltas but "
-                       "always exit 0 (for cross-host CI views)")
-    bdiff.add_argument("--json", default=None, metavar="PATH",
-                       help="also write the structured diff as JSON")
-    bdiff.set_defaults(func=cmd_bench_diff)
-
-    bbisect = bench_sub.add_parser(
-        "bisect",
-        help="drive `git bisect` with the degradation detector as "
-        "oracle to find the first bad commit",
-    )
-    bbisect.add_argument("--scenario", required=True)
-    bbisect.add_argument("--good", required=True,
-                         help="known-good rev (baseline side)")
-    bbisect.add_argument("--bad", required=True,
-                         help="known-bad rev (usually HEAD)")
-    bbisect.add_argument("--repo", default=".",
-                         help="git checkout to bisect in (must be clean)")
-    bbisect.add_argument("--history", nargs="?", default=None,
-                         const=DEFAULT_HISTORY_DIR, metavar="DIR",
-                         help="reuse/store per-commit profiles in this "
-                         "history store "
-                         f"(default dir: {DEFAULT_HISTORY_DIR})")
-    bbisect.add_argument("--timing-tolerance", type=float, default=0.5)
-    bbisect.add_argument("--fidelity-tolerance", type=float, default=0.02)
-    bbisect.add_argument("--min-repeats", type=int, default=3)
-    bbisect.add_argument("--max-repeats", type=int, default=12,
-                         help="ceiling for adaptive repeat escalation")
-    bbisect.add_argument("--timeout", type=float, default=1800.0,
-                         help="per-capture wall-clock timeout in seconds")
-    bbisect.add_argument("--json", default=None, metavar="PATH",
-                         help="also write the bisect transcript as JSON")
-    bbisect.set_defaults(func=cmd_bench_bisect)
     return parser
 
 

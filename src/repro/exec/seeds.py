@@ -1,9 +1,8 @@
 """Seed derivation for sibling runs.
 
-When a sweep varies *only* the seed (replication across seeds, repeated
-bench captures), sibling runs must never share
-RNG state.  Ad-hoc ``seed + i`` arithmetic does not guarantee that —
-adjacent integer seeds can produce correlated streams for some
+When a sweep varies *only* the seed (replication across seeds), sibling
+runs must never share RNG state.  Ad-hoc ``seed + i`` arithmetic does
+not guarantee that — adjacent integer seeds can produce correlated streams for some
 generators, and two sweeps with overlapping ranges silently reuse runs.
 
 The scheme used everywhere in this repo instead derives child seeds with

@@ -12,10 +12,7 @@ entry point that materializes fresh jobs and a fresh cluster exactly as
 
 :func:`run_specs` maps a spec list over an execution backend
 (:mod:`repro.exec.backends`) and returns :class:`RunOutcome` rows in
-spec order: the successful cells carry their ``RunResult`` (plus
-optional :class:`~repro.profiling.Profiler` /
-:class:`~repro.obs.registry.Registry` snapshots, which merge across the
-process boundary via ``Profiler.merge`` / ``Registry.merge``), the
+spec order: the successful cells carry their ``RunResult``, the
 failed cells carry the error and the worker's traceback.
 """
 
@@ -32,8 +29,6 @@ from repro.exec.backends import (
 )
 from repro.exec.seeds import spawn_seeds
 from repro.experiments.harness import ExperimentConfig, RunResult, run_trace
-from repro.obs.registry import Registry
-from repro.profiling import Profiler
 from repro.schedulers.base import Scheduler
 from repro.workload.trace import TraceJob
 
@@ -64,9 +59,6 @@ class RunSpec:
     knobs: Optional[Mapping[str, object]] = None
     config: ExperimentConfig = field(default_factory=ExperimentConfig)
     label: Optional[str] = None
-    #: attach a Profiler and a metrics Registry to the run and return
-    #: both in the outcome (picklable, mergeable across runs)
-    collect_profile: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trace", tuple(self.trace))
@@ -126,22 +118,6 @@ class RunOutcome:
     #: wall-clock seconds of the (last) execute() call, measured in the
     #: worker — comparable across backends, unlike queueing delay
     wall_seconds: float = 0.0
-    profiler: Optional[Profiler] = None
-    registry: Optional[Registry] = None
-
-
-def _execute_payload(spec: RunSpec) -> dict:
-    """Worker-side body: one spec -> result (+ optional observability)."""
-    profiler = Profiler() if spec.collect_profile else None
-    registry = Registry() if spec.collect_profile else None
-    result = run_trace(
-        spec.trace,
-        spec.build_scheduler(),
-        spec.config,
-        profiler=profiler,
-        metrics=registry,
-    )
-    return {"result": result, "profiler": profiler, "registry": registry}
 
 
 def execute(spec: RunSpec) -> RunResult:
@@ -150,22 +126,19 @@ def execute(spec: RunSpec) -> RunResult:
     The single entry point the backends fan out: fresh cluster, fresh
     jobs materialized from the spec's trace records, one engine run.
     """
-    return _execute_payload(spec)["result"]
+    return run_trace(spec.trace, spec.build_scheduler(), spec.config)
 
 
 def _to_run_outcome(outcome: TaskOutcome, spec: RunSpec) -> RunOutcome:
-    payload = outcome.value if outcome.ok else None
     return RunOutcome(
         index=outcome.index,
         label=spec.name,
         ok=outcome.ok,
-        result=payload["result"] if payload else None,
+        result=outcome.value if outcome.ok else None,
         error=outcome.error,
         traceback=outcome.traceback,
         attempts=outcome.attempts,
         wall_seconds=outcome.wall_seconds,
-        profiler=payload["profiler"] if payload else None,
-        registry=payload["registry"] if payload else None,
     )
 
 
@@ -178,7 +151,7 @@ def run_specs(
     specs = list(specs)
     if backend is None:
         backend = SerialBackend()
-    outcomes = backend.map(_execute_payload, specs, progress=progress)
+    outcomes = backend.map(execute, specs, progress=progress)
     return [
         _to_run_outcome(outcome, specs[outcome.index]) for outcome in outcomes
     ]

@@ -75,7 +75,7 @@ class RunResult:
     jobs: List[Job]
     activities: List[ClusterActivity] = field(default_factory=list)
     #: wall-clock seconds spent inside ``Engine.run`` and how many
-    #: placements it made — the bench subsystem's throughput metrics
+    #: placements it made (``repro run --json`` reports both)
     wall_seconds: float = 0.0
     num_placements: int = 0
 
@@ -128,9 +128,9 @@ def run_trace(
     """Materialize the trace on a fresh cluster and run one scheduler.
 
     ``profiler`` and ``metrics`` are handed straight to the
-    :class:`Engine` (same opt-in ``Optional[...]`` contract), so a bench
-    capture can collect phase timings and counters from an otherwise
-    unmodified run.
+    :class:`Engine` (same opt-in ``Optional[...]`` contract), so a caller
+    can collect phase timings and counters from an otherwise unmodified
+    run.
     """
     cfg = config if config is not None else ExperimentConfig()
     cluster = cfg.make_cluster()

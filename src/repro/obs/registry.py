@@ -171,22 +171,6 @@ class Histogram:
                 self.counts[i] += 1
                 break
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's observations into this one.
-
-        Requires identical bucket boundaries — merged histograms must
-        have been created from the same metric definition.
-        """
-        if self.buckets != other.buckets:
-            raise ValueError(
-                f"cannot merge histograms with different buckets: "
-                f"{self.buckets} vs {other.buckets}"
-            )
-        for i, count in enumerate(other.counts):
-            self.counts[i] += count
-        self.sum += other.sum
-        self.count += other.count
-
     def cumulative_counts(self) -> List[int]:
         out: List[int] = []
         running = 0
@@ -226,7 +210,7 @@ class Histogram:
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict export: counts per upper bound plus sum/count and
-        interpolated p50/p90/p99 — everything a bench profile embeds.
+        interpolated p50/p90/p99.
         Quantiles of an empty histogram export as ``None`` (strict JSON
         has no NaN)."""
         def finite(q: float) -> Optional[float]:
@@ -383,32 +367,6 @@ class MetricFamily:
     def children(self) -> Iterable[Tuple[Tuple[str, ...], object]]:
         return sorted(self._children.items())
 
-    def merge(self, other: "MetricFamily") -> None:
-        """Fold another family's children into this one (see
-        :meth:`Registry.merge` for per-type semantics)."""
-        if other.cls is not self.cls:
-            raise ValueError(
-                f"metric {self.name!r}: cannot merge {other.type} "
-                f"into {self.type}"
-            )
-        if other.labelnames != self.labelnames:
-            raise ValueError(
-                f"metric {self.name!r}: label names differ "
-                f"({other.labelnames} vs {self.labelnames})"
-            )
-        for key, child in other.children():
-            mine = self._children.get(key)
-            if mine is None:
-                mine = self._children[key] = self._make_child()
-            if self.cls is Counter:
-                mine.value += child.value
-            elif self.cls is Gauge:
-                # gauges are instantaneous readings; the merged-in run's
-                # final reading wins (last-write-wins)
-                mine.value = child.value
-            else:
-                mine.merge(child)
-
     # -- unlabeled convenience --------------------------------------------------
     def _solo(self):
         if self.labelnames:
@@ -494,33 +452,6 @@ class Registry:
     def get(self, name: str) -> Optional[MetricFamily]:
         return self._families.get(name)
 
-    def merge(self, other: "Registry") -> "Registry":
-        """Fold another registry's state into this one and return self.
-
-        The aggregation used when per-run registries cross a process
-        boundary (``repro.exec`` workers each populate a fresh registry;
-        the parent merges them): counters **add**, histograms add
-        bucket-wise (same boundaries required), and gauges take the
-        merged-in value — a gauge is an instantaneous reading, so the
-        last merged run wins.  Families missing on this side are created
-        with the other side's definition; a name registered as a
-        different type on the two sides raises ``ValueError``.
-        ``other`` is never modified.
-        """
-        for name in other.names():
-            theirs = other._families[name]
-            mine = self._families.get(name)
-            if mine is None:
-                mine = self._register(
-                    name,
-                    theirs.documentation,
-                    theirs.cls,
-                    theirs.labelnames,
-                    theirs._buckets,
-                )
-            mine.merge(theirs)
-        return self
-
     def names(self) -> List[str]:
         return sorted(self._families)
 
@@ -528,8 +459,8 @@ class Registry:
         """Plain-dict export of every family, JSON-serializable as-is.
 
         Children are keyed by ``label=value`` pairs joined with commas
-        (``""`` for the unlabeled child), so bench profiles can embed
-        metric state without parsing the text exposition::
+        (``""`` for the unlabeled child), so callers can read metric
+        state without parsing the text exposition::
 
             {"repro_engine_rounds_total": {
                 "type": "counter", "help": "...",

@@ -32,9 +32,9 @@ class PhaseStats:
     """Accumulated samples for one labelled phase.
 
     Dispersion is tracked with Welford's online algorithm (numerically
-    stable single-pass mean/M2), so downstream consumers — the bench
-    degradation detector's tolerance bands in particular — get
-    ``variance``/``stddev`` without the profiler keeping every sample.
+    stable single-pass mean/M2), so consumers — the serve daemon's
+    ``/debug/profile`` in particular — get ``variance``/``stddev``
+    without the profiler keeping every sample.
     """
 
     count: int = 0
@@ -54,37 +54,6 @@ class PhaseStats:
         delta = duration - self._mean
         self._mean += delta / self.count
         self._m2 += delta * (duration - self._mean)
-
-    def merge(self, other: "PhaseStats") -> "PhaseStats":
-        """Fold another phase's samples into this one and return self.
-
-        Combines the Welford accumulators with the parallel-variance
-        formula (Chan et al.), so merged ``mean``/``variance``/``stddev``
-        equal what a single pass over the union of samples would give.
-        Used to aggregate per-run profilers across process boundaries;
-        ``other`` is never modified.
-        """
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count = other.count
-            self.total = other.total
-            self.max = other.max
-            self._min = other._min
-            self._mean = other._mean
-            self._m2 = other._m2
-            return self
-        combined = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / combined
-        self._mean += delta * other.count / combined
-        self.count = combined
-        self.total += other.total
-        if other.max > self.max:
-            self.max = other.max
-        if other._min < self._min:
-            self._min = other._min
-        return self
 
     @property
     def min(self) -> float:
@@ -108,7 +77,7 @@ class PhaseStats:
         return sqrt(self.variance)
 
     def as_dict(self) -> Dict[str, float]:
-        """Plain-dict export (the shape bench profiles embed)."""
+        """Plain-dict export of the accumulated samples."""
         return {
             "count": self.count,
             "total": self.total,
@@ -192,23 +161,6 @@ class Profiler:
         object does not feed back into this profiler.
         """
         return self._stats.get(label, PhaseStats())
-
-    def merge(self, other: "Profiler") -> "Profiler":
-        """Fold another profiler's phases into this one and return self.
-
-        Per-run profilers are picklable, so ``repro.exec`` workers ship
-        theirs back whole and the parent merges them label by label
-        (:meth:`PhaseStats.merge`); ``other`` is never modified.
-        """
-        for label in other.labels():
-            stats = self._stats.get(label)
-            if stats is None:
-                stats = self._stats[label] = PhaseStats()
-            stats.merge(other._stats[label])
-            self._self_totals[label] = (
-                self._self_totals.get(label, 0.0) + other.self_total(label)
-            )
-        return self
 
     def labels(self) -> List[str]:
         return sorted(self._stats)

@@ -226,12 +226,10 @@ class TetrisScheduler(Scheduler):
         #: grant-independent remote-transfer plans:
         #: task_id -> machine_id -> ((locations, rate), ...)
         self._remote_plans: Dict[int, Dict[int, tuple]] = {}
-        #: opt-out for the round's placeability plane.  Harnesses that
-        #: replay the same backlog with ``index.reset_claims()`` (the
-        #: packing benchmarks) revive claimed tasks, whose queue positions
-        #: then depend on lazy-pruning progress — i.e. on which machines
-        #: were visited — so they must visit every machine to stay
-        #: bit-comparable with their committed baselines.
+        #: opt-out for the round's placeability plane: ``False`` visits
+        #: every machine.  Its only caller is the reference side of the
+        #: plane-identity tests (``tests/test_soa_identity.py``), which
+        #: hold the skipping rounds bit-identical to the unskipped ones.
         self.prefilter_machines = True
         #: cumulative tallies: machines rounds were asked to look at,
         #: machines filled (the rest were dropped as provably unplaceable),

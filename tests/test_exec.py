@@ -410,36 +410,3 @@ class TestFailureIsolation:
         outcome = run_specs([spec], backend)[0]
         assert not outcome.ok
         assert outcome.attempts == 1
-
-
-# ---------------------------------------------------------------------------
-# observability across the process boundary
-# ---------------------------------------------------------------------------
-
-class TestCollectProfile:
-    def test_profiler_and_registry_come_back(self, small_trace, config):
-        spec = RunSpec(trace=small_trace, scheduler="tetris", config=config,
-                       collect_profile=True)
-        serial = run_specs([spec], SerialBackend())[0]
-        parallel = run_specs([spec], ProcessPoolBackend(workers=2))[0]
-        for outcome in (serial, parallel):
-            assert outcome.profiler is not None
-            assert outcome.profiler.stats("engine.scheduler_round").count > 0
-            assert outcome.registry is not None
-            assert outcome.registry.names()
-        # counters are bit-identical too (same run, either side of a fork)
-        s = {k: v["values"] for k, v in serial.registry.snapshot().items()
-             if v["type"] == "counter"}
-        p = {k: v["values"] for k, v in parallel.registry.snapshot().items()
-             if v["type"] == "counter"}
-        assert s == p
-
-    def test_profilers_merge_across_runs(self, small_trace, config):
-        spec = RunSpec(trace=small_trace, scheduler="tetris", config=config,
-                       collect_profile=True)
-        outcomes = run_specs([spec, spec], SerialBackend())
-        merged = outcomes[0].profiler.merge(outcomes[1].profiler)
-        label = "engine.scheduler_round"
-        assert merged.stats(label).count == 2 * run_specs(
-            [spec], SerialBackend()
-        )[0].profiler.stats(label).count

@@ -378,85 +378,6 @@ class TestRollingWindow:
             win.quantile(1.5, 0.0)
 
 
-class TestRegistryMerge:
-    def test_counters_add(self):
-        a, b = Registry(), Registry()
-        a.counter("x_total", "doc").inc(2)
-        b.counter("x_total", "doc").inc(3)
-        a.merge(b)
-        assert a.counter("x_total", "doc").value == 5
-        # the source registry is untouched
-        assert b.counter("x_total", "doc").value == 3
-
-    def test_gauges_last_write_wins(self):
-        a, b = Registry(), Registry()
-        a.gauge("depth").set(4)
-        b.gauge("depth").set(7)
-        a.merge(b)
-        assert a.gauge("depth").value == 7
-
-    def test_histograms_add_bucketwise(self):
-        a, b = Registry(), Registry()
-        a.histogram("lat", buckets=(1.0, 5.0)).observe(0.5)
-        b.histogram("lat", buckets=(1.0, 5.0)).observe(2.0)
-        b.histogram("lat", buckets=(1.0, 5.0)).observe(100.0)
-        a.merge(b)
-        merged = a.snapshot()["lat"]["values"][""]
-        assert merged["count"] == 3
-        assert merged["sum"] == 102.5
-        assert merged["buckets"] == {"1": 1, "5": 2, "+Inf": 3}
-
-    def test_mismatched_buckets_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(buckets=(1.0,)).merge(Histogram(buckets=(2.0,)))
-
-    def test_labeled_children_merge_and_copy(self):
-        a, b = Registry(), Registry()
-        fam_a = a.counter("hits_total", "doc", labelnames=("scope",))
-        fam_a.labels(scope="x").inc()
-        fam_b = b.counter("hits_total", "doc", labelnames=("scope",))
-        fam_b.labels(scope="x").inc(2)
-        fam_b.labels(scope="y").inc(5)  # child absent from a
-        a.merge(b)
-        assert fam_a.labels(scope="x").value == 3
-        assert fam_a.labels(scope="y").value == 5
-
-    def test_missing_family_copied_over(self):
-        a, b = Registry(), Registry()
-        b.counter("only_in_b_total", "doc").inc(4)
-        a.merge(b)
-        assert a.counter("only_in_b_total", "doc").value == 4
-
-    def test_type_conflict_rejected(self):
-        a, b = Registry(), Registry()
-        a.counter("x_total", "doc")
-        b_reg = b.gauge("x_total", "doc")
-        assert b_reg is not None
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge_returns_self_for_chaining(self):
-        a, b, c = Registry(), Registry(), Registry()
-        b.counter("n_total").inc()
-        c.counter("n_total").inc()
-        assert a.merge(b).merge(c) is a
-        assert a.counter("n_total").value == 2
-
-    def test_merged_snapshot_equals_single_registry(self):
-        # split a stream of observations across two registries; merging
-        # them must equal observing everything in one
-        one, left, right = Registry(), Registry(), Registry()
-        for i, reg in enumerate([left, right, left, right, left]):
-            reg.counter("events_total").inc()
-            reg.histogram("lat", buckets=(1.0, 10.0)).observe(float(i))
-            one.counter("events_total").inc()
-            one.histogram("lat", buckets=(1.0, 10.0)).observe(float(i))
-        left.merge(right)
-        snap, ref = left.snapshot(), one.snapshot()
-        assert snap == ref
-
-
-# -- the decision trace ---------------------------------------------------------
 class TestDecisionTrace:
     def test_ring_buffer_bounds_memory(self):
         sink = DecisionTrace(max_events=10)

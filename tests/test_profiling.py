@@ -147,67 +147,6 @@ class TestProfiler:
         assert d["a"]["mean"] == pytest.approx(0.2)
 
 
-class TestMerge:
-    def test_merged_stats_match_single_pass(self):
-        """Parallel Welford combination (Chan et al.) must equal feeding
-        every sample through one accumulator."""
-        samples = [0.5, 0.1, 0.9, 0.4, 12.0, 0.40001, 3.5]
-        reference = PhaseStats()
-        left, right = PhaseStats(), PhaseStats()
-        for i, s in enumerate(samples):
-            reference.add(s)
-            (left if i % 2 else right).add(s)
-        left.merge(right)
-        assert left.count == reference.count
-        assert left.total == pytest.approx(reference.total, rel=1e-12)
-        assert left.mean == pytest.approx(reference.mean, rel=1e-12)
-        assert left.variance == pytest.approx(reference.variance, rel=1e-9)
-        assert left.min == reference.min
-        assert left.max == reference.max
-
-    def test_merge_with_empty_is_identity(self):
-        stats = PhaseStats()
-        stats.add(0.2)
-        stats.add(0.6)
-        before = stats.as_dict()
-        stats.merge(PhaseStats())
-        assert stats.as_dict() == before
-        empty = PhaseStats()
-        empty.merge(stats)
-        assert empty.as_dict() == before
-
-    def test_merge_returns_self(self):
-        a, b = PhaseStats(), PhaseStats()
-        b.add(1.0)
-        assert a.merge(b) is a
-
-    def test_profiler_merge_unions_labels(self):
-        a, b = Profiler(), Profiler()
-        a.record("shared", 0.1)
-        b.record("shared", 0.3)
-        b.record("only_b", 0.5)
-        a.merge(b)
-        assert a.labels() == ["only_b", "shared"]
-        assert a.stats("shared").count == 2
-        assert a.stats("shared").mean == pytest.approx(0.2)
-        assert a.stats("only_b").count == 1
-        # the source profiler is untouched
-        assert b.stats("shared").count == 1
-
-    def test_profiler_merge_matches_single_profiler(self):
-        one, left, right = Profiler(), Profiler(), Profiler()
-        samples = [("x", 0.1), ("y", 0.2), ("x", 0.3), ("y", 0.4), ("x", 0.5)]
-        for i, (label, value) in enumerate(samples):
-            one.record(label, value)
-            (left if i % 2 else right).record(label, value)
-        left.merge(right)
-        for label in one.labels():
-            ref, got = one.stats(label), left.stats(label)
-            assert got.count == ref.count
-            assert got.mean == pytest.approx(ref.mean, rel=1e-12)
-            assert got.stddev == pytest.approx(ref.stddev, rel=1e-9)
-
-
 class TestNesting:
     def test_reentrant_same_label_records_once(self):
         """Recursive entry of an open phase must not double-count wall
@@ -279,14 +218,6 @@ class TestNesting:
         assert d["inner"]["self_total"] == pytest.approx(
             d["inner"]["total"]
         )
-
-    def test_merge_accumulates_self_totals(self):
-        a, b = Profiler(), Profiler()
-        a.record("phase", 1.0, self_seconds=0.4)
-        b.record("phase", 2.0, self_seconds=0.5)
-        a.merge(b)
-        assert a.stats("phase").total == pytest.approx(3.0)
-        assert a.self_total("phase") == pytest.approx(0.9)
 
     def test_reset_clears_nesting_state(self):
         prof = Profiler()

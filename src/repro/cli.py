@@ -498,23 +498,14 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def _print_cache_effectiveness(metrics_path: str) -> None:
     """Summarize the incremental-core counters from a metrics exposition
     file (the ``metrics.prom`` a ``repro trace`` run writes): candidate
-    pack-cache hit rate, invalidations by scope, machine visits by
-    outcome and the placeability plane's own work, live signature
-    groups, and the
-    fluid model's sparse-recompute footprint."""
+    row invalidations by scope, machine visits by outcome and the
+    placeability plane's own work, and the fluid model's
+    sparse-recompute footprint."""
     from repro.obs import parse_exposition
 
     with open(metrics_path, encoding="utf-8") as f:
         metrics = parse_exposition(f.read())
     print("cache effectiveness:")
-    pack = metrics.get("repro_tetris_pack_cache_total", {})
-    hits = pack.get("outcome=hit", 0.0)
-    misses = pack.get("outcome=miss", 0.0)
-    if hits + misses:
-        print(
-            f"  pack cache:      {hits:.0f} hits / {misses:.0f} misses "
-            f"({hits / (hits + misses):.1%} hit rate)"
-        )
     for key, count in sorted(
         metrics.get("repro_tetris_cache_invalidations_total", {}).items()
     ):
@@ -541,9 +532,6 @@ def _print_cache_effectiveness(metrics_path: str) -> None:
                 f"  placeability:    {plane_rows:.0f} stage rows judged "
                 f"to skip {skipped:.0f} visits"
             )
-    groups = metrics.get("repro_tetris_signature_groups", {}).get("")
-    if groups is not None:
-        print(f"  live groups:     {groups:.0f} (at end of run)")
     recomputes = metrics.get(
         "repro_fluid_sparse_recomputes_total", {}
     ).get("", 0.0)

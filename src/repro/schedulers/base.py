@@ -81,6 +81,9 @@ class Scheduler(abc.ABC):
         #: per-job booked allocation (sum over its running tasks)
         self.job_alloc: Dict[int, ResourceVector] = {}
         self._booked_by_task: Dict[int, ResourceVector] = {}
+        #: job_id -> {dims: dominant share}; an entry lives until the
+        #: job's allocation changes (a task starts, finishes or fails)
+        self._share_cache: Dict[int, Dict[object, float]] = {}
         #: delay-scheduling state: offers skipped per stage (by stage_id)
         self._stage_skips: Dict[int, int] = {}
         #: dirty-machine tracking: machines whose free vector or candidate
@@ -127,6 +130,7 @@ class Scheduler(abc.ABC):
         if estimator is not None:
             self.estimator = estimator
         self.tracker = tracker
+        self._share_cache.clear()
         self.mark_all_machines_dirty()
 
     # -- dirty-machine tracking ------------------------------------------------
@@ -172,7 +176,7 @@ class Scheduler(abc.ABC):
 
         A streaming service (repro.serve) calls this while staging an
         admitted arrival, so O(tasks) derivations (demand estimates,
-        work terms, candidate signatures) happen off the arrival drain.
+        work terms) happen off the arrival drain.
         Implementations must be side-effect free with respect to
         scheduling decisions: a prewarmed arrival and a cold one must
         produce bit-identical placements.
@@ -189,11 +193,13 @@ class Scheduler(abc.ABC):
     ) -> None:
         self._booked_by_task[task.task_id] = booked
         self.job_alloc[task.job.job_id].add_inplace(booked)
+        self._share_cache.pop(task.job.job_id, None)
 
     def on_task_finished(self, task: Task, time: float) -> None:
         booked = self._booked_by_task.pop(task.task_id, None)
         if booked is not None:
             self.job_alloc[task.job.job_id].sub_inplace(booked)
+        self._share_cache.pop(task.job.job_id, None)
         if task.machine_id is not None:
             self.mark_machine_dirty(task.machine_id)
         if task.job.is_finished:
@@ -211,6 +217,7 @@ class Scheduler(abc.ABC):
         booked = self._booked_by_task.pop(task.task_id, None)
         if booked is not None:
             self.job_alloc[task.job.job_id].sub_inplace(booked)
+        self._share_cache.pop(task.job.job_id, None)
         index = getattr(self, "index", None)
         if index is not None:
             index.requeue(task)
@@ -341,18 +348,24 @@ class Scheduler(abc.ABC):
 
     def dominant_share(self, job: Job, dims=None) -> float:
         """The job's DRF dominant share of the whole cluster, over every
-        dimension or (as YARN's DRF does) over ``dims`` only."""
+        dimension or (as YARN's DRF does) over ``dims`` only.  Cached
+        per job until its allocation changes."""
         alloc = self.job_alloc.get(job.job_id)
         if alloc is None:
             return 0.0
-        capacity = self.cluster.total_capacity()
-        if dims is None:
-            return alloc.dominant_share(capacity)
-        share = 0.0
-        for dim in dims:
-            cap = capacity.get(dim)
-            if cap > 0:
-                share = max(share, alloc.get(dim) / cap)
+        shares = self._share_cache.setdefault(job.job_id, {})
+        share = shares.get(dims)
+        if share is None:
+            capacity = self.cluster.total_capacity()
+            if dims is None:
+                share = alloc.dominant_share(capacity)
+            else:
+                share = 0.0
+                for dim in dims:
+                    cap = capacity.get(dim)
+                    if cap > 0:
+                        share = max(share, alloc.get(dim) / cap)
+            shares[dims] = share
         return share
 
     # -- the decision procedure ----------------------------------------------

@@ -101,8 +101,12 @@ class StageIndex:
         if entry is None:
             return ()
         moved = entry.moved_fronts
-        entry.moved_fronts = set()
-        return entry.local.keys() if every_pool or moved is None else moved
+        if every_pool or moved is None:
+            entry.moved_fronts = set()
+            return entry.local.keys()
+        if moved:
+            entry.moved_fronts = set()
+        return moved
 
     def requeue(self, task: Task) -> None:
         """Put a failed task back at the *back* of its stage's pools.
@@ -176,9 +180,11 @@ class StageIndex:
     def representatives(self, stage: Stage, machine_id: int) -> tuple:
         """The stage's candidate representatives for one machine, in the
         canonical scoring order: the locality-preferred task first, then
-        the stage-queue front when distinct.  Both Tetris fill loops and
-        the signature-grouped candidate view gather in exactly this
-        order, which is what keeps their decision streams bit-identical.
+        the stage-queue front when distinct.  The scalar fill loop
+        gathers in this order and the vectorized one reads the same two
+        tasks as rows ``2 * si`` and ``2 * si + 1`` of its stage (see
+        ``repro.schedulers.candidates``), which is what keeps their
+        decision streams bit-identical.
         """
         local = self.local_candidate(stage, machine_id)
         other = self.any_candidate(stage)

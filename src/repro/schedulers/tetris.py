@@ -31,16 +31,16 @@ Two execution strategies produce **identical placements**:
 
 - the *scalar* path (``vectorized=False``) scores one candidate at a
   time through :class:`ResourceVector` objects — the reference oracle;
-- the *vectorized* path (default) runs on the signature-grouped
-  candidate index (:mod:`repro.schedulers.candidates`): booked demand
-  vectors and masked, capacity-normalized rows are cached once per
-  *(stage, demand signature, machine)* and shared by every peer task in
-  the group, a per-machine :class:`MachineView` keeps the candidate
-  arrays alive across fill iterations (a placement refreshes exactly
-  one stage's slots), and fits, alignment scores, remote penalties and
-  the combined score are computed in a few numpy passes.  Caches are
-  invalidated when estimates can move (task completions under a
-  learning estimator) and when a stage's shuffle inputs resolve.
+- the *vectorized* path (default) reads the per-stage candidate rows of
+  :mod:`repro.schedulers.candidates`: every stage's locality-pool front
+  and stage-queue front, booked on every machine and kept across rounds
+  by dirty entries.  A round drops the machines on which no row fits
+  (:class:`PlaceabilityPlane`); a visit gathers its machine's rows of
+  every round stage in one fancy index, and fits, alignment scores,
+  remote penalties and the combined score are a few numpy passes.  A
+  placement refreshes only the claimed stage's rows.  Rows are dropped
+  when estimates can move (task completions under a learning
+  estimator) and when a stage's shuffle inputs resolve.
 """
 
 from __future__ import annotations
@@ -59,7 +59,11 @@ from repro.schedulers.alignment import (
     get_scorer,
 )
 from repro.schedulers.base import Placement, Scheduler
-from repro.schedulers.candidates import CandidateIndex, PlaceabilityPlane
+from repro.schedulers.candidates import (
+    CandidateIndex,
+    PlaceabilityPlane,
+    RoundTable,
+)
 from repro.schedulers.fairness_policy import DRFFairnessPolicy, FairnessPolicy
 from repro.schedulers.stage_index import StageIndex
 from repro.workload.job import Job
@@ -205,15 +209,13 @@ class TetrisScheduler(Scheduler):
         #: allocator across back-to-back runs)
         self._stage_last_placement: Dict[int, float] = {}
         self._reservations: Dict[int, Stage] = {}
-        #: signature-grouped packing cache: (stage, demand signature) ->
-        #: machine -> (booked vector, masked capacity-normalized row,
-        #: remote flag), shared by every peer task in the group.  Fed by
-        #: the vectorized path; invalidated on estimate updates and
-        #: shuffle-input resolution.
+        #: every live stage's two candidate rows on every machine, kept
+        #: across rounds; read by the vectorized path, dropped on
+        #: estimate updates and shuffle-input resolution
         self.candidates = CandidateIndex()
-        #: round-constant candidate table shared by every machine view
-        #: within one ``schedule()`` round (None outside a round)
-        self._round_table = None
+        #: the current ``schedule()`` round's stages and their rows
+        #: (None outside a round)
+        self._round_table: Optional[RoundTable] = None
         self._dims_mask: Optional[np.ndarray] = None
         self._mask_all = True
         self._masked_names: Tuple[str, ...] = ()
@@ -243,8 +245,6 @@ class TetrisScheduler(Scheduler):
         }
         #: optional metric instruments (set by use_observability via
         #: _register_metrics); None keeps the hot paths branch-cheap
-        self._m_cache_hits = None
-        self._m_cache_misses = None
         self._m_invalidations = None
         self._m_remote_grants = None
         self._m_ledger_size = None
@@ -253,17 +253,10 @@ class TetrisScheduler(Scheduler):
         self._m_plane_rows = None
 
     def _register_metrics(self, registry: "Registry") -> None:
-        lookups = registry.counter(
-            "repro_tetris_pack_cache_total",
-            "Packing-cache lookups by outcome",
-            labelnames=("outcome",),
-        )
-        self._m_cache_hits = lookups.labels(outcome="hit")
-        self._m_cache_misses = lookups.labels(outcome="miss")
         self._m_invalidations = registry.counter(
             "repro_tetris_cache_invalidations_total",
-            "Packing-cache invalidations by scope (task completion, "
-            "full flush under unstable estimates, shuffle resolution)",
+            "Candidate-row invalidations by scope (full flush under "
+            "unstable estimates, shuffle resolution)",
             labelnames=("scope",),
         )
         self._m_remote_grants = registry.counter(
@@ -295,17 +288,7 @@ class TetrisScheduler(Scheduler):
             "recomputed (the plane's own work, next to the visits it "
             "saved)",
         )
-        groups = registry.gauge(
-            "repro_tetris_signature_groups",
-            "Live (stage, demand-signature) candidate groups in the "
-            "packing cache",
-        )
-        self.candidates.set_instruments(
-            hits=self._m_cache_hits,
-            misses=self._m_cache_misses,
-            invalidations=self._m_invalidations,
-            groups=groups,
-        )
+        self.candidates.set_instruments(invalidations=self._m_invalidations)
 
     # -- wiring -----------------------------------------------------------------
     def bind(self, cluster, estimator=None, tracker=None) -> None:
@@ -313,10 +296,7 @@ class TetrisScheduler(Scheduler):
         self._dims_mask = cluster.model.mask(self.config.considered_dims)
         self._mask_all = bool(self._dims_mask.all())
         self.candidates.bind(
-            self.estimated_demands,
-            self.booked_demands,
-            cluster,
-            self._dims_mask,
+            self.estimated_demands, self.index, cluster, self._dims_mask
         )
         self._masked_names = tuple(
             name
@@ -370,9 +350,8 @@ class TetrisScheduler(Scheduler):
         self.index.add_stage(stage)
         self._stage_last_placement[stage.stage_id] = time
         # shuffle inputs were just pinned to source machines: the stage's
-        # signatures (computed from the old inputs), their cached
-        # placement-adjusted vectors, and any remote-transfer plans
-        # derived from the old locations are stale
+        # candidate rows (booked against the old inputs) and any
+        # remote-transfer plans derived from the old locations are stale
         self.candidates.invalidate_stage(stage)
         for task in stage.tasks:
             self._remote_plans.pop(task.task_id, None)
@@ -393,13 +372,11 @@ class TetrisScheduler(Scheduler):
         if self.config.debug_invariants:
             self.check_remote_ledger()
         if self.estimator.stable_estimates:
-            # signature-keyed packs stay valid for the group's surviving
-            # peers; only the finished task's bookkeeping is retired
+            # the stage's rows stay valid for its surviving peers
             self.candidates.forget_task(task)
         else:
             # a completion can move every estimate (peer means, template
-            # history): drop the whole index, signatures included, plus
-            # every derived cache (stage rows, transfer plans)
+            # history): drop every stage's rows and transfer plans
             self.candidates.clear()
             self._remote_plans.clear()
             self._remote_ok_cache.clear()
@@ -525,6 +502,10 @@ class TetrisScheduler(Scheduler):
         if plans is None:
             plans = self._remote_plans[task.task_id] = {}
         plan = plans.get(machine_id)
+        if plan is None and "*" in plans and not any(
+            machine_id in inp.locations for inp in task.inputs
+        ):
+            return plans["*"]  # the interned all-remote plan, see below
         if plan is None:
             total_remote = task.remote_input_mb(machine_id)
             if total_remote <= 0:
@@ -728,38 +709,37 @@ class TetrisScheduler(Scheduler):
             if machine_ids is None or machine_ids:
                 if self.config.starvation_timeout is not None:
                     self._update_reservations(jobs, time)
-                barrier_stages = self._barrier_stages(jobs)
+                barrier_stages = None
                 if self._use_vectorized:
-                    # the stage blocks, SRTF scores and barrier flags are
-                    # identical on every machine this round — build them
-                    # once and share the table across all machine views
+                    # the stages, their rows, SRTF scores and barrier
+                    # flags of this round, shared by every machine visit
                     self._round_table = self.candidates.round_table(
-                        self.index,
                         jobs,
                         lambda job: self._remaining_work(job, time),
-                        barrier_stages,
+                        self._past_barrier,
                     )
+                else:
+                    barrier_stages = self._barrier_stages(jobs)
                 visit = self.iter_machine_ids(machine_ids)
                 # a machine on which no round stage can keep a row places
                 # nothing and mutates nothing: the plane drops its visit.
                 # Off on the oracle path, under a trace (a skipped visit
-                # emits no events), with a live reservation (its machine
-                # must be visited even when nothing fits) and with more
-                # than one capacity class.
+                # emits no events) and with a live reservation (its
+                # machine must be visited even when nothing fits).
                 plane = None
                 visited = productive = 0
                 try:
                     if (
                         self.prefilter_machines
                         and self._use_vectorized
-                        and self.candidates.single_capacity_class
                         and len(visit) >= _PLANE_MIN_VISITS
                         and self.trace is None
                         and not self._reservations
                     ):
                         plane = PlaceabilityPlane(
-                            self.candidates, self._round_table, self.index,
-                            self._free_matrix(), self._remote_sources_ok,
+                            self._round_table,
+                            self._free_matrix(),
+                            self._remote_sources_ok,
                         )
                     for machine_id in visit:
                         if plane is not None and not plane.placeable(
@@ -792,7 +772,6 @@ class TetrisScheduler(Scheduler):
                     skipped.inc(len(visit) - visited)
                     empty.inc(visited - productive)
                     hit.inc(productive)
-                self.candidates.sync_instruments()
         if prof is not None:
             prof.record("tetris.schedule", perf_counter() - start)
         return placements
@@ -865,21 +844,28 @@ class TetrisScheduler(Scheduler):
             scores[reserved] = -np.inf
         return machines[int(np.argmax(scores))].machine_id
 
+    def _past_barrier(self, stage: Stage) -> bool:
+        """Whether ``stage`` is past the barrier threshold: its
+        stragglers get priority (§3.5)."""
+        knob = self.config.barrier_knob
+        return (
+            knob > 0
+            and not stage.is_finished()
+            and stage.is_released()
+            and stage.num_finished > 0
+            and stage.finished_fraction >= knob
+        )
+
     def _barrier_stages(self, jobs: Sequence[Job]) -> set:
         """Stages past the barrier threshold (their stragglers get priority)."""
         if self.config.barrier_knob <= 0:
             return set()
-        eligible = set()
-        for job in jobs:
-            for stage in job.dag:
-                if (
-                    not stage.is_finished()
-                    and stage.is_released()
-                    and stage.num_finished > 0
-                    and stage.finished_fraction >= self.config.barrier_knob
-                ):
-                    eligible.add(stage.stage_id)
-        return eligible
+        return {
+            stage.stage_id
+            for job in jobs
+            for stage in job.dag
+            if self._past_barrier(stage)
+        }
 
     def _fill_machine(
         self,
@@ -932,9 +918,9 @@ class TetrisScheduler(Scheduler):
         """Claim + grant + record one placement; returns the updated free."""
         self.index.claim(task)
         if self._round_table is not None:
-            # the claim may have removed the stage's cached queue-front
-            # rep from under machines not yet visited this round
-            self._round_table.invalidate_stage_rep(task.stage.stage_id)
+            # the claim moved the stage's fronts for every machine not
+            # yet visited this round
+            self._round_table.refresh(task.stage)
         if self.config.check_remote_resources:
             self._grant_remote(task, machine_id)
         placements.append(Placement(task, machine_id, booked))
@@ -1118,91 +1104,130 @@ class TetrisScheduler(Scheduler):
         free: ResourceVector,
         time: float,
     ) -> List[Placement]:
-        """The batched decision loop over a persistent machine view.
+        """The batched decision loop over the round's candidate rows.
 
-        One :class:`MachineView` is built per machine visit: each stage's
-        representatives, their signature-group pack rows (warmed in a
-        single batched numpy pass), the per-job SRTF scores and barrier
-        flags — all constant within the round except the representatives
-        themselves, which a placement refreshes for exactly one stage.
-        Each iteration is then pure numpy over the live rows: one
-        comparison for the fit checks (the free vector shrinks every
-        placement), one ``score_batch`` call for the alignments, and
-        elementwise ops for the remote penalty and combined score.  Rows
-        needing a remote-headroom check are re-validated every iteration
-        (the grant ledger moves with each placement); rows without remote
-        input skip the check, which is trivially true for them.  Every
+        A visit gathers the machine's two rows of every round stage
+        (booked vectors, remote flags, active flags) from the stages'
+        maintained :class:`StageRows`; the per-job SRTF scores and the
+        barrier flags are round constants.  Each iteration is pure numpy
+        over the live rows: one comparison for the fit checks (the free
+        vector shrinks every placement), the capacity normalization of
+        the kept rows (the elementwise division of the scalar path), one
+        ``score_batch`` call for the alignments, and elementwise ops for
+        the remote penalty and combined score.  Rows needing a
+        remote-headroom check are re-validated whenever the grant ledger
+        moved since they last passed; rows without remote input skip
+        the check, which is trivially true for them.  A placement
+        re-gathers only the claimed stage's two rows.  Every
         floating-point operation mirrors the scalar path's (same values,
         same order), so the argmax — and therefore the placements — are
         identical.
         """
+        if self._round_table is None:  # direct call outside a round
+            self._round_table = self.candidates.round_table(
+                jobs,
+                lambda job: self._remaining_work(job, time),
+                lambda stage: stage.stage_id in barrier_stages,
+            )
+            try:
+                return self._fill_loop_vectorized(
+                    machine_id, jobs, barrier_stages, free, time
+                )
+            finally:
+                self._round_table = None
         cfg = self.config
         placements: List[Placement] = []
-        capacity = self.cluster.machine(machine_id).capacity
+        model = self.cluster.model
+        cap = self.cluster.machine(machine_id).capacity.data
+        nz = cap > EPSILON
+        nz_all = bool(nz.all())
         mask = self._dims_mask
         mask_all = self._mask_all
         trace = self.trace
         table = self._round_table
-        if table is None:  # direct call outside a schedule() round
-            table = self.candidates.round_table(
-                self.index,
-                jobs,
-                lambda job: self._remaining_work(job, time),
-                barrier_stages,
-            )
-        view = self.candidates.build_view(
-            table, self.index, machine_id, self.cluster.model.dims
-        )
+        index = self.candidates
+        booked, remote, active = index.gather(table, machine_id)
+        # remote verdicts: row -> the grant generation it passed at, or
+        # False.  Inside a round source free rows do not move and the
+        # grant ledger only grows, so a failure is final and a pass
+        # holds until the next grant (or until a claim moves the row's
+        # task).  A rep away from its input holders reads through one
+        # plan on every such machine: its verdicts are the round's.
+        verdicts: Dict[int, object] = {}
+        shared = table.rep_verdicts
         while True:
-            rows = view.active_rows()
-            if rows.size == 0:
-                break
             if mask_all:
-                fits = (view.booked_mat[rows] <= free.data + EPSILON).all(
-                    axis=1
-                )
+                fit = (booked <= free.data + EPSILON).all(axis=1)
             else:
-                fits = (
-                    view.booked_mat[rows][:, mask] <= free.data[mask] + EPSILON
+                fit = (
+                    booked[:, mask] <= free.data[mask] + EPSILON
                 ).all(axis=1)
-            keep = rows[fits]
-            if keep.size:
-                remote_rows = np.flatnonzero(view.remote[keep])
-                if remote_rows.size:
-                    tasks = view.tasks
-                    bad = None
-                    for k in remote_rows:
-                        if not self._remote_sources_ok(
-                            tasks[keep[k]], machine_id
-                        ):
-                            if bad is None:
-                                bad = []
-                            bad.append(k)
-                    if bad is not None:
-                        ok = np.ones(keep.size, dtype=bool)
-                        ok[bad] = False
-                        keep = keep[ok]
+            fit &= active
+            keep = fit.nonzero()[0]
+            remote_flags = remote[keep]
+            remote_rows = remote_flags.nonzero()[0]
+            if remote_rows.size:
+                gen = self._grant_gen
+                bad = None
+                for k in remote_rows.tolist():
+                    i = int(keep[k])
+                    memo = verdicts
+                    if i & 1 and machine_id not in table.rows[i >> 1].holders:
+                        memo = shared
+                    seen = memo.get(i)
+                    if seen is None or (seen is not False and seen != gen):
+                        ok = self._remote_sources_ok(
+                            table.task_at(i, machine_id), machine_id
+                        )
+                        seen = memo[i] = gen if ok else False
+                    if seen is False:
+                        if bad is None:
+                            bad = []
+                        bad.append(k)
+                if bad is not None:
+                    ok = np.ones(keep.size, dtype=bool)
+                    ok[bad] = False
+                    keep = keep[ok]
+                    remote_flags = remote_flags[ok]
             if not keep.size:
                 if trace is not None:
                     entries = [
-                        ("remote", view.tasks[i])
-                        if fits[k]
-                        else self._fit_entry(view.tasks[i], view.booked[i], free)
-                        for k, i in enumerate(rows)
+                        ("remote", table.task_at(i, machine_id))
+                        if fit[i]
+                        else self._fit_entry(
+                            table.task_at(i, machine_id),
+                            ResourceVector(model, booked[i]),
+                            free,
+                        )
+                        for i in active.nonzero()[0]
                     ]
                     self._emit_decision_entries(
                         entries, machine_id, time, 0.0
                     )
                 break
-            demand_matrix = view.norm_mat[keep]
-            free_norm = self._masked(free).normalized_by(capacity)
-            align = self.scorer.score_batch(demand_matrix, free_norm.data)
-            remote_flags = view.remote[keep]
+            # masked, then divided by capacity where it is non-zero: the
+            # elementwise ops of ``_masked(v).normalized_by(capacity)``
+            demand = booked[keep]
+            free_row = free.data
+            if not mask_all:
+                demand = np.where(mask, demand, 0.0)
+                free_row = np.where(mask, free_row, 0.0)
+            if nz_all:
+                demand = demand / cap
+                free_row = free_row / cap
+            else:
+                demand = np.divide(
+                    demand, cap, out=np.zeros_like(demand), where=nz
+                )
+                free_row = np.divide(
+                    free_row, cap, out=np.zeros_like(free_row), where=nz
+                )
+            align = self.scorer.score_batch(demand, free_row)
             if remote_flags.any():
                 align = np.where(
                     remote_flags, align * (1.0 - cfg.remote_penalty), align
                 )
-            kept_remaining = view.remaining[keep]
+            kept_remaining = table.remaining[keep]
             epsilon = self._epsilon(
                 align.tolist(), kept_remaining.tolist()
             )
@@ -1213,8 +1238,8 @@ class TetrisScheduler(Scheduler):
             if trace is not None:
                 pos = {int(i): k for k, i in enumerate(keep)}
                 entries = []
-                for k, i in enumerate(rows):
-                    task = view.tasks[i]
+                for i in active.nonzero()[0]:
+                    task = table.task_at(i, machine_id)
                     kk = pos.get(int(i))
                     if kk is not None:
                         entries.append((
@@ -1227,14 +1252,16 @@ class TetrisScheduler(Scheduler):
                             ),
                             bool(remote_flags[kk]),
                         ))
-                    elif not fits[k]:
+                    elif not fit[i]:
                         entries.append(
-                            self._fit_entry(task, view.booked[i], free)
+                            self._fit_entry(
+                                task, ResourceVector(model, booked[i]), free
+                            )
                         )
                     else:
                         entries.append(("remote", task))
                 self._emit_decision_entries(entries, machine_id, time, epsilon)
-            barrier_flags = view.barrier[keep]
+            barrier_flags = table.barrier[keep]
             pool = None
             if barrier_flags.any():
                 pool = np.nonzero(barrier_flags)[0]
@@ -1250,7 +1277,7 @@ class TetrisScheduler(Scheduler):
             else:
                 best_k = int(np.argmax(scores))
             best_i = int(keep[best_k])
-            best_task = view.tasks[best_i]
+            best_task = table.task_at(best_i, machine_id)
             score_info = None
             if trace is not None:
                 # mirror of the scalar path's decomposition; the array
@@ -1280,14 +1307,19 @@ class TetrisScheduler(Scheduler):
                     score_info["margin"] = best_score - runner_up
             free = self._place_candidate(
                 best_task,
-                view.booked[best_i],
+                ResourceVector(model, booked[best_i].copy()),
                 machine_id,
                 free,
                 time,
                 placements,
                 score_info=score_info,
             )
-            view.refresh_stage(self.index, best_task.stage)
+            index.gather_stage(
+                table, best_i >> 1, machine_id, booked, remote, active
+            )
+            base = best_i & ~1
+            verdicts.pop(base, None)
+            verdicts.pop(base + 1, None)
         return placements
 
     def _remaining_work(self, job: Job, time: float) -> float:

@@ -32,16 +32,17 @@ ascending flow-id order — the order a full ``np.add.at`` rebuild uses —
 so the sparse path is bit-identical to :meth:`reference_rates`, the
 retained full-table oracle.
 
-``time_to_next_completion`` is likewise incremental: every re-rated flow
-pushes its absolute finish instant onto a lazy min-heap (entries carry a
-per-flow generation counter, so completion/removal/re-rating invalidates
-old entries without searching the heap), and the query pops stale
-entries and answers from the top instead of scanning the whole table.
+``time_to_next_completion`` reads a per-flow *finish instant* array:
+whenever a flow's rate is set, ``clock + remaining/rate`` is written
+beside it (the instant is invariant under ``advance``, both terms move
+together), a retired flow reads ``+inf``, and the query is a min over
+the array.  Exact ties between instants go to the lowest (per-flow
+generation, flow id), the order a lazy min-heap of the same entries
+pops in (``tests/fluid_oracle.py`` keeps that heap as the oracle).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
@@ -142,8 +143,10 @@ class FlowTable:
         self._slots = np.full((n, MAX_SLOTS), -1, dtype=np.int64)
         self._fixed = np.zeros(n, dtype=bool)
         self._active = np.zeros(n, dtype=bool)
-        #: heap-entry generation per flow id; a bump invalidates every
-        #: completion-heap entry pushed for the previous incarnation/rate
+        #: absolute finish instant per flow (+inf when not active)
+        self._finish = np.full(n, np.inf)
+        #: per-flow generation, bumped whenever the finish instant is
+        #: written or retired: the tie break between equal instants
         self._gen = np.zeros(n, dtype=np.int64)
         self._free: List[int] = list(range(n))
         self._tags: Dict[int, object] = {}
@@ -158,14 +161,14 @@ class FlowTable:
             set() for _ in range(self._num_slots)
         ]
         self._dirty_slots: Set[int] = set()
-        #: (absolute finish instant, generation, flow id) lazy min-heap
-        self._heap: List[Tuple[float, int, int]] = []
         #: internal absolute clock: the sum of every advance() dt, the
-        #: reference frame for the heap's finish instants
+        #: reference frame for the finish instants
         self._clock = 0.0
 
         #: plain-int effectiveness counters (always maintained; mirrored
-        #: into the obs Registry when use_metrics is called)
+        #: into the obs Registry when use_metrics is called).
+        #: ``heap_entries`` counts finish instants written and
+        #: ``stale_heap_pops`` stays 0: the names predate the array
         self.stats: Dict[str, int] = {
             "sparse_recomputes": 0,
             "slots_recomputed": 0,
@@ -220,29 +223,27 @@ class FlowTable:
         active = np.zeros(new, dtype=bool)
         active[:old] = self._active
         self._active = active
+        finish = np.full(new, np.inf)
+        finish[:old] = self._finish
+        self._finish = finish
         gen = np.zeros(new, dtype=np.int64)
         gen[:old] = self._gen
         self._gen = gen
         self._free.extend(range(old, new))
 
-    def _push_completion(self, idx: int) -> None:
-        """Schedule ``idx``'s finish instant on the lazy heap.
+    def _schedule_finish(self, flows) -> None:
+        """Write the finish instants of ``flows`` (an id or an ascending
+        id array) after their rates were set.
 
         The absolute instant ``clock + remaining/rate`` is invariant
-        under advance() (both terms move together), so an entry stays
-        correct until the flow's rate changes — at which point the
-        generation bump orphans it and a fresh entry is pushed.
+        under advance(), so it stays correct until the rate changes,
+        which writes it again.
         """
-        self._gen[idx] += 1
-        heapq.heappush(
-            self._heap,
-            (
-                self._clock + self._remaining[idx] / self._rate[idx],
-                int(self._gen[idx]),
-                idx,
-            ),
+        self._finish[flows] = (
+            self._clock + self._remaining[flows] / self._rate[flows]
         )
-        self.stats["heap_entries"] += 1
+        self._gen[flows] += 1
+        self.stats["heap_entries"] += np.size(flows)
 
     def add_flow(self, spec: FlowSpec) -> int:
         """Register a flow; returns its id.  Zero-work flows are rejected."""
@@ -269,8 +270,8 @@ class FlowTable:
             self._tags[idx] = spec.tag
         if spec.fixed or not spec.slots:
             # contention never touches this flow: its rate is final now,
-            # so its completion entry can be scheduled immediately
-            self._push_completion(idx)
+            # so its finish instant can be written immediately
+            self._schedule_finish(idx)
         else:
             for j in range(len(spec.slots)):
                 slot = int(self._slots[idx, j])
@@ -279,9 +280,10 @@ class FlowTable:
         return idx
 
     def _deactivate(self, flow_id: int) -> None:
-        """Retire a flow: free its id, orphan its heap entries, and dirty
-        the slots it was contending on."""
+        """Retire a flow: free its id, clear its finish instant, and
+        dirty the slots it was contending on."""
         self._active[flow_id] = False
+        self._finish[flow_id] = np.inf
         self._gen[flow_id] += 1
         self._free.append(flow_id)
         if not self._fixed[flow_id]:
@@ -368,8 +370,7 @@ class FlowTable:
                 fslots >= 0, self._slot_scale[np.maximum(fslots, 0)], 1.0
             )
             self._rate[flows] = self._nominal[flows] * slot_scale.min(axis=1)
-            for idx in flows:
-                self._push_completion(int(idx))
+            self._schedule_finish(flows)
         self.stats["sparse_recomputes"] += 1
         self.stats["slots_recomputed"] += len(slots)
         self.stats["flows_recomputed"] += len(touched)
@@ -419,20 +420,21 @@ class FlowTable:
     def time_to_next_completion(self) -> float:
         """Seconds until the earliest active flow finishes (inf if none).
 
-        Answered from the lazy completion heap: stale entries (finished,
-        removed, or re-rated flows) are popped on sight; the first live
-        entry names the earliest finisher, and the returned interval is
-        computed fresh from its current remaining work and rate.
+        The least finish instant names the earliest finisher
+        (exact ties: lowest generation, then lowest id); the returned
+        interval is computed fresh from its current remaining work and
+        rate.
         """
         self._recompute_rates()
-        heap = self._heap
-        while heap:
-            _, gen, idx = heap[0]
-            if self._active[idx] and self._gen[idx] == gen:
-                return float(self._remaining[idx] / self._rate[idx])
-            heapq.heappop(heap)
-            self.stats["stale_heap_pops"] += 1
-        return float("inf")
+        finish = self._finish
+        best = finish.min()
+        if best == np.inf:
+            return float("inf")
+        ties = (finish == best).nonzero()[0]
+        idx = int(ties[0])
+        if ties.size > 1:
+            idx = int(ties[self._gen[ties].argmin()])
+        return float(self._remaining[idx] / self._rate[idx])
 
     def advance(self, dt: float) -> List[int]:
         """Progress all flows by ``dt`` seconds; return ids that completed."""

@@ -48,6 +48,8 @@ class Job:
             stage.job = self
             for task in stage.tasks:
                 task.job = self
+        #: runnable tasks, kept by ``Task.mark_*`` from here on
+        self._num_runnable = sum(s.num_runnable for s in self.dag)
 
     # -- lifecycle ---------------------------------------------------------
     def arrive(self) -> None:
@@ -86,8 +88,8 @@ class Job:
         return [t for s in self.dag for t in s.runnable_tasks()]
 
     def has_runnable_tasks(self) -> bool:
-        """O(stages) via the stages' transition-maintained counters."""
-        return any(s.num_runnable for s in self.dag)
+        """O(1) via the transition-maintained runnable counter."""
+        return self._num_runnable > 0
 
     def unfinished_tasks(self) -> List[Task]:
         return [t for s in self.dag for t in s.unfinished_tasks()]

@@ -192,13 +192,16 @@ class Task:
     # -- state transitions ---------------------------------------------------
     # every transition funnels through these four methods (nothing else
     # assigns ``state``), which is what lets the stage keep O(1)
-    # runnable/finished/blocked counters instead of rescanning its task list
+    # runnable/finished/blocked counters, and the job its runnable
+    # counter, instead of rescanning their task lists
     def mark_runnable(self) -> None:
         if self.state is TaskState.BLOCKED:
             self.state = TaskState.RUNNABLE
             if self.stage is not None:
                 self.stage._num_runnable += 1
                 self.stage._num_blocked -= 1
+            if self.job is not None:
+                self.job._num_runnable += 1
             if self._table is not None:
                 self._table.note_state(self._slot, self.state)
 
@@ -210,6 +213,8 @@ class Task:
         self.start_time = time
         if self.stage is not None:
             self.stage._num_runnable -= 1
+        if self.job is not None:
+            self.job._num_runnable -= 1
         if self._table is not None:
             self._table.note_state(self._slot, self.state)
             self._table.note_machine(self._slot, machine_id)
@@ -239,6 +244,8 @@ class Task:
         self.attempts += 1
         if self.stage is not None:
             self.stage._num_runnable += 1
+        if self.job is not None:
+            self.job._num_runnable += 1
         if self._table is not None:
             self._table.note_state(self._slot, self.state)
             self._table.note_machine(self._slot, None)

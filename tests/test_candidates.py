@@ -1,31 +1,28 @@
-"""Properties of the signature-grouped candidate index (ISSUE 5).
+"""Properties of the per-stage candidate rows (``StageRows``).
 
-Covers the grouping invariants the incremental scheduling core rests on:
+Covers the invariants the Tetris round rests on:
 
-- tasks whose remote-input locations differ never share a signature
-  group (locality decisions are never cross-contaminated);
-- cached group packs are invalidated when the estimator revises a
-  stage's demands (unstable estimates flush the index) and when shuffle
-  resolution re-pins a stage's inputs;
-- machine-equivalence classes: machines agreeing on (capacity vector,
-  which-inputs-are-local pattern) share one computed pack, while
-  heterogeneous capacities and differing locality patterns get their
-  own;
-- the round table's cross-machine cache of each stage's queue-front
-  representative, and its invalidation when a claim consumes the rep;
-- the maintained per-stage rows behind the placeability plane
-  (``StageRows``): after any interleaving of the stage index's
-  eligibility changes, every row equals the lookup and the booking
-  recomputed from scratch.
+- locality: a task's rows are remote exactly on the machines holding
+  none of its input, and the booked vector is adjusted accordingly;
+- capacity classes: the stage-queue front is booked once per class
+  away from its input holders and once per holder, so heterogeneous
+  clusters never share a row between byte-different capacities;
+- invalidation: rows survive completions under a stable estimator and
+  are dropped when an unstable estimator may revise estimates, when
+  shuffle resolution re-pins a stage's inputs and when a stage drains;
+- the round table refreshes exactly the claimed stage's rows;
+- after any interleaving of the stage index's eligibility changes,
+  every row equals the lookup and the booking recomputed from scratch,
+  and only moved fronts are re-resolved — lazily, on the machines that
+  are read.
 """
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.estimation.estimator import ProfilingEstimator
 from repro.resources import DEFAULT_MODEL
-from repro.schedulers.candidates import CandidateIndex, signature_of
+from repro.schedulers.candidates import CandidateIndex
 from repro.schedulers.tetris import TetrisScheduler
 from repro.workload.job import Job
 from repro.workload.stage import Stage
@@ -52,6 +49,16 @@ def _bound_scheduler(cluster, job, estimator=None, time=0.0):
     return scheduler
 
 
+def _count_bookings(monkeypatch, candidates):
+    booked = []
+    book = candidates._book
+    monkeypatch.setattr(
+        candidates, "_book",
+        lambda out, task, m: booked.append(m) or book(out, task, m),
+    )
+    return booked
+
+
 locations = st.lists(
     st.integers(min_value=0, max_value=7),
     min_size=0,
@@ -60,152 +67,227 @@ locations = st.lists(
 ).map(tuple)
 
 
-class TestSignatureGrouping:
-    @given(loc_a=locations, loc_b=locations)
-    @settings(max_examples=80, deadline=None)
-    def test_different_locations_never_share_a_group(self, loc_a, loc_b):
-        """Same stage, same demands, same input size — the signatures
-        coincide iff the replica locations do."""
-        job, (task_a, task_b) = _job_with_inputs(
-            [TaskInput(64.0, loc_a)], [TaskInput(64.0, loc_b)]
-        )
-        sig_a = signature_of(task_a, task_a.demands)
-        sig_b = signature_of(task_b, task_b.demands)
-        assert (sig_a == sig_b) == (loc_a == loc_b)
+class TestLocality:
+    @given(locs=locations)
+    @settings(max_examples=60, deadline=None)
+    def test_rep_row_is_remote_exactly_off_its_holders(self, locs):
+        job, (task,) = _job_with_inputs([TaskInput(64.0, locs)])
+        scheduler = _bound_scheduler(Cluster(8, seed=0), job)
+        rows = scheduler.candidates.stage_rows(next(iter(job.dag)))
+        scheduler.candidates.resolve(rows)
+        assert rows.rep is task
+        assert sorted(rows.holders) == sorted(locs)
+        for m in range(8):
+            # on a holder the rep is the pool front: scored in plane 0
+            plane = 0 if m in locs else 1
+            assert rows.active[plane, m] and not rows.active[1 - plane, m]
+            assert bool(rows.remote[plane, m]) == (m not in locs)
+            want = scheduler.booked_demands(task, m)
+            assert rows.booked[plane, m].tobytes() == want.data.tobytes()
 
-    def test_grouping_keeps_locality_decisions_apart(self):
-        """Two peers whose only difference is where their input lives
-        end up in distinct groups with distinct remote flags."""
+    def test_rows_keep_locality_decisions_apart(self):
+        """Two peers whose only difference is where their input lives:
+        each is local (netin adjusted away) only where its replica is."""
         job, (local, remote) = _job_with_inputs(
             [TaskInput(64.0, (0,))], [TaskInput(64.0, (1,))]
         )
-        scheduler = _bound_scheduler(Cluster(2, seed=0), job)
-        pack_local = scheduler.candidates.pack(local, 0)
-        pack_remote = scheduler.candidates.pack(remote, 0)
-        assert scheduler.candidates.num_groups == 2
-        assert pack_local[2] is False  # input replica on machine 0
-        assert pack_remote[2] is True
-        # netin is adjusted away only for the all-local placement
-        assert pack_local[0].get("netin") == 0.0
-        assert pack_remote[0].get("netin") > 0.0
+        scheduler = _bound_scheduler(Cluster(3, seed=0), job)
+        candidates = scheduler.candidates
+        rows = candidates.stage_rows(next(iter(job.dag)))
+        candidates.resolve(rows)
+        assert rows.tasks == [local, remote, None]
+        assert rows.rep is local
+        # machine 0: the rep is its own pool front, scored once
+        assert rows.active[0, 0] and not rows.active[1, 0]
+        assert not rows.remote[0, 0]
+        assert rows.booked[0, 0][DEFAULT_MODEL.index["netin"]] == 0.0
+        # machine 1: its pool front and the (remote) rep are distinct
+        assert rows.active[0, 1] and rows.active[1, 1]
+        assert not rows.remote[0, 1] and rows.remote[1, 1]
+        assert rows.booked[1, 1][DEFAULT_MODEL.index["netin"]] > 0.0
 
 
 class TestEstimateRevisionInvalidation:
-    def test_unstable_estimator_revision_flushes_group_reuse(self):
+    def test_unstable_estimator_revision_drops_rows(self):
         """Under a ProfilingEstimator a completion can move every peer
-        mean, so a cached group pack must not be served afterwards."""
+        mean, so no row may be served afterwards."""
         job = make_simple_job(num_tasks=4, cpu=2.0, mem=3.0)
         job.arrive()
         scheduler = _bound_scheduler(
             Cluster(2, seed=0), job, estimator=ProfilingEstimator()
         )
+        stage = next(iter(job.dag))
         tasks = job.all_tasks()
-        before = scheduler.candidates.pack(tasks[0], 0)
-        assert scheduler.candidates.num_groups >= 1
-        misses_before = scheduler.candidates.stats["misses"]
+        before = scheduler.candidates.stage_rows(stage)
         # one peer finishes: the estimator's peer statistics (and with
         # them the whole stage's estimates) may shift
         tasks[1].mark_running(1, 0.0)
         tasks[1].mark_finished(5.0)
         scheduler.on_task_finished(tasks[1], 5.0)
-        assert scheduler.candidates.num_groups == 0
+        assert scheduler.candidates._stage_rows == {}
         assert scheduler.candidates.stats["invalidations"] >= 1
-        after = scheduler.candidates.pack(tasks[0], 0)
-        assert scheduler.candidates.stats["misses"] == misses_before + 1
+        after = scheduler.candidates.stage_rows(stage)
         assert after is not before
+        want = scheduler.booked_demands(after.rep, 0)
+        assert after.booked[1, 0].tobytes() == want.data.tobytes()
 
-    def test_stable_estimator_keeps_group_reuse(self):
-        """The default oracle estimator never revises: peers keep
-        hitting the cached pack across completions."""
+    def test_stable_estimator_keeps_rows(self, monkeypatch):
+        """The default oracle estimator never revises: a completion of a
+        task that is not the rep books nothing again."""
         job = make_simple_job(num_tasks=4)
         job.arrive()
         scheduler = _bound_scheduler(Cluster(2, seed=0), job)
+        stage = next(iter(job.dag))
         tasks = job.all_tasks()
-        before = scheduler.candidates.pack(tasks[0], 0)
+        rows = scheduler.candidates.stage_rows(stage)
+        booked = _count_bookings(monkeypatch, scheduler.candidates)
+        scheduler.index.claim(tasks[1])
         tasks[1].mark_running(1, 0.0)
         tasks[1].mark_finished(5.0)
         scheduler.on_task_finished(tasks[1], 5.0)
-        assert scheduler.candidates.pack(tasks[2], 0) is before
+        assert scheduler.candidates.stage_rows(stage) is rows
+        assert booked == []
 
 
-class TestMachineEquivalenceClasses:
-    def test_homogeneous_machines_share_one_pack(self):
-        """An input-free group computes one pack for the whole cluster."""
+class TestCapacityClasses:
+    def test_homogeneous_cluster_books_the_rep_once(self, monkeypatch):
+        """An input-free rep is booked once for the whole cluster."""
         job = make_simple_job(num_tasks=2)
         job.arrive()
         scheduler = _bound_scheduler(Cluster(3, seed=0), job)
-        task = job.all_tasks()[0]
-        first = scheduler.candidates.pack(task, 0)
-        assert scheduler.candidates.pack(task, 1) is first
-        assert scheduler.candidates.pack(task, 2) is first
-        assert scheduler.candidates.stats["misses"] == 1
-        assert scheduler.candidates.stats["hits"] == 2
+        booked = _count_bookings(monkeypatch, scheduler.candidates)
+        rows = scheduler.candidates.stage_rows(next(iter(job.dag)))
+        assert len(booked) == 1
+        assert rows.active[1].all()
+        assert (rows.booked[1] == rows.booked[1, 0]).all()
 
-    def test_heterogeneous_capacities_get_distinct_packs(self):
-        """Byte-different capacity vectors are different classes: the
-        capacity-normalized rows must not be shared between them."""
+    def test_heterogeneous_capacities_book_once_per_class(self, monkeypatch):
+        """Byte-different capacity vectors are different classes: a rate
+        capped at capacity books differently on each."""
         small = DEFAULT_MODEL.vector(
             cpu=8, mem=32, diskr=100, diskw=100, netin=100, netout=100
         )
         big = small * 2.0
         cluster = Cluster(3, machine_capacities=[small, small, big], seed=0)
         job = make_simple_job(num_tasks=2, cpu=2.0, mem=4.0)
+        for task in job.all_tasks():
+            task.demands.set("diskw", 150.0)
         job.arrive()
         scheduler = _bound_scheduler(cluster, job)
-        task = job.all_tasks()[0]
-        on_small = scheduler.candidates.pack(task, 0)
-        assert scheduler.candidates.pack(task, 1) is on_small
-        on_big = scheduler.candidates.pack(task, 2)
-        assert on_big is not on_small
-        assert scheduler.candidates.stats["misses"] == 2
-        # same demand, twice the capacity: half the normalized row
-        np.testing.assert_allclose(on_big[1], on_small[1] / 2.0)
+        booked = _count_bookings(monkeypatch, scheduler.candidates)
+        rows = scheduler.candidates.stage_rows(next(iter(job.dag)))
+        assert sorted(booked) == [0, 2]
+        diskw = DEFAULT_MODEL.index["diskw"]
+        assert rows.booked[1, 0][diskw] == rows.booked[1, 1][diskw] == 100.0
+        assert rows.booked[1, 2][diskw] == 150.0
+        for m in range(3):
+            want = scheduler.booked_demands(rows.rep, m)
+            assert rows.booked[1, m].tobytes() == want.data.tobytes()
 
-    def test_local_input_pattern_splits_the_class(self):
-        """Equal capacities share a pack only when the same inputs are
-        replica-local; the machine holding the replica packs its own."""
+    def test_holders_book_their_own_rep_row(self, monkeypatch):
+        """Equal capacities share the rep's row only away from its
+        input; on the machine holding the replica the rep is booked
+        when the row is read — once, as that machine's pool front."""
         job, (task,) = _job_with_inputs([TaskInput(64.0, (1,))])
         scheduler = _bound_scheduler(Cluster(3, seed=0), job)
-        remote_a = scheduler.candidates.pack(task, 0)
-        local = scheduler.candidates.pack(task, 1)
-        remote_b = scheduler.candidates.pack(task, 2)
-        assert remote_b is remote_a
-        assert local is not remote_a
-        assert local[2] is False and remote_a[2] is True
-        assert scheduler.candidates.stats["misses"] == 2
+        booked = _count_bookings(monkeypatch, scheduler.candidates)
+        rows = scheduler.candidates.stage_rows(next(iter(job.dag)))
+        assert booked == [0]
+        assert rows.stale[1].tolist() == [False, True, False]
+        scheduler.candidates.resolve(rows)
+        # the rep is machine 1's pool front: booked once, in plane 0
+        assert booked == [0, 1]
+        assert rows.active[0, 1] and not rows.active[1, 1]
+        assert rows.remote[1, 0] and rows.remote[1, 2]
+        assert not rows.remote[0, 1]
+        assert (rows.booked[1, 0] == rows.booked[1, 2]).all()
 
 
-class TestRoundTableRepCache:
-    def test_claim_invalidates_cached_queue_front(self):
-        """The cross-machine rep cache must be refreshed after a claim —
-        a stale entry would let two machines place the same task."""
+class TestRoundTable:
+    def test_claim_refreshes_the_claimed_stage(self):
+        """A claim moves the rep for every machine not yet visited — a
+        stale rep would let two machines place the same task."""
         job = make_simple_job(num_tasks=3)
         job.arrive()
         scheduler = _bound_scheduler(Cluster(2, seed=0), job)
         stage = next(iter(job.dag))
         table = scheduler.candidates.round_table(
-            scheduler.index, [job], lambda j: 0.0, set()
+            [job], lambda j: 0.0, lambda s: False
         )
-        rep = table.any_rep_for(0, stage, scheduler.index)
-        assert rep is not None
+        rows = table.rows[0]
+        rep = rows.rep
+        assert rep is not None and table.task_at(1, 0) is rep
         scheduler.index.claim(rep)
-        # cached until told otherwise (claims happen at one choke point)
-        assert table.any_rep_for(0, stage, scheduler.index) is rep
-        table.invalidate_stage_rep(stage.stage_id)
-        fresh = table.any_rep_for(0, stage, scheduler.index)
-        assert fresh is not None and fresh is not rep
+        assert table.refresh(stage) == 0
+        assert rows.rep is not None and rows.rep is not rep
+        assert table.task_at(1, 1) is rows.rep
 
-    def test_invalidate_unknown_stage_is_a_noop(self):
+    def test_refresh_unknown_stage_is_a_noop(self):
         job = make_simple_job(num_tasks=1)
         job.arrive()
+        other = make_simple_job(num_tasks=1)
         scheduler = _bound_scheduler(Cluster(1, seed=0), job)
         table = scheduler.candidates.round_table(
-            scheduler.index, [job], lambda j: 0.0, set()
+            [job], lambda j: 0.0, lambda s: False
         )
-        table.invalidate_stage_rep(999_999)  # must not raise
+        assert table.refresh(next(iter(other.dag))) is None
+
+    def test_gather_reads_row_two_si_plus_slot(self):
+        jobs = [make_simple_job(num_tasks=2, cpu=c) for c in (1.0, 3.0)]
+        scheduler = TetrisScheduler()
+        scheduler.bind(Cluster(2, seed=0))
+        for job in jobs:
+            job.arrive()
+            scheduler.on_job_arrival(job, 0.0)
+        table = scheduler.candidates.round_table(
+            jobs, lambda j: 0.0, lambda s: False
+        )
+        booked, remote, active = scheduler.candidates.gather(table, 1)
+        assert booked.shape == (4, DEFAULT_MODEL.dims)
+        assert active.tolist() == [False, True, False, True]
+        cpu = DEFAULT_MODEL.index["cpu"]
+        assert booked[1, cpu] == 1.0 and booked[3, cpu] == 3.0
 
 
-# -- the maintained stage rows behind the placeability plane --------------------
+class TestPooledPlanes:
+    def test_slots_recycle_and_rows_follow_growth(self):
+        """Past the first pool size the planes are reallocated: every
+        live stage's rows are views into the new planes."""
+        scheduler = TetrisScheduler()
+        scheduler.bind(Cluster(2, seed=0))
+        jobs = [make_simple_job(num_tasks=1, cpu=0.5 * (i + 1)) for i in range(20)]
+        for job in jobs:
+            job.arrive()
+            scheduler.on_job_arrival(job, 0.0)
+        candidates = scheduler.candidates
+        rows = [candidates.stage_rows(next(iter(j.dag))) for j in jobs]
+        assert candidates.booked.shape[0] >= 20
+        cpu = DEFAULT_MODEL.index["cpu"]
+        for i, r in enumerate(rows):
+            assert r.booked.base is candidates.booked
+            assert candidates.booked[r.slot, 1, 0, cpu] == 0.5 * (i + 1)
+        slot = rows[3].slot
+        task = jobs[3].all_tasks()[0]
+        scheduler.index.claim(task)
+        task.mark_running(0, 0.0)
+        task.mark_finished(1.0)
+        scheduler.on_task_finished(task, 1.0)
+        fresh = make_simple_job(num_tasks=1)
+        fresh.arrive()
+        scheduler.on_job_arrival(fresh, 1.0)
+        assert candidates.stage_rows(next(iter(fresh.dag))).slot == slot
+
+    def test_bind_resets_the_planes(self):
+        candidates = CandidateIndex()
+        assert candidates.booked.shape[0] == 0
+        scheduler = TetrisScheduler()
+        scheduler.bind(Cluster(3, seed=0))
+        assert scheduler.candidates.booked.shape[1:] == (
+            2, 3, DEFAULT_MODEL.dims,
+        )
+
+
+# -- the maintained stage rows ---------------------------------------------------
 
 _NUM_MACHINES = 5
 
@@ -243,29 +325,29 @@ _index_ops = st.lists(
 
 
 def assert_stage_rows_match_oracle(scheduler, stage):
-    """The plane's analogue of ``oracle_available``: refresh the stage's
+    """The analogue of ``oracle_available``: refresh the stage's
     maintained rows through their dirty entries, then recompute every
     row from scratch — the lookup through ``StageIndex``, the booking
     through ``booked_demands`` — and compare byte for byte."""
     index = scheduler.index
     rep = index.any_candidate(stage)
-    rows = scheduler.candidates.stage_rows(index, stage, rep)
+    rows = scheduler.candidates.stage_rows(stage)
+    scheduler.candidates.resolve(rows)
     assert rows.rep is rep
+    assert not rows.stale.any()
     for m in range(scheduler.cluster.num_machines):
-        for plane, task in enumerate((index.local_candidate(stage, m), rep)):
-            if plane == 0:
-                assert rows.tasks[m] is task
+        local = index.local_candidate(stage, m)
+        assert rows.tasks[m] is local
+        want = (local, None if rep is local else rep)
+        for plane, task in enumerate(want):
             assert bool(rows.active[plane, m]) == (task is not None)
             if task is None:
                 continue
-            want = scheduler.booked_demands(task, m)
-            assert rows.booked[plane, m].tobytes() == want.data.tobytes()
+            expect = scheduler.booked_demands(task, m)
+            assert rows.booked[plane, m].tobytes() == expect.data.tobytes()
             assert bool(rows.remote[plane, m]) == (
                 task.remote_input_mb(m) > 0
             )
-            booked, _, remote = scheduler.candidates.pack(task, m)
-            assert booked.data.tobytes() == want.data.tobytes()
-            assert remote == bool(rows.remote[plane, m])
 
 
 class TestStageRowsOracle:
@@ -318,8 +400,9 @@ class TestStageRowsOracle:
         assert_stage_rows_match_oracle(scheduler, stage)
 
     def test_only_moved_fronts_are_re_resolved(self, monkeypatch):
-        """A claim re-resolves the pools on the claimed task's input
-        machines and nothing else; a quiet stage re-resolves nothing."""
+        """Fronts are re-resolved lazily, on the machines read; a claim
+        marks the pools on the claimed task's input machines and
+        nothing else; a quiet stage re-resolves nothing."""
         job, tasks = _job_with_inputs(
             [TaskInput(64.0, (0, 1))],
             [TaskInput(64.0, (2,))],
@@ -334,18 +417,25 @@ class TestStageRowsOracle:
             index, "local_candidate",
             lambda s, m: looked_up.append(m) or lookup(s, m),
         )
-        candidates.stage_rows(index, stage, tasks[0])
+        rows = candidates.stage_rows(stage)
+        assert looked_up == []
+        assert rows.stale[0].tolist() == [True, True, True, False]
+        assert rows.stale[1].tolist() == [True, True, False, False]
+        candidates.resolve(rows, [2])
+        assert looked_up == [2]
+        candidates.resolve(rows)
         assert sorted(looked_up) == [0, 1, 2]
         del looked_up[:]
-        candidates.stage_rows(index, stage, tasks[0])
+        candidates.resolve(candidates.stage_rows(stage))
         assert looked_up == []
         index.claim(tasks[0])
-        rows = candidates.stage_rows(index, stage, index.any_candidate(stage))
+        rows = candidates.stage_rows(stage)
+        candidates.resolve(rows)
         assert sorted(looked_up) == [0, 1]
         assert rows.tasks[:3] == [tasks[2], None, tasks[1]]
         assert rows.rep is tasks[1]
 
-    def test_rows_go_where_the_packs_go(self):
+    def test_rows_dropped_on_invalidation(self):
         job, tasks = _job_with_inputs([TaskInput(64.0, (0,))])
         scheduler = _bound_scheduler(Cluster(2, seed=0), job)
         stage = next(iter(job.dag))
@@ -355,7 +445,8 @@ class TestStageRowsOracle:
             candidates.clear,
             lambda: scheduler.bind(scheduler.cluster),
         ):
-            candidates.stage_rows(scheduler.index, stage, tasks[0])
+            candidates.stage_rows(stage)
             assert stage.stage_id in candidates._stage_rows
             drop()
             assert candidates._stage_rows == {}
+        assert candidates.stats["invalidations"] == 2

@@ -131,7 +131,7 @@ class TestTrace:
         text = (obs_dir / "metrics.prom").read_text()
         assert "# TYPE repro_engine_rounds_total counter" in text
         assert "# TYPE repro_engine_round_placements histogram" in text
-        assert "repro_tetris_pack_cache_total" in text
+        assert "# TYPE repro_tetris_machine_visits_total counter" in text
 
     def test_phase_stats_ride_along(self, obs_dir):
         labels = [

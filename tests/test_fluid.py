@@ -264,7 +264,7 @@ class TestFluidProperties:
     def test_sparse_rates_match_full_recompute(self, ops):
         """The tentpole invariant: after any randomized interleaving of
         add_flow/remove_flow/advance, the sparse-maintained rates equal
-        the retained full-table oracle within 1e-9, and the heap-backed
+        the retained full-table oracle within 1e-9, and the finish-instant
         time_to_next_completion equals the oracle's full scan."""
         table = make_table(num_machines=3, sigma=0.25)
         live = []

@@ -516,9 +516,11 @@ class TestTracedRun:
 
     def test_tetris_cache_and_ledger_metrics(self):
         _, _, reg = _traced_run()
-        cache = reg.get("repro_tetris_pack_cache_total")
-        assert cache.labels(outcome="hit").value > 0
-        assert cache.labels(outcome="miss").value > 0
+        visits = reg.get("repro_tetris_machine_visits_total")
+        assert visits.labels(outcome="productive").value > 0
+        # a traced run judges no machine before visiting it
+        assert visits.labels(outcome="skipped").value == 0
+        assert reg.get("repro_tetris_cache_invalidations_total") is not None
         assert reg.get("repro_tetris_remote_grants_total").value > 0
         # drained run: no outstanding grants
         assert reg.get("repro_tetris_remote_ledger_machines").value == 0

@@ -566,63 +566,52 @@ class TestTaskTableSlotReuse:
         assert engine.task_table.capacity == 64  # initial, never grown
 
 
-# -- fill_packed coherence --------------------------------------------------
+# -- gathered rows ------------------------------------------------------------
 
-class TestFillPackedCoherence:
-    """The batched two-assignment view write and the per-slot write are
-    interchangeable: forcing either path end-to-end yields bit-identical
-    placements (the batch threshold is a pure perf knob)."""
+class TestGatherCoherence:
+    """What a visit gathers from the stages' rows is what the scalar
+    path would compute for the same tasks on the same machine."""
 
-    def _placements(self, threshold):
+    def test_gathered_rows_match_scalar_booking(self, monkeypatch):
+        """Intercept every gather of a run: each active row's task is
+        the stage's locality-pool front (slot 0) or its distinct
+        queue front (slot 1), its booked vector equals
+        ``booked_demands`` byte for byte and its remote flag equals
+        ``remote_input_mb > 0``."""
         import repro.schedulers.candidates as cand
 
-        trace = _workload(seed=37, num_jobs=10)
-        old = cand._BATCH_THRESHOLD
-        cand._BATCH_THRESHOLD = threshold
-        try:
-            return _run(trace, TetrisConfig(vectorized=True), seed=2,
-                        num_machines=6)
-        finally:
-            cand._BATCH_THRESHOLD = old
+        checked = {"rows": 0}
+        orig = cand.CandidateIndex.gather
 
-    def test_batched_and_per_slot_paths_identical(self):
-        always_packed = self._placements(0)       # fill_packed everywhere
-        never_packed = self._placements(10**9)    # set_slot everywhere
-        assert len(always_packed) > 0
-        assert always_packed == never_packed
+        def checking(self, table, machine_id):
+            booked, remote, active = orig(self, table, machine_id)
+            stage_index = self._stage_index
+            scheduler = self._estimate.__self__
+            for si, rows in enumerate(table.rows):
+                stage = rows.stage
+                local = stage_index.local_candidate(stage, machine_id)
+                other = stage_index.any_candidate(stage)
+                want = (local, None if other is local else other)
+                for slot, task in enumerate(want):
+                    i = 2 * si + slot
+                    assert bool(active[i]) == (task is not None)
+                    if task is None:
+                        continue
+                    assert table.task_at(i, machine_id) is task
+                    expect = scheduler.booked_demands(task, machine_id)
+                    assert booked[i].tobytes() == expect.data.tobytes()
+                    assert bool(remote[i]) == (
+                        task.remote_input_mb(machine_id) > 0
+                    )
+                    checked["rows"] += 1
+            return booked, remote, active
 
-    def test_fill_packed_writes_match_set_slot_writes(self):
-        """Direct array coherence: intercept every built view and rebuild
-        it through the opposite path; the slot arrays must agree
-        row-for-row."""
-        import repro.schedulers.candidates as cand
-
-        checked = {"views": 0, "batched": 0}
-        orig = cand.CandidateIndex.build_view
-
-        def checking(self, table, stage_index, machine_id, num_dims):
-            view = orig(self, table, stage_index, machine_id, num_dims)
-            rows = view.active_rows()
-            if rows.size == 0:
-                return view
-            checked["views"] += 1
-            if rows.size > cand._BATCH_THRESHOLD:
-                checked["batched"] += 1
-            # rebuild the active rows through the scalar pack lookup
-            for i in rows:
-                task = view.tasks[i]
-                booked, norm, remote = self.pack(task, machine_id)
-                assert np.array_equal(view.booked_mat[i], booked.data)
-                assert np.array_equal(view.norm_mat[i], norm)
-                assert bool(view.remote[i]) == bool(remote)
-            return view
-
-        cand.CandidateIndex.build_view = checking
-        try:
-            trace = _workload(seed=41, num_jobs=10)
-            placements = _run(trace, TetrisConfig(vectorized=True),
-                              seed=3, num_machines=6)
-        finally:
-            cand.CandidateIndex.build_view = orig
+        monkeypatch.setattr(cand.CandidateIndex, "gather", checking)
+        placements = _run(
+            _workload(seed=41, num_jobs=10),
+            TetrisConfig(vectorized=True),
+            seed=3,
+            num_machines=6,
+        )
         assert len(placements) > 0
-        assert checked["views"] > 0
+        assert checked["rows"] > 0

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.cluster import Cluster
 from repro.estimation.estimator import NoisyEstimator, ProfilingEstimator
 from repro.estimation.tracker import ResourceTracker
-from repro.resources import DEFAULT_MODEL
+from repro.resources import DEFAULT_MODEL, FB_MACHINE_CAPACITY
 from repro.schedulers.tetris import TetrisConfig, TetrisScheduler
 from repro.sim.engine import Engine, EngineConfig
 from repro.workload.job import Job
@@ -59,9 +59,12 @@ def _run_engine(
     use_tracker=False,
     engine_config=None,
     decision_trace=None,
+    machine_capacities=None,
 ):
     """One end-to-end run; returns (placement key list, scheduler)."""
-    cluster = Cluster(num_machines, seed=seed)
+    cluster = Cluster(
+        num_machines, seed=seed, machine_capacities=machine_capacities
+    )
     jobs = materialize_trace(trace, cluster, seed=seed)
     tracker = ResourceTracker(cluster) if use_tracker else None
     scheduler = TetrisScheduler(config)
@@ -108,6 +111,19 @@ def _cfg_dict(config):
     return asdict(config)
 
 
+def _mixed_capacities(num_machines=8):
+    """Three capacity classes: the default machine, one with half its
+    bandwidths and one with twice its cores and memory."""
+    base = FB_MACHINE_CAPACITY
+    slow = base.copy()
+    for dim in ("diskr", "diskw", "netin", "netout"):
+        slow.set(dim, base.get(dim) / 2.0)
+    big = base.copy()
+    for dim in ("cpu", "mem"):
+        big.set(dim, base.get(dim) * 2.0)
+    return [(base, slow, big)[m % 3] for m in range(num_machines)]
+
+
 class TestPlacementEquivalence:
     """The tentpole's equivalence bar: identical placements on fixed seeds."""
 
@@ -132,6 +148,17 @@ class TestPlacementEquivalence:
 
     def test_masked_dimensions(self):
         _assert_equivalent(TetrisConfig(considered_dims=("cpu", "mem")))
+
+    @pytest.mark.parametrize("num_machines", [8, 12])
+    def test_heterogeneous_capacities(self, num_machines):
+        """Per-class rep rows; from 8 machines on the placeability
+        plane judges the rounds too."""
+        _, vector_sched = _assert_equivalent(
+            TetrisConfig(),
+            num_machines=num_machines,
+            machine_capacities=_mixed_capacities(num_machines),
+        )
+        assert vector_sched.visit_stats["plane_rounds"] > 0
 
     @pytest.mark.parametrize("barrier", [0.0, 0.5])
     def test_barrier_knob(self, barrier):
@@ -271,6 +298,14 @@ class TestEventStreamEquivalence:
         assert any(
             e["type"] == "candidate" and e["remote"] for e in scalar
         )
+
+    def test_heterogeneous_capacities(self):
+        scalar, vector = self._streams(
+            {"remote_penalty": 0.3},
+            machine_capacities=_mixed_capacities(),
+        )
+        assert len(scalar) > 0
+        assert scalar == vector
 
     def test_unstable_estimator_with_tracker(self):
         scalar, vector = self._streams(
@@ -637,97 +672,70 @@ class TestProfilerPlumbing:
         assert "engine.scheduler_round" in prof.summary()
 
 
-class TestPackedCacheInvalidation:
-    def test_stable_finish_keeps_group_pack_for_peers(self):
-        """Under a stable estimator, a completion must NOT invalidate the
-        signature group: the surviving peers reuse the cached pack."""
+class TestStageRowsInvalidation:
+    @staticmethod
+    def _arrived(num_tasks=2, estimator=None, **job_kwargs):
         scheduler = TetrisScheduler()
-        cluster = Cluster(2, seed=0)
-        scheduler.bind(cluster)
-        job = make_simple_job(num_tasks=2)
+        scheduler.bind(Cluster(2, seed=0), estimator=estimator)
+        job = make_simple_job(num_tasks=num_tasks, **job_kwargs)
         job.arrive()
         scheduler.on_job_arrival(job, 0.0)
+        return scheduler, job
+
+    def test_stable_finish_keeps_stage_rows(self):
+        """Under a stable estimator a completion keeps the stage's rows
+        for the surviving peers."""
+        scheduler, job = self._arrived()
+        stage = next(iter(job.dag))
         first, second = job.all_tasks()
-        scheduler.candidates.pack(first, 0)
-        assert scheduler.candidates.stats["misses"] == 1
+        rows = scheduler.candidates.stage_rows(stage)
+        assert rows.rep is first
         first.mark_running(0, 0.0)
         first.mark_finished(1.0)
         scheduler.on_task_finished(first, 1.0)
-        assert scheduler.candidates.num_groups == 1
-        scheduler.candidates.pack(second, 0)
-        assert scheduler.candidates.stats["hits"] == 1
+        assert scheduler.candidates.stage_rows(stage) is rows
+        assert rows.rep is second
+        assert scheduler.candidates.stats["invalidations"] == 0
 
-    def test_stage_drain_drops_group_packs(self):
-        scheduler = TetrisScheduler()
-        cluster = Cluster(2, seed=0)
-        scheduler.bind(cluster)
-        job = make_simple_job(num_tasks=2)
-        job.arrive()
-        scheduler.on_job_arrival(job, 0.0)
+    def test_stage_drain_drops_stage_rows(self):
+        scheduler, job = self._arrived()
+        stage = next(iter(job.dag))
         for task in job.all_tasks():
-            scheduler.candidates.pack(task, 0)
+            scheduler.candidates.stage_rows(stage)
             task.mark_running(0, 0.0)
             task.mark_finished(1.0)
             scheduler.on_task_finished(task, 1.0)
-        assert scheduler.candidates.num_groups == 0
+        assert scheduler.candidates._stage_rows == {}
 
     def test_unstable_estimator_clears_whole_cache(self):
-        scheduler = TetrisScheduler()
-        cluster = Cluster(2, seed=0)
-        scheduler.bind(cluster)
-        scheduler.estimator = ProfilingEstimator()
-        job = make_simple_job(num_tasks=3)
-        job.arrive()
-        scheduler.on_job_arrival(job, 0.0)
+        scheduler, job = self._arrived(3, estimator=ProfilingEstimator())
+        stage = next(iter(job.dag))
         tasks = job.all_tasks()
-        for task in tasks:
-            scheduler.candidates.pack(task, 0)
-        assert scheduler.candidates.num_groups >= 1
+        rows = scheduler.candidates.stage_rows(stage)
         tasks[0].mark_running(0, 0.0)
         tasks[0].mark_finished(1.0)
         scheduler.on_task_finished(tasks[0], 1.0)
-        assert scheduler.candidates.num_groups == 0
+        assert scheduler.candidates._stage_rows == {}
         assert scheduler.candidates.stats["invalidations"] >= 1
+        assert scheduler.candidates.stage_rows(stage) is not rows
 
-    def test_cached_row_matches_scalar_normalization(self):
+    def test_rows_equal_masked_scalar_booking(self):
+        """Rows hold the booked vector unmasked: the considered-dims
+        mask applies where rows are compared and normalized."""
         scheduler = TetrisScheduler(
             TetrisConfig(considered_dims=("cpu", "mem"))
         )
-        cluster = Cluster(2, seed=0)
-        scheduler.bind(cluster)
+        scheduler.bind(Cluster(2, seed=0))
         job = make_simple_job(num_tasks=1, cpu=2, mem=8)
         job.arrive()
         scheduler.on_job_arrival(job, 0.0)
         task = job.all_tasks()[0]
-        capacity = cluster.machine(1).capacity
-        booked, norm, remote = scheduler.candidates.pack(task, 1)
-        expected = scheduler._masked(
-            scheduler.booked_demands(task, 1)
-        ).normalized_by(capacity)
-        assert (norm == expected.data).all()
-        assert booked.data.tolist() == scheduler.booked_demands(
-            task, 1
-        ).data.tolist()
-        assert remote == (task.remote_input_mb(1) > 0)
-
-    def test_warm_rows_match_single_pack(self):
-        """The batched warm path and the single-pack path must produce
-        byte-identical normalized rows."""
-        scheduler = TetrisScheduler()
-        cluster = Cluster(2, seed=0)
-        scheduler.bind(cluster)
-        job = make_simple_job(num_tasks=3, cpu=3, mem=7)
-        job.arrive()
-        scheduler.on_job_arrival(job, 0.0)
-        tasks = job.all_tasks()
-        scheduler.candidates.packs_for(0, tasks)
-        warmed = scheduler.candidates.pack(tasks[0], 0)
-        fresh = TetrisScheduler()
-        fresh.bind(cluster)
-        fresh.on_job_arrival(job, 0.0)
-        single = fresh.candidates.pack(tasks[0], 0)
-        assert (warmed[1] == single[1]).all()
-        assert warmed[0].data.tolist() == single[0].data.tolist()
+        rows = scheduler.candidates.stage_rows(next(iter(job.dag)))
+        for m in (0, 1):
+            assert rows.active[1, m]
+            booked = scheduler.booked_demands(task, m)
+            assert rows.booked[1, m].tobytes() == booked.data.tobytes()
+            assert bool(rows.remote[1, m]) == (task.remote_input_mb(m) > 0)
 
 
 class TestEpsilonConstant:

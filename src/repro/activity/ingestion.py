@@ -70,10 +70,6 @@ class ClusterActivity:
             )
         ]
 
-    @property
-    def nominal_duration(self) -> float:
-        return self.size_mb / self.rate_mbps
-
 
 def ingestion(
     machine_id: int, start_time: float, size_mb: float, rate_mbps: float

@@ -77,6 +77,14 @@ def _execution_stanza(backend, outcomes, wall_seconds_total):
     }
 
 
+def _load_trace(path: str):
+    """``load_trace`` with a malformed trace reported as a CLI error."""
+    try:
+        return load_trace(path)
+    except ValueError as exc:
+        raise SystemExit(f"repro: {exc}")
+
+
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         num_machines=args.machines,
@@ -148,7 +156,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     from time import perf_counter
 
-    trace = load_trace(args.trace)
+    trace = _load_trace(args.trace)
     if args.scheduler not in SCHEDULERS:
         raise SystemExit(
             f"unknown scheduler {args.scheduler!r}; "
@@ -219,7 +227,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from time import perf_counter
 
-    trace = load_trace(args.trace)
+    trace = _load_trace(args.trace)
     names = [n.strip() for n in args.schedulers.split(",") if n.strip()]
     unknown = [n for n in names if n not in SCHEDULERS]
     if unknown:
@@ -261,25 +269,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 f"JCT {jct:6.1f}%  "
                 f"makespan {makespan:6.1f}%"
             )
-    fidelity_json = {}
-    if args.fidelity and args.baseline in results:
-        from repro.metrics import packing_fidelity
-
-        # informational: each scheduler's packing vs the baseline
-        base = results[args.baseline]
-        print(f"\npacking fidelity vs {args.baseline}:")
-        for name, result in results.items():
-            if name == args.baseline:
-                continue
-            report = packing_fidelity(base, result)
-            fidelity_json[name] = report.as_dict()
-            print(
-                f"  {name:<14} "
-                f"makespan {report.makespan_delta_pct:+6.2f}%  "
-                f"mean JCT {report.mean_jct_delta_pct:+6.2f}%  "
-                f"fragmentation "
-                f"{report.fragmentation_delta_points:+5.2f}pp"
-            )
     if args.json:
         _dump_json(
             {
@@ -292,7 +281,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     for name, result in results.items()
                 },
                 "improvement_over_baseline": improvements,
-                "fidelity": fidelity_json,
                 "failed": failed,
                 "execution": _execution_stanza(
                     backend, outcomes, total_wall
@@ -313,7 +301,7 @@ SWEEP_KNOBS = {
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    trace = load_trace(args.trace)
+    trace = _load_trace(args.trace)
     values = [float(v) for v in args.values.split(",")]
     try:
         knob_field = SWEEP_KNOBS[args.knob]
@@ -354,7 +342,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.sim.engine import Engine
     from repro.workload.trace import materialize_trace
 
-    trace = load_trace(args.trace)
+    trace = _load_trace(args.trace)
     config = _experiment_config(args)
     cluster = config.make_cluster()
     jobs = materialize_trace(trace, cluster, seed=config.seed)
@@ -572,7 +560,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         AdmissionController,
         SchedulerService,
         ServeConfig,
-        SyntheticSource,
         TraceReplaySource,
     )
     from repro.sim.engine import Engine
@@ -580,17 +567,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     config = _experiment_config(args)
     cluster = config.make_cluster()
-    if args.trace:
-        trace = load_trace(args.trace)
-        jobs = materialize_trace(trace, cluster, seed=config.seed)
-        source = TraceReplaySource(jobs, speedup=args.speedup)
-    else:
-        source = SyntheticSource(
-            num_jobs=args.jobs,
-            tasks_per_job=args.tasks_per_job,
-            interarrival=args.interarrival,
-            speedup=args.speedup,
-        )
+    trace = _load_trace(args.trace)
+    jobs = materialize_trace(trace, cluster, seed=config.seed)
+    source = TraceReplaySource(jobs, speedup=args.speedup)
     tracker = ResourceTracker(cluster) if config.use_tracker else None
     registry = Registry()
     # /debug/trace is a debug knob: a full decision trace is expensive
@@ -804,11 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
     workers_arg(cmp_)
     cmp_.add_argument("--schedulers", default="tetris,slot-fair,drf")
     cmp_.add_argument("--baseline", default="slot-fair")
-    cmp_.add_argument(
-        "--fidelity", action="store_true",
-        help="report each scheduler's packing-fidelity deltas (makespan "
-        "/ mean JCT / fragmentation) against --baseline",
-    )
     cmp_.add_argument("--json", default=None, metavar="PATH",
                       help="also write the per-scheduler summaries as JSON")
     cmp_.set_defaults(func=cmd_compare)
@@ -880,13 +854,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="run the streaming scheduler daemon over a job-arrival "
-        "stream (trace replay or generator)",
+        help="run the streaming scheduler daemon over a replayed trace",
     )
-    serve.add_argument(
-        "trace", nargs="?", default=None,
-        help="trace JSON to replay (omit to use the generator source)",
-    )
+    serve.add_argument("trace", help="trace JSON from `repro generate`")
     serve.add_argument("--machines", type=int, default=20)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--no-tracker", action="store_true",
@@ -895,12 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(SCHEDULERS))
     serve.add_argument("--fairness-knob", type=float, default=None)
     serve.add_argument("--barrier-knob", type=float, default=None)
-    serve.add_argument("--jobs", type=int, default=50,
-                       help="generator mode: jobs to emit")
-    serve.add_argument("--tasks-per-job", type=int, default=10,
-                       help="generator mode: tasks per job")
-    serve.add_argument("--interarrival", type=float, default=1.0,
-                       help="generator mode: simulated seconds between jobs")
     serve.add_argument("--rate", type=float, default=None,
                        help="admission rate limit in jobs per wall second "
                        "(default: unlimited)")

@@ -83,32 +83,3 @@ class BlockStore:
         for machine in block.replicas:
             self.stored_mb[machine] += size_mb
         return block
-
-    def add_dataset(
-        self, total_mb: float, block_mb: float = 256.0
-    ) -> List[Block]:
-        """Store a dataset as ~``total_mb/block_mb`` blocks; returns them."""
-        if block_mb <= 0:
-            raise ValueError("block size must be positive")
-        blocks = []
-        remaining = total_mb
-        while remaining > 1e-9:
-            size = min(block_mb, remaining)
-            blocks.append(self.add_block(size))
-            remaining -= size
-        return blocks
-
-    def remove_block(self, block_id: int) -> None:
-        block = self.blocks.pop(block_id)
-        for machine in block.replicas:
-            self.stored_mb[machine] -= block.size_mb
-
-    # -- queries ------------------------------------------------------------
-    def locations(self, block_id: int) -> Tuple[int, ...]:
-        return self.blocks[block_id].replicas
-
-    def machine_blocks(self, machine_id: int) -> List[Block]:
-        return [b for b in self.blocks.values() if machine_id in b.replicas]
-
-    def total_stored_mb(self) -> float:
-        return sum(b.size_mb * len(b.replicas) for b in self.blocks.values())

@@ -12,7 +12,6 @@ from repro.cluster.state import ClusterState
 from repro.cluster.topology import Topology
 from repro.resources import (
     DEFAULT_MODEL,
-    EPSILON,
     FB_MACHINE_CAPACITY,
     ResourceModel,
     ResourceVector,
@@ -123,11 +122,6 @@ class Cluster:
             total.add_inplace(m.allocated)
         return total
 
-    def free_clamped_matrix(self) -> np.ndarray:
-        """The ``(machines, dims)`` clamped free matrix (shared storage,
-        read-only for callers) — the packing hot path's view."""
-        return self.state.free_clamped_matrix()
-
     def machine_capacity(self) -> ResourceVector:
         """Reference machine capacity — the first machine's.
 
@@ -137,24 +131,8 @@ class Cluster:
         """
         return self.machines[0].capacity
 
-    @property
-    def is_homogeneous(self) -> bool:
-        reference = self.machines[0].capacity
-        return all(m.capacity == reference for m in self.machines)
-
     def total_running_tasks(self) -> int:
         return int(self.state.num_running.sum())
-
-    def machines_with_free(
-        self, demands: ResourceVector
-    ) -> List[Machine]:
-        """Machines that can fit ``demands`` on every dimension."""
-        state = self.state
-        fits = np.all(
-            state.allocated + demands.data <= state.capacity + EPSILON,
-            axis=1,
-        )
-        return [self.machines[i] for i in np.flatnonzero(fits)]
 
     def __repr__(self) -> str:
         return (

@@ -119,10 +119,6 @@ class Machine:
         """Full-vector admission check (what Tetris enforces)."""
         return (self.allocated + demands).fits_in(self.capacity)
 
-    def utilization(self) -> ResourceVector:
-        """Booked peak demands as a fraction of capacity, per dimension."""
-        return self.allocated.normalized_by(self.capacity)
-
     @property
     def num_running(self) -> int:
         return len(self.running)

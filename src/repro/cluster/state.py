@@ -24,7 +24,7 @@ from typing import Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from repro.resources import EPSILON, ResourceModel
+from repro.resources import ResourceModel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resources import ResourceVector
@@ -129,14 +129,6 @@ class ClusterState:
             # _any_dirty stays conservatively True; the next full-matrix
             # refresh clears it
         return self._free_clamped[row]
-
-    def fit_mask(self, demands: np.ndarray) -> np.ndarray:
-        """Boolean mask of machines where ``allocated + demands`` fits
-        capacity on every dimension (the ``Machine.can_fit`` check,
-        vectorized across all machines)."""
-        return np.all(
-            self.allocated + demands <= self.capacity + EPSILON, axis=1
-        )
 
     def __repr__(self) -> str:
         return (

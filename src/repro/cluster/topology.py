@@ -10,7 +10,7 @@ the same rack, then anywhere.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 __all__ = ["Topology"]
 
@@ -59,14 +59,6 @@ class Topology:
 
     def same_rack(self, a: int, b: int) -> bool:
         return self._rack_of[a] == self._rack_of[b]
-
-    def locality_level(self, machine_id: int, locations: Sequence[int]) -> str:
-        """``"node"`` | ``"rack"`` | ``"off-rack"`` relative to data replicas."""
-        if machine_id in locations:
-            return "node"
-        if any(self.same_rack(machine_id, loc) for loc in locations):
-            return "rack"
-        return "off-rack"
 
     def __repr__(self) -> str:
         return (

@@ -75,12 +75,6 @@ class TokenBucket:
             return 0.0
         return deficit / self.rate
 
-    def set_rate(self, rate: float) -> None:
-        """Re-target the bucket when the task's allocation changes."""
-        if rate <= 0:
-            raise ValueError(f"rate must be positive: {rate}")
-        self.rate = rate
-
 
 class IoGate:
     """Routes I/O calls through a token bucket, queueing what does not fit.
@@ -125,10 +119,3 @@ class IoGate:
     @property
     def backlog(self) -> int:
         return len(self._queue)
-
-    def next_release_time(self, now: float) -> Optional[float]:
-        """When the head-of-line call will fit, or None if queue is empty."""
-        if not self._queue:
-            return None
-        amount, _ = self._queue[0]
-        return now + self.bucket.time_until_available(amount, now)

@@ -1,4 +1,4 @@
-"""Parallel execution of run grids: specs, backends, seed derivation.
+"""Parallel execution of run grids: specs and backends.
 
 The run pipeline is layered so every sweep in the paper — schedulers ×
 knobs × seeds (Figures 4–11, Tables 5–7) — is a list of independent,
@@ -12,9 +12,7 @@ serializable :class:`RunSpec` cells that any backend can execute:
   current behavior) and :class:`ProcessPoolBackend` (multiprocessing
   with per-run failure isolation, timeouts that kill hung workers,
   bounded retries, progress callbacks); worker counts default from the
-  ``REPRO_WORKERS`` environment variable;
-- :mod:`repro.exec.seeds` — ``SeedSequence``-spawned sibling seeds, the
-  repo-wide scheme for seed-only sweeps.
+  ``REPRO_WORKERS`` environment variable.
 
 Key invariant (property-tested): a grid run with ``workers=N`` is
 bit-identical, metric for metric, to the serial run — parallelism is an
@@ -29,7 +27,6 @@ from repro.exec.backends import (
     get_backend,
     resolve_workers,
 )
-from repro.exec.seeds import spawn_seeds
 from repro.exec.spec import (
     RunOutcome,
     RunSpec,
@@ -45,7 +42,6 @@ __all__ = [
     "TaskOutcome",
     "get_backend",
     "resolve_workers",
-    "spawn_seeds",
     "RunOutcome",
     "RunSpec",
     "execute",

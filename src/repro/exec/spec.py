@@ -18,7 +18,7 @@ failed cells carry the error and the worker's traceback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exec.backends import (
@@ -27,7 +27,6 @@ from repro.exec.backends import (
     SerialBackend,
     TaskOutcome,
 )
-from repro.exec.seeds import spawn_seeds
 from repro.experiments.harness import ExperimentConfig, RunResult, run_trace
 from repro.schedulers.base import Scheduler
 from repro.workload.trace import TraceJob
@@ -86,22 +85,6 @@ class RunSpec:
 
             return build_scheduler(self.scheduler, self.knobs)
         return self.scheduler()
-
-    def with_seed(self, seed: int) -> "RunSpec":
-        """A copy whose cluster/materialization/engine seeds are ``seed``."""
-        cfg = replace(self.config, seed=int(seed))
-        if cfg.engine_config is not None:
-            cfg = replace(
-                cfg, engine_config=replace(cfg.engine_config, seed=int(seed))
-            )
-        return replace(self, config=cfg)
-
-    def siblings(self, n: int, base_seed: Optional[int] = None) -> List["RunSpec"]:
-        """``n`` sibling specs whose seeds are ``SeedSequence``-spawned
-        children of ``base_seed`` (default: this spec's seed), so sibling
-        runs never share RNG state (see :mod:`repro.exec.seeds`)."""
-        base = self.config.seed if base_seed is None else base_seed
-        return [self.with_seed(s) for s in spawn_seeds(base, n)]
 
 
 @dataclass

@@ -10,7 +10,6 @@ from repro.experiments.motivating import (
     MotivatingExample,
     RoundSchedule,
     drf_schedule,
-    drf_schedule_fragmented,
     packing_schedule,
 )
 from repro.experiments.replication import (
@@ -27,7 +26,6 @@ __all__ = [
     "MotivatingExample",
     "RoundSchedule",
     "drf_schedule",
-    "drf_schedule_fragmented",
     "packing_schedule",
     "MetricSummary",
     "ReplicatedComparison",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.activity.ingestion import ClusterActivity
 from repro.cluster.cluster import Cluster
@@ -24,10 +24,6 @@ from repro.sim.engine import Engine, EngineConfig
 from repro.sim.fluid import FluidConfig
 from repro.workload.job import Job
 from repro.workload.trace import TraceJob, materialize_trace
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.registry import Registry
-    from repro.profiling import Profiler
 
 __all__ = ["ExperimentConfig", "RunResult", "run_trace", "run_comparison"]
 
@@ -102,17 +98,6 @@ class RunResult:
                 out[job.name] = job.completion_time
         return out
 
-    def unfairness_by_name(self) -> Dict[str, float]:
-        """Job-name keyed relative integral unfairness values."""
-        out = {}
-        by_id = {job.job_id: job for job in self.jobs}
-        for job_id, integral in self.collector.unfairness_integral.items():
-            job = by_id.get(job_id)
-            if job is None or job.completion_time in (None, 0):
-                continue
-            out[job.name] = integral / job.completion_time
-        return out
-
     def summary(self) -> Dict[str, float]:
         return dict(self.collector.summary())
 
@@ -122,16 +107,8 @@ def run_trace(
     scheduler: Scheduler,
     config: Optional[ExperimentConfig] = None,
     activities: Iterable[ClusterActivity] = (),
-    profiler: Optional["Profiler"] = None,
-    metrics: Optional["Registry"] = None,
 ) -> RunResult:
-    """Materialize the trace on a fresh cluster and run one scheduler.
-
-    ``profiler`` and ``metrics`` are handed straight to the
-    :class:`Engine` (same opt-in ``Optional[...]`` contract), so a caller
-    can collect phase timings and counters from an otherwise unmodified
-    run.
-    """
+    """Materialize the trace on a fresh cluster and run one scheduler."""
     cfg = config if config is not None else ExperimentConfig()
     cluster = cfg.make_cluster()
     jobs = materialize_trace(trace, cluster, seed=cfg.seed)
@@ -150,8 +127,6 @@ def run_trace(
         tracker=tracker,
         fluid_config=cfg.fluid_config,
         config=cfg.make_engine_config(),
-        profiler=profiler,
-        metrics=metrics,
     )
     start = perf_counter()
     collector = engine.run()

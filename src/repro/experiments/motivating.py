@@ -31,7 +31,6 @@ __all__ = [
     "RoundSchedule",
     "drf_schedule",
     "packing_schedule",
-    "drf_schedule_fragmented",
 ]
 
 
@@ -199,67 +198,6 @@ def drf_schedule(
             round_used[best] += np.array(
                 state.runnable_demand(best), dtype=float
             )
-        return best
-
-    pick.begin_round = begin_round
-    return _run_rounds(example, pick)
-
-
-def drf_schedule_fragmented(
-    example: Optional[MotivatingExample] = None,
-    num_machines: int = 3,
-) -> RoundSchedule:
-    """DRF on ``num_machines`` machines of 1/num_machines capacity each.
-
-    The paper's footnote observes that treating the cluster as one big
-    bag of resources hides fragmentation: split the same capacity into
-    three machines and DRF's schedule gets *worse*, because tasks must
-    fit within a single machine.  This variant repeats the progressive
-    filling with per-machine admission.
-    """
-    example = example if example is not None else MotivatingExample()
-    capacity = np.array(example.capacity, dtype=float)
-    per_machine = capacity / num_machines
-    round_used: Dict[str, np.ndarray] = {}
-    machine_free: List[np.ndarray] = []
-
-    def begin_round() -> None:
-        for job in example.jobs:
-            round_used[job.name] = np.zeros(len(capacity))
-        machine_free.clear()
-        machine_free.extend(per_machine.copy() for _ in range(num_machines))
-
-    def fits_some_machine(d: np.ndarray) -> Optional[int]:
-        for m, free in enumerate(machine_free):
-            if np.all(d <= free + 1e-9):
-                return m
-        return None
-
-    def pick(state: _State, free: np.ndarray) -> Optional[str]:
-        best = None
-        best_share = float("inf")
-        best_machine = None
-        for job in example.jobs:
-            demand = state.runnable_demand(job.name)
-            if demand is None:
-                continue
-            d = np.array(demand, dtype=float)
-            machine = fits_some_machine(d)
-            if machine is None:
-                continue
-            share = float(
-                np.max(
-                    np.where(capacity > 0, round_used[job.name] / capacity, 0)
-                )
-            )
-            if share < best_share - 1e-12:
-                best_share = share
-                best = job.name
-                best_machine = machine
-        if best is not None:
-            d = np.array(state.runnable_demand(best), dtype=float)
-            round_used[best] += d
-            machine_free[best_machine] -= d
         return best
 
     pick.begin_round = begin_round

@@ -13,7 +13,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.exec.seeds import spawn_seeds
 from repro.experiments.harness import ExperimentConfig
 from repro.metrics.comparison import improvement_percent
 
@@ -63,12 +62,10 @@ class ReplicatedComparison:
 def replicate(
     make_trace: Callable[[int], Sequence],
     scheduler_factories: Dict[str, Callable],
-    seeds: Optional[Sequence[int]] = None,
+    seeds: Sequence[int],
     num_machines: int = 20,
     workers: Optional[int] = None,
     backend=None,
-    num_seeds: Optional[int] = None,
-    base_seed: int = 0,
     **config_kw,
 ) -> ReplicatedComparison:
     """Run the comparison once per seed and aggregate.
@@ -77,12 +74,6 @@ def replicate(
     per seed so both the workload sample and the simulation randomness
     vary, as in repeated real experiments).
 
-    Seeds come either explicitly (``seeds=...``) or derived: with
-    ``num_seeds=n`` the seeds are ``SeedSequence``-spawned children of
-    ``base_seed`` (:func:`repro.exec.spawn_seeds`), the repo-wide scheme
-    for seed-only sweeps — sibling runs never share RNG state and
-    growing ``num_seeds`` later keeps the earlier runs identical.
-
     The whole seeds × schedulers grid is independent cells, executed on
     an execution backend (``workers`` > 1 / ``REPRO_WORKERS`` selects
     the process pool); results are aggregated in seed order and are
@@ -90,10 +81,6 @@ def replicate(
     """
     from repro.exec import RunSpec, get_backend, raise_on_failure, run_specs
 
-    if seeds is None:
-        if not num_seeds:
-            raise ValueError("need at least one seed")
-        seeds = spawn_seeds(base_seed, num_seeds)
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("need at least one seed")

@@ -50,9 +50,6 @@ class StageAsk:
     input_mb_by_machine: Dict[int, float]
     barrier_hint: bool
 
-    def encoded_size_bytes(self) -> int:
-        return len(json.dumps(asdict(self)).encode())
-
 
 @dataclass(frozen=True)
 class Ask:

@@ -17,16 +17,8 @@ from repro.metrics.comparison import (
     improvement_distribution,
     cdf_points,
 )
-from repro.metrics.fidelity import (
-    FidelityReport,
-    packing_fidelity,
-    timeline_fragmentation,
-)
 
 __all__ = [
-    "FidelityReport",
-    "packing_fidelity",
-    "timeline_fragmentation",
     "MetricsCollector",
     "TimelinePoint",
     "Counter",

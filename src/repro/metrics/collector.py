@@ -240,44 +240,3 @@ class MetricsCollector:
             "makespan": self.makespan(),
             "mean_task_duration": self.mean_task_duration(),
         }
-
-    # -- export -----------------------------------------------------------
-    def write_timeline_csv(self, path) -> None:
-        """Dump the utilization timeline as CSV (for external plotting)."""
-        import csv
-
-        if not self.timeline:
-            raise ValueError("no timeline samples to write")
-        resources = sorted(self.timeline[0].demand_utilization)
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                ["time", "running_tasks"]
-                + [f"demand_{r}" for r in resources]
-                + [f"throughput_{r}" for r in resources]
-            )
-            for point in self.timeline:
-                writer.writerow(
-                    [point.time, point.running_tasks]
-                    + [point.demand_utilization.get(r, 0.0)
-                       for r in resources]
-                    + [point.throughput_utilization.get(r, 0.0)
-                       for r in resources]
-                )
-
-    def write_jobs_csv(self, path) -> None:
-        """Dump per-job completion records as CSV."""
-        import csv
-
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                ["job_id", "name", "template", "num_tasks",
-                 "arrival_time", "finish_time", "completion_time"]
-            )
-            for rec in self.jobs.values():
-                writer.writerow(
-                    [rec.job_id, rec.name, rec.template or "",
-                     rec.num_tasks, rec.arrival_time, rec.finish_time,
-                     rec.completion_time]
-                )

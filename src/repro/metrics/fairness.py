@@ -61,13 +61,6 @@ class SlowdownSummary:
     mean_slowdown_of_slowed: float
     max_slowdown: float
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "fraction_slowed": self.fraction_slowed,
-            "mean_slowdown_of_slowed": self.mean_slowdown_of_slowed,
-            "max_slowdown": self.max_slowdown,
-        }
-
 
 def slowdown_summary(
     fair_jcts: Mapping[int, float],

@@ -143,9 +143,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Cumulative-bucket histogram with ``_sum`` and ``_count``."""
@@ -377,9 +374,6 @@ class MetricFamily:
 
     def inc(self, amount: float = 1.0) -> None:
         self._solo().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._solo().dec(amount)
 
     def set(self, value: float) -> None:
         self._solo().set(value)

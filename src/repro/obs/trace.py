@@ -207,22 +207,7 @@ class DecisionTrace:
             return list(self._ring)
         return [e for e in self._ring if e["type"] == type_]
 
-    def tally(self) -> Dict[str, int]:
-        """Buffered event counts by type."""
-        return dict(TallyCounter(e["type"] for e in self._ring))
-
-    def write_jsonl(self, path) -> None:
-        """Dump the buffered events as JSONL (for non-streaming traces)."""
-        with open(path, "w", encoding="utf-8") as f:
-            for event in self._ring:
-                f.write(json.dumps(event, separators=(",", ":")))
-                f.write("\n")
-
     # -- lifecycle --------------------------------------------------------------
-    def flush(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-
     def close(self) -> None:
         if self._file is not None:
             self._file.close()

@@ -76,17 +76,6 @@ class PhaseStats:
     def stddev(self) -> float:
         return sqrt(self.variance)
 
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict export of the accumulated samples."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "stddev": self.stddev,
-        }
-
 
 class Profiler:
     """Accumulates wall-clock samples per label.
@@ -157,7 +146,7 @@ class Profiler:
 
         Unknown labels return a *detached* empty :class:`PhaseStats` —
         the label is **not** registered, so probing never pollutes
-        :meth:`labels` or :meth:`summary`, and ``add()`` on the returned
+        :meth:`labels`, and ``add()`` on the returned
         object does not feed back into this profiler.
         """
         return self._stats.get(label, PhaseStats())
@@ -172,34 +161,6 @@ class Profiler:
         if stats is None:
             return 0.0
         return self._self_totals.get(label, stats.total)
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """Per-label plain-dict export of every recorded phase, each
-        with a ``self_total`` entry alongside the PhaseStats fields."""
-        out: Dict[str, Dict[str, float]] = {}
-        for label in self.labels():
-            d = self._stats[label].as_dict()
-            d["self_total"] = self.self_total(label)
-            out[label] = d
-        return out
-
-    def reset(self) -> None:
-        self._stats.clear()
-        self._self_totals.clear()
-        self._frames.clear()
-        self._open.clear()
-
-    def summary(self) -> str:
-        """A human-readable table of all phases."""
-        lines = []
-        for label in self.labels():
-            s = self._stats[label]
-            lines.append(
-                f"{label}: n={s.count} total={s.total * 1e3:.2f}ms "
-                f"mean={s.mean * 1e3:.3f}ms min={s.min * 1e3:.3f}ms "
-                f"max={s.max * 1e3:.3f}ms"
-            )
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"Profiler(labels={self.labels()})"

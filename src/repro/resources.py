@@ -23,7 +23,7 @@ demands and utilization samples.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,9 +116,6 @@ class ResourceModel:
                 ) from None
         return ResourceVector(self, data)
 
-    def from_mapping(self, mapping: Mapping[str, float]) -> "ResourceVector":
-        return self.vector(**dict(mapping))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ResourceModel)
@@ -205,10 +202,6 @@ class ResourceVector:
         self._check(other)
         return ResourceVector(self.model, np.minimum(self.data, other.data))
 
-    def elementwise_max(self, other: "ResourceVector") -> "ResourceVector":
-        self._check(other)
-        return ResourceVector(self.model, np.maximum(self.data, other.data))
-
     # -- comparisons / predicates ------------------------------------------
     def fits_in(self, other: "ResourceVector") -> bool:
         """True if this vector is <= ``other`` in every dimension (with slack)."""
@@ -232,10 +225,6 @@ class ResourceVector:
         return hash((self.model, self.data.tobytes()))
 
     # -- scoring helpers ----------------------------------------------------
-    def dot(self, other: "ResourceVector") -> float:
-        self._check(other)
-        return float(np.dot(self.data, other.data))
-
     def normalized_by(self, capacity: "ResourceVector") -> "ResourceVector":
         """Divide by ``capacity`` per-dimension; zero-capacity dims map to 0.
 
@@ -255,9 +244,6 @@ class ResourceVector:
 
     def total(self) -> float:
         return float(self.data.sum())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
 
     def __repr__(self) -> str:
         inner = ", ".join(

@@ -48,19 +48,8 @@ __all__ = [
     "FFDProdAlignment",
     "FFDSumAlignment",
     "ALIGNMENT_SCORERS",
-    "batch_capable",
     "get_scorer",
 ]
-
-
-def batch_capable(scorer: "AlignmentScorer") -> bool:
-    """True when ``scorer`` overrides :meth:`AlignmentScorer.score_batch`.
-
-    Schedulers use this to decide whether the vectorized packing path can
-    run; scorers without a batch implementation fall back to the scalar
-    reference oracle.
-    """
-    return type(scorer).score_batch is not AlignmentScorer.score_batch
 
 
 class AlignmentScorer(abc.ABC):
@@ -74,19 +63,15 @@ class AlignmentScorer(abc.ABC):
     ) -> float:
         """Higher scores are scheduled first."""
 
+    @abc.abstractmethod
     def score_batch(
         self, demands: np.ndarray, available: np.ndarray
     ) -> np.ndarray:
         """Score an ``(N, dims)`` demand matrix against one availability row.
 
-        Subclasses override this with a closed-form vectorized version
-        that matches :meth:`score` bit-for-bit.  Schedulers treat a
-        scorer without an override as scalar-only and fall back to the
-        per-candidate path.
+        A closed-form vectorized version that matches :meth:`score`
+        bit-for-bit.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement batched scoring"
-        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

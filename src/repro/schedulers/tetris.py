@@ -46,7 +46,7 @@ Two execution strategies produce **identical placements**:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -55,7 +55,6 @@ import numpy as np
 from repro.resources import EPSILON, ResourceVector
 from repro.schedulers.alignment import (
     AlignmentScorer,
-    batch_capable,
     get_scorer,
 )
 from repro.schedulers.base import Placement, Scheduler
@@ -219,10 +218,7 @@ class TetrisScheduler(Scheduler):
         self._dims_mask: Optional[np.ndarray] = None
         self._mask_all = True
         self._masked_names: Tuple[str, ...] = ()
-        # scorers without a batch implementation run the scalar oracle
-        self._use_vectorized = self.config.vectorized and batch_capable(
-            self.scorer
-        )
+        self._use_vectorized = self.config.vectorized
         self._i_netout: Optional[int] = None
         self._i_diskr: Optional[int] = None
         #: grant-independent remote-transfer plans:
@@ -1424,10 +1420,3 @@ class TetrisScheduler(Scheduler):
             )
 
         return max(candidates, key=combined)
-
-    def with_config(self, **changes) -> "TetrisScheduler":
-        """A fresh scheduler with updated config (for parameter sweeps)."""
-        return TetrisScheduler(
-            config=replace(self.config, **changes),
-            fairness_policy=self.fairness_policy,
-        )

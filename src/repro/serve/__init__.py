@@ -4,8 +4,8 @@ Tetris runs inside the cluster RM as a continuously-serving scheduler
 (Section 5), not as a batch replay.  This package turns the discrete-event
 engine into exactly that:
 
-- :mod:`repro.serve.sources` — continuous job-arrival streams: trace
-  replay at configurable time compression, plus a synthetic generator;
+- :mod:`repro.serve.sources` — job-arrival streams: trace replay at
+  configurable time compression;
 - :mod:`repro.serve.admission` — the admission controller: a token-bucket
   rate limit in front of a bounded pending queue, with explicit
   backpressure/reject accounting;
@@ -38,7 +38,6 @@ from repro.serve.service import (
 from repro.serve.sources import (
     Arrival,
     JobSource,
-    SyntheticSource,
     TraceReplaySource,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "ServeConfig",
     "ServeReport",
     "StagingError",
-    "SyntheticSource",
     "TraceReplaySource",
     "verify_free_vectors",
 ]

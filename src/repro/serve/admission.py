@@ -127,10 +127,6 @@ class AdmissionController:
     def depth(self) -> int:
         return len(self._queue)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     # -- producer side -----------------------------------------------------------
     async def offer(self, arrival: Arrival) -> bool:
         """Submit one arrival; returns True iff it entered the queue.

@@ -21,12 +21,9 @@ import asyncio
 from dataclasses import dataclass
 from typing import AsyncIterator, List, Optional, Sequence
 
-from repro.resources import DEFAULT_MODEL
 from repro.workload.job import Job
-from repro.workload.stage import Stage
-from repro.workload.task import Task, TaskWork
 
-__all__ = ["Arrival", "JobSource", "TraceReplaySource", "SyntheticSource"]
+__all__ = ["Arrival", "JobSource", "TraceReplaySource"]
 
 
 @dataclass(frozen=True)
@@ -41,7 +38,7 @@ class JobSource:
     """Base class: an ordered, optionally wall-paced stream of arrivals."""
 
     #: total jobs this source will yield, when known in advance (None for
-    #: unbounded generators)
+    #: an unbounded stream)
     total_jobs: Optional[int] = None
 
     def arrivals(self) -> AsyncIterator[Arrival]:
@@ -78,66 +75,4 @@ class TraceReplaySource(JobSource):
             if self.speedup > 0:
                 await _pace((job.arrival_time - prev) / self.speedup)
             prev = job.arrival_time
-            yield Arrival(job, job.arrival_time)
-
-
-class SyntheticSource(JobSource):
-    """Generate a continuous stream of single-stage compute jobs.
-
-    The generator drip-feeds ``num_jobs`` jobs, one every
-    ``interarrival`` simulated seconds, each with ``tasks_per_job``
-    identical pure-compute tasks (no inputs, so building a job touches
-    no cluster state — generation stays strictly tentative until the
-    service commits it).  ``speedup`` paces wall-clock delivery exactly
-    as in :class:`TraceReplaySource`.
-    """
-
-    def __init__(
-        self,
-        num_jobs: int,
-        tasks_per_job: int = 10,
-        interarrival: float = 1.0,
-        cpu: float = 2.0,
-        mem: float = 4.0,
-        cpu_work: float = 6.0,
-        start_time: float = 0.0,
-        name_prefix: str = "gen",
-        speedup: float = 0.0,
-    ):
-        if num_jobs < 0:
-            raise ValueError("num_jobs must be non-negative")
-        if interarrival < 0:
-            raise ValueError("interarrival must be non-negative")
-        if speedup < 0:
-            raise ValueError(f"speedup must be non-negative, got {speedup}")
-        self.num_jobs = num_jobs
-        self.tasks_per_job = tasks_per_job
-        self.interarrival = interarrival
-        self.cpu = cpu
-        self.mem = mem
-        self.cpu_work = cpu_work
-        self.start_time = start_time
-        self.name_prefix = name_prefix
-        self.speedup = speedup
-        self.total_jobs = num_jobs
-
-    def _make_job(self, index: int) -> Job:
-        tasks = [
-            Task(
-                DEFAULT_MODEL.vector(cpu=self.cpu, mem=self.mem),
-                TaskWork(cpu_core_seconds=self.cpu_work),
-            )
-            for _ in range(self.tasks_per_job)
-        ]
-        return Job(
-            [Stage("work", tasks)],
-            arrival_time=self.start_time + index * self.interarrival,
-            name=f"{self.name_prefix}-{index}",
-        )
-
-    async def arrivals(self) -> AsyncIterator[Arrival]:
-        for index in range(self.num_jobs):
-            if self.speedup > 0 and index > 0:
-                await _pace(self.interarrival / self.speedup)
-            job = self._make_job(index)
             yield Arrival(job, job.arrival_time)

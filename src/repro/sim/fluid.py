@@ -299,9 +299,6 @@ class FlowTable:
         self._deactivate(flow_id)
         self._tags.pop(flow_id, None)
 
-    def tag_of(self, flow_id: int) -> Optional[object]:
-        return self._tags.get(flow_id)
-
     @property
     def num_active(self) -> int:
         return int(self._active.sum())

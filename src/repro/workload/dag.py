@@ -14,8 +14,8 @@ class StageDag:
     """The DAG of stages of one job.
 
     Built from the stages' ``parents`` links; validates acyclicity and gives
-    the queries the scheduler needs: which stages are released, which tasks
-    sit just before a barrier, and how much work remains.
+    the queries the engine needs: which stages to release and whether the
+    job is finished.
     """
 
     def __init__(self, stages: Sequence[Stage]):
@@ -51,9 +51,6 @@ class StageDag:
         return order
 
     # -- queries ---------------------------------------------------------------
-    def topological_order(self) -> List[Stage]:
-        return list(self._order)
-
     def roots(self) -> List[Stage]:
         return [s for s in self.stages if not s.parents]
 
@@ -85,9 +82,6 @@ class StageDag:
 
     def is_finished(self) -> bool:
         return all(s.is_finished() for s in self.stages)
-
-    def unfinished_stages(self) -> List[Stage]:
-        return [s for s in self.stages if not s.is_finished()]
 
     def __len__(self) -> int:
         return len(self.stages)

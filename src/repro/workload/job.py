@@ -1,4 +1,4 @@
-"""Jobs: DAGs of stages with arrival times and remaining-work accounting."""
+"""Jobs: DAGs of stages with arrival times and completion bookkeeping."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import enum
 import itertools
 from typing import List, Optional, Sequence
 
-from repro.resources import ResourceVector
 from repro.workload.dag import StageDag
 from repro.workload.stage import Stage
 from repro.workload.task import Task, TaskState
@@ -91,9 +90,6 @@ class Job:
         """O(1) via the transition-maintained runnable counter."""
         return self._num_runnable > 0
 
-    def unfinished_tasks(self) -> List[Task]:
-        return [t for s in self.dag for t in s.unfinished_tasks()]
-
     def running_tasks(self) -> List[Task]:
         return [
             t
@@ -101,43 +97,6 @@ class Job:
             for t in s.tasks
             if t.state is TaskState.RUNNING
         ]
-
-    # -- scores ----------------------------------------------------------------
-    def remaining_work_score(self, capacity: ResourceVector) -> float:
-        """The paper's multi-resource SRTF score ``p`` (Section 3.3.1).
-
-        Sum over remaining (unfinished) tasks of the task's total
-        capacity-normalized demand multiplied by its estimated duration.
-        Lower means less remaining work, so the job should be favored.
-        """
-        score = 0.0
-        for stage in self.dag:
-            for task in stage.tasks:
-                if task.state is TaskState.FINISHED:
-                    continue
-                normalized = task.demands.normalized_by(capacity).total()
-                score += normalized * task.nominal_duration()
-        return score
-
-    def barrier_tasks(self, barrier_knob: float) -> List[Task]:
-        """Tasks eligible for barrier preference (Section 3.5).
-
-        For each unfinished, released stage whose finished fraction has
-        crossed ``barrier_knob``, the remaining tasks of that stage are
-        returned.  Every stage is treated as preceding a barrier: either a
-        downstream stage waits on it or the job's completion does.
-        """
-        if not 0.0 <= barrier_knob < 1.0:
-            raise ValueError(f"barrier knob must be in [0, 1): {barrier_knob}")
-        eligible: List[Task] = []
-        for stage in self.dag:
-            if stage.is_finished() or not stage.is_released():
-                continue
-            if stage.finished_fraction >= barrier_knob and stage.num_tasks > 0:
-                eligible.extend(
-                    t for t in stage.tasks if t.state is TaskState.RUNNABLE
-                )
-        return eligible
 
     def __repr__(self) -> str:
         return (

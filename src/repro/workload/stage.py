@@ -10,7 +10,7 @@ barrier), which is also what the barrier knob (Section 3.5) leans on.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.workload.task import Task, TaskState
 
@@ -112,9 +112,6 @@ class Stage:
     def runnable_tasks(self) -> List[Task]:
         return [t for t in self.tasks if t.state is TaskState.RUNNABLE]
 
-    def unfinished_tasks(self) -> List[Task]:
-        return [t for t in self.tasks if t.state is not TaskState.FINISHED]
-
     def release_if_ready(self) -> bool:
         """Unblock tasks when all parents are done.  Returns True if released."""
         if not self.is_released():
@@ -122,30 +119,6 @@ class Stage:
         for task in self.tasks:
             task.mark_runnable()
         return True
-
-    def precedes_barrier(self) -> bool:
-        """A stage precedes a barrier if anything waits on it.
-
-        The end of the job also counts as a barrier for the purpose of the
-        barrier knob (Section 3.5): finishing the last tasks of a terminal
-        stage directly finishes the job.
-        """
-        return True
-
-    def first_unfinished_tasks(self, count: int) -> List[Task]:
-        out: List[Task] = []
-        for task in self.tasks:
-            if task.state is not TaskState.FINISHED:
-                out.append(task)
-                if len(out) >= count:
-                    break
-        return out
-
-    def mean_task_demand_total(self) -> Optional[float]:
-        """Average of the (unnormalized) total demand of this stage's tasks."""
-        if not self.tasks:
-            return None
-        return sum(t.demands.total() for t in self.tasks) / len(self.tasks)
 
     def __repr__(self) -> str:
         return (

@@ -153,27 +153,6 @@ class TaskTable:
     def task_at(self, slot: int) -> Optional[Task]:
         return self._tasks[slot]
 
-    def live_slots(self) -> np.ndarray:
-        """Slots currently holding a task (ascending)."""
-        high = self._high
-        mask = np.zeros(high, dtype=bool)
-        for slot in range(high):
-            if self._tasks[slot] is not None:
-                mask[slot] = True
-        return np.flatnonzero(mask)
-
-    def state_counts(self) -> Dict[str, int]:
-        """Live task counts per lifecycle state (array scan, no objects)."""
-        out = {}
-        high = self._high
-        codes = self.state[:high]
-        live = np.array(
-            [self._tasks[s] is not None for s in range(high)], dtype=bool
-        )
-        for state, code in STATE_CODES.items():
-            out[state.value] = int(np.count_nonzero(live & (codes == code)))
-        return out
-
     def __len__(self) -> int:
         return self.num_live
 

@@ -71,9 +71,6 @@ class TaskWork:
     cpu_core_seconds: float = 0.0
     write_mb: float = 0.0
 
-    def scaled(self, factor: float) -> "TaskWork":
-        return TaskWork(self.cpu_core_seconds * factor, self.write_mb * factor)
-
 
 class Task:
     """A schedulable task.

@@ -128,12 +128,22 @@ def save_trace(trace: Sequence[TraceJob], path: Union[str, Path]) -> None:
 
 
 def load_trace(path: Union[str, Path]) -> List[TraceJob]:
-    """Read a trace written by :func:`save_trace`."""
+    """Read a trace written by :func:`save_trace`.
+
+    Raises ``ValueError`` listing every issue :func:`validate_trace`
+    finds, so a malformed trace never reaches a simulation.
+    """
     payload = json.loads(Path(path).read_text())
     out = []
     for job_dict in payload:
         stages = [TraceStage(**s) for s in job_dict.pop("stages")]
         out.append(TraceJob(stages=stages, **job_dict))
+    issues = validate_trace(out)
+    if issues:
+        raise ValueError(
+            f"invalid trace {str(path)!r} ({len(issues)} issue(s)):\n  "
+            + "\n  ".join(issues)
+        )
     return out
 
 

@@ -20,7 +20,6 @@ class TestActivitySpecs:
         act = ingestion(0, start_time=10.0, size_mb=1000, rate_mbps=100)
         (spec,) = act.flow_specs()
         assert set(spec.slots) == {(0, "netin"), (0, "diskw")}
-        assert act.nominal_duration == pytest.approx(10.0)
 
     def test_evacuation_touches_diskr_and_netout(self):
         act = evacuation(1, start_time=0.0, size_mb=500, rate_mbps=50)

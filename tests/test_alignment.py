@@ -132,9 +132,10 @@ class TestScoreBatch:
             assert batch[i] == scalar, (name, i)
 
     def test_base_scorer_has_no_batch(self):
+        """``score_batch`` is abstract: a scorer must ship both paths."""
         class Custom(AlignmentScorer):
             def score(self, demand, available):
                 return 0.0
 
-        with pytest.raises(NotImplementedError, match="batched"):
-            Custom().score_batch(np.zeros((1, 6)), np.zeros(6))
+        with pytest.raises(TypeError, match="score_batch"):
+            Custom()

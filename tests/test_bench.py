@@ -15,15 +15,18 @@ import pytest
 
 from repro.cli import _dump_json
 from repro.cluster.cluster import Cluster
+from repro.estimation.tracker import ResourceTracker
 from repro.exec import ProcessPoolBackend, RunSpec, SerialBackend, run_specs
 from repro.experiments.harness import ExperimentConfig, run_trace
 from repro.obs import Registry
 from repro.profiling import Profiler
 from repro.resources import DEFAULT_MODEL
 from repro.schedulers.tetris import TetrisConfig, TetrisScheduler
+from repro.sim.engine import Engine
 from repro.workload.job import Job
 from repro.workload.stage import Stage
 from repro.workload.task import Task, TaskWork
+from repro.workload.trace import materialize_trace
 from repro.workload.tracegen import WorkloadSuiteConfig, generate_workload_suite
 
 #: a tiny end-to-end run: six jobs on six machines, seconds to simulate
@@ -31,6 +34,27 @@ SMOKE_TRACE = WorkloadSuiteConfig(
     num_jobs=6, task_scale=0.02, arrival_horizon=100, seed=3
 )
 SMOKE_CONFIG = ExperimentConfig(num_machines=6, seed=3)
+
+
+def _instrumented_run(trace, config):
+    """Run Tetris on an engine carrying a profiler and a metric registry,
+    built the way the repository benchmark builds its engines."""
+    profiler, registry = Profiler(), Registry()
+    cluster = config.make_cluster()
+    jobs = materialize_trace(trace, cluster, seed=config.seed)
+    Engine(
+        cluster,
+        TetrisScheduler(),
+        jobs,
+        tracker=(
+            ResourceTracker(cluster, config.tracker_config)
+            if config.use_tracker else None
+        ),
+        config=config.make_engine_config(),
+        profiler=profiler,
+        metrics=registry,
+    ).run()
+    return profiler, registry
 
 
 def _fidelity(result):
@@ -89,14 +113,9 @@ class TestScenarios:
 class TestCapture:
     @pytest.fixture(scope="class")
     def smoke_run(self):
-        profiler, registry = Profiler(), Registry()
-        result = run_trace(
-            generate_workload_suite(SMOKE_TRACE),
-            TetrisScheduler(),
-            SMOKE_CONFIG,
-            profiler=profiler,
-            metrics=registry,
-        )
+        trace = generate_workload_suite(SMOKE_TRACE)
+        result = run_trace(trace, TetrisScheduler(), SMOKE_CONFIG)
+        profiler, registry = _instrumented_run(trace, SMOKE_CONFIG)
         return result, profiler, registry
 
     def test_metric_records(self, smoke_run):
@@ -149,14 +168,9 @@ class TestHarnessBenchHooks:
             WorkloadSuiteConfig(num_jobs=3, task_scale=0.02,
                                 arrival_horizon=50, seed=2)
         )
-        profiler, registry = Profiler(), Registry()
-        result = run_trace(
-            trace,
-            TetrisScheduler(),
-            ExperimentConfig(num_machines=4, seed=2),
-            profiler=profiler,
-            metrics=registry,
-        )
+        config = ExperimentConfig(num_machines=4, seed=2)
+        result = run_trace(trace, TetrisScheduler(), config)
+        profiler, registry = _instrumented_run(trace, config)
         assert result.wall_seconds > 0
         assert result.num_placements > 0
         assert result.placements_per_sec > 0

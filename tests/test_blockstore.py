@@ -41,12 +41,6 @@ class TestBlockPlacement:
         store.add_block(100.0)
         assert sum(store.stored_mb) == pytest.approx(300.0)
 
-    def test_remove_block(self, store):
-        block = store.add_block(100.0)
-        store.remove_block(block.block_id)
-        assert sum(store.stored_mb) == pytest.approx(0.0)
-        assert block.block_id not in store.blocks
-
     def test_negative_size_rejected(self, store):
         with pytest.raises(ValueError):
             store.add_block(-1.0)
@@ -54,24 +48,3 @@ class TestBlockPlacement:
     def test_invalid_replication(self):
         with pytest.raises(ValueError):
             BlockStore(Topology(4), replication=0)
-
-
-class TestDatasets:
-    def test_add_dataset_splits_into_blocks(self, store):
-        blocks = store.add_dataset(1000.0, block_mb=256.0)
-        assert len(blocks) == 4
-        assert sum(b.size_mb for b in blocks) == pytest.approx(1000.0)
-        assert blocks[-1].size_mb == pytest.approx(1000.0 - 3 * 256.0)
-
-    def test_total_stored_counts_replicas(self, store):
-        store.add_dataset(512.0, block_mb=256.0)
-        assert store.total_stored_mb() == pytest.approx(512.0 * 3)
-
-    def test_machine_blocks(self, store):
-        block = store.add_block(64.0)
-        for machine in block.replicas:
-            assert block in store.machine_blocks(machine)
-
-    def test_zero_block_size_rejected(self, store):
-        with pytest.raises(ValueError):
-            store.add_dataset(100.0, block_mb=0)

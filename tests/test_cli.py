@@ -67,6 +67,29 @@ class TestRun:
                 "run", str(trace_file), "--scheduler", "magic",
             ])
 
+    @pytest.mark.parametrize(
+        "command", ["run", "compare", "sweep", "trace", "serve"]
+    )
+    def test_malformed_trace_rejected(
+        self, trace_file, tmp_path, capsys, command
+    ):
+        """A negative demand and a duplicated job name both stop the
+        command before any simulation, each issue named."""
+        payload = json.loads(trace_file.read_text())
+        payload[0]["stages"][0]["cpu"] = -3.0
+        payload[1]["name"] = payload[0]["name"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        argv = [command, str(bad), "--machines", "4"]
+        if command == "trace":
+            argv += ["-o", str(tmp_path / "obs")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value.code)
+        assert "negative cpu" in message
+        assert f"duplicate job name {payload[0]['name']!r}" in message
+        assert "mean JCT" not in capsys.readouterr().out
+
 
 class TestCompare:
     def test_compare_prints_improvements(self, trace_file, capsys):
@@ -257,6 +280,7 @@ class TestJsonOutputs:
         payload = json.loads(out.read_text())
         assert set(payload["summaries"]) == {"tetris", "slot-fair"}
         assert "jct_percent" in payload["improvement_over_baseline"]["tetris"]
+        assert "fidelity" not in payload
 
 
 class TestParser:
@@ -275,7 +299,7 @@ class TestParser:
         """Measured slower and removed: see docs/performance.md."""
         from repro.experiments import ExperimentConfig
 
-        for command in (["run", "t.json"], ["serve"]):
+        for command in (["run", "t.json"], ["serve", "t.json"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(command + ["--shards", "2"])
             assert "unrecognized arguments: --shards" in capsys.readouterr().err
@@ -315,6 +339,24 @@ class TestParser:
         root = Path(__file__).resolve().parents[1]
         assert not (root / "benchmarks" / "baselines").exists()
         assert not (root / ".bench-history").exists()
+
+
+    def test_unrun_options_stay_deleted(self, capsys):
+        """Options no entry point passed, removed: ``compare
+        --fidelity`` and the serve daemon's generator mode (``repro
+        generate`` writes the traces ``serve`` replays)."""
+        for argv, flag in (
+            (["compare", "t.json", "--fidelity"], "--fidelity"),
+            (["serve", "t.json", "--jobs", "5"], "--jobs"),
+            (["serve", "t.json", "--tasks-per-job", "5"], "--tasks-per-job"),
+            (["serve", "t.json", "--interarrival", "1"], "--interarrival"),
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve"])
+        assert "required: trace" in capsys.readouterr().err
 
 
 class TestWorkers:

@@ -30,13 +30,6 @@ class TestCluster:
         cluster.machine(0).place(make_task())
         assert cluster.total_running_tasks() == 1
 
-    def test_machines_with_free(self):
-        cluster = Cluster(3)
-        big = DEFAULT_MODEL.vector(cpu=16, mem=48)
-        assert len(cluster.machines_with_free(big)) == 3
-        cluster.machine(1).place(make_task(cpu=1))
-        assert len(cluster.machines_with_free(big)) == 2
-
     def test_custom_capacity(self):
         cap = DEFAULT_MODEL.vector(cpu=4, mem=8, diskr=50, diskw=50,
                                    netin=10, netout=10)

@@ -1,0 +1,138 @@
+"""Docs guard: every code name the prose mentions resolves in this tree.
+
+Scans the inline code spans (single backticks) of ``README.md``,
+``DESIGN.md``, ``EXPERIMENTS.md`` and ``docs/*.md`` for three kinds of
+reference and checks each one against the code:
+
+- ``repro.*`` dotted names import (module, then attributes);
+- ``src/``, ``tests/``, ``benchmarks/`` and ``examples/`` paths exist
+  (a glob must match something);
+- ``repro <cmd> --flag`` names a subcommand and its options.
+
+A deleted module, file, subcommand or flag that the docs still name
+fails here instead of being found by reading.
+"""
+
+import glob
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = sorted(
+    [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
+    + list((ROOT / "docs").glob("*.md"))
+)
+
+_FENCE = re.compile(r"^```.*?^```", re.M | re.S)
+_SPAN = re.compile(r"`([^`]+)`")
+_DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+_PATH = re.compile(r"^(?:src|tests|benchmarks|examples)/[^\s:(),]*")
+_COMMAND = re.compile(r"^(?:python -m )?repro (\S.*)$")
+
+
+def _spans(path):
+    # blank fenced blocks out line for line, so line numbers stay true
+    text = _FENCE.sub(
+        lambda block: "\n" * block.group(0).count("\n"), path.read_text()
+    )
+    for match in _SPAN.finditer(text):
+        line = text.count("\n", 0, match.start()) + 1
+        yield line, " ".join(match.group(1).split())
+
+
+def _references(docs):
+    for path in docs:
+        for line, span in _spans(path):
+            where = f"{path.name}:{line}"
+            for name in _DOTTED.findall(span):
+                yield "name", where, name
+            if _PATH.match(span):
+                yield "path", where, _PATH.match(span).group(0)
+            if _COMMAND.match(span):
+                yield "command", where, "repro " + _COMMAND.match(span).group(1)
+
+
+def _resolves_name(dotted):
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def _resolves_path(ref):
+    return bool(glob.glob(str(ROOT / ref.rstrip("/"))))
+
+
+def _subparsers():
+    parser = build_parser()
+    action = next(
+        a for a in parser._actions if a.__class__.__name__ == "_SubParsersAction"
+    )
+    return action.choices
+
+
+def _resolves_command(command):
+    subparsers = _subparsers()
+    tokens = command.split()[1:]
+    # `repro run|compare|sweep` names several subcommands at once
+    names = tokens[0].split("|")
+    if not all(name in subparsers for name in names):
+        return False
+    return all(
+        token.split("=")[0] in subparsers[name]._option_string_actions
+        for name in names
+        for token in tokens[1:]
+        if token.startswith("-") and not token.lstrip("-")[:1].isdigit()
+    )
+
+
+def stale_references(docs=DOCS):
+    check = {
+        "name": _resolves_name,
+        "path": _resolves_path,
+        "command": _resolves_command,
+    }
+    return [
+        f"{where}: `{ref}`"
+        for kind, where, ref in _references(docs)
+        if not check[kind](ref)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["name", "path", "command"])
+def test_guard_finds_each_kind(kind):
+    """The scanner sees every kind of reference it claims to check."""
+    assert any(k == kind for k, _, _ in _references(DOCS))
+
+
+def test_every_reference_resolves():
+    stale = stale_references()
+    assert not stale, "stale code references in docs:\n" + "\n".join(stale)
+
+
+def test_stale_reference_is_caught(tmp_path):
+    doc = tmp_path / "stale.md"
+    doc.write_text(
+        "`repro.no_such_module`, `src/repro/no_such.py`, "
+        "`repro run --no-such-flag` and `repro nope`; fine: "
+        "`repro.cli.main`, `src/repro/cli.py:12`, `repro run --audit`.\n"
+    )
+    assert stale_references([doc]) == [
+        "stale.md:1: `repro.no_such_module`",
+        "stale.md:1: `src/repro/no_such.py`",
+        "stale.md:1: `repro run --no-such-flag`",
+        "stale.md:1: `repro nope`",
+    ]

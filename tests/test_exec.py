@@ -9,7 +9,6 @@ import pickle
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.exec import (
     ExecutionError,
@@ -20,7 +19,6 @@ from repro.exec import (
     raise_on_failure,
     resolve_workers,
     run_specs,
-    spawn_seeds,
 )
 from repro.exec.backends import get_backend
 from repro.experiments.harness import ExperimentConfig, run_trace
@@ -92,42 +90,6 @@ def _crash_on_zero(item):
 
 
 # ---------------------------------------------------------------------------
-# seeds
-# ---------------------------------------------------------------------------
-
-class TestSpawnSeeds:
-    def test_deterministic(self):
-        assert spawn_seeds(42, 4) == spawn_seeds(42, 4)
-
-    def test_distinct_children(self):
-        seeds = spawn_seeds(0, 16)
-        assert len(set(seeds)) == 16
-
-    def test_prefix_stable(self):
-        assert spawn_seeds(7, 3) == spawn_seeds(7, 8)[:3]
-
-    def test_different_bases_differ(self):
-        assert spawn_seeds(1, 4) != spawn_seeds(2, 4)
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_seeds(0, -1)
-
-    @given(
-        base=st.integers(min_value=0, max_value=2**31 - 1),
-        n=st.integers(min_value=0, max_value=24),
-        extra=st.integers(min_value=0, max_value=24),
-    )
-    @settings(deadline=None, max_examples=50)
-    def test_prefix_stable_under_growing_shard_counts(self, base, n, extra):
-        """Growing a sweep from n to n+extra siblings must never reseed
-        siblings 0..n-1: their seeds are a stable prefix."""
-        small = spawn_seeds(base, n)
-        large = spawn_seeds(base, n + extra)
-        assert large[:n] == small
-
-
-# ---------------------------------------------------------------------------
 # RunSpec
 # ---------------------------------------------------------------------------
 
@@ -165,13 +127,6 @@ class TestRunSpec:
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             build_scheduler("nope")
-
-    def test_with_seed_and_siblings(self, small_trace, config):
-        spec = RunSpec(trace=small_trace, scheduler="fifo", config=config)
-        siblings = spec.siblings(3, base_seed=9)
-        assert [s.config.seed for s in siblings] == list(spawn_seeds(9, 3))
-        # the original spec's config is untouched
-        assert spec.config.seed == config.seed
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +270,11 @@ class TestDeterminism:
             )
 
         factories = {"tetris": TetrisScheduler}
-        serial = replicate(make_trace, factories, num_seeds=2,
-                           base_seed=5, num_machines=5)
-        parallel = replicate(make_trace, factories, num_seeds=2,
-                             base_seed=5, num_machines=5, workers=2)
-        assert serial.seeds == parallel.seeds == spawn_seeds(5, 2)
+        serial = replicate(make_trace, factories, seeds=(5, 6),
+                           num_machines=5)
+        parallel = replicate(make_trace, factories, seeds=(5, 6),
+                             num_machines=5, workers=2)
+        assert serial.seeds == parallel.seeds == (5, 6)
         assert (serial.mean_jct["tetris"].values
                 == parallel.mean_jct["tetris"].values)
 

@@ -50,7 +50,6 @@ class TestRunTrace:
         cfg = ExperimentConfig(num_machines=8, track_fairness=True)
         result = run_trace(small_trace, TetrisScheduler(), cfg)
         assert result.collector.unfairness_integral
-        assert result.unfairness_by_name()
 
 
 class TestRunComparison:

@@ -33,11 +33,7 @@ class TestClusterConstruction:
         cluster = big_and_small_cluster()
         assert cluster.machine(0).capacity.get("cpu") == 32
         assert cluster.machine(3).capacity.get("cpu") == 4
-        assert not cluster.is_homogeneous
         assert cluster.total_capacity().get("cpu") == 72
-
-    def test_homogeneous_flag(self):
-        assert Cluster(3).is_homogeneous
 
 
 class TestSchedulingOnHeterogeneous:

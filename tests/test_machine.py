@@ -73,9 +73,3 @@ class TestCapacityQueries:
         machine.place(make_task(cpu=10, mem=10))
         assert machine.can_fit(DEFAULT_MODEL.vector(cpu=6))
         assert not machine.can_fit(DEFAULT_MODEL.vector(cpu=7))
-
-    def test_utilization(self, machine):
-        machine.place(make_task(cpu=8, mem=12))
-        util = machine.utilization()
-        assert util.get("cpu") == pytest.approx(0.5)
-        assert util.get("mem") == pytest.approx(0.25)

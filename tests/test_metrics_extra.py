@@ -1,13 +1,8 @@
-"""Jain's index and CSV export tests."""
-
-import csv
+"""Jain's index tests."""
 
 import pytest
 
-from repro.metrics.collector import MetricsCollector
 from repro.metrics.fairness import jains_index
-
-from conftest import make_simple_job
 
 
 class TestJainsIndex:
@@ -31,39 +26,3 @@ class TestJainsIndex:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             jains_index([-1, 2])
-
-
-class TestCsvExport:
-    def _collector_with_data(self):
-        from repro.cluster.cluster import Cluster
-        from repro.schedulers.fifo import FifoScheduler
-        from repro.sim.engine import Engine
-
-        jobs = [make_simple_job(num_tasks=2, name="j0"),
-                make_simple_job(num_tasks=2, name="j1", arrival_time=3.0)]
-        cluster = Cluster(2, machines_per_rack=2)
-        engine = Engine(cluster, FifoScheduler(), jobs)
-        return engine.run()
-
-    def test_jobs_csv(self, tmp_path):
-        collector = self._collector_with_data()
-        path = tmp_path / "jobs.csv"
-        collector.write_jobs_csv(path)
-        rows = list(csv.DictReader(path.open()))
-        assert len(rows) == 2
-        assert {r["name"] for r in rows} == {"j0", "j1"}
-        assert float(rows[0]["completion_time"]) > 0
-
-    def test_timeline_csv(self, tmp_path):
-        collector = self._collector_with_data()
-        path = tmp_path / "timeline.csv"
-        collector.write_timeline_csv(path)
-        rows = list(csv.DictReader(path.open()))
-        assert rows
-        assert "demand_cpu" in rows[0]
-        assert "throughput_cpu" in rows[0]
-
-    def test_empty_timeline_rejected(self, tmp_path):
-        collector = MetricsCollector()
-        with pytest.raises(ValueError):
-            collector.write_timeline_csv(tmp_path / "x.csv")

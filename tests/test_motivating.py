@@ -65,47 +65,14 @@ class TestPackingSchedule:
         assert overlap_rounds
 
 
-class TestFragmentedDRF:
-    def test_no_better_than_aggregated(self):
-        """The footnote's point: splitting the cluster into machines can
-        only hurt DRF (tasks must fit within one machine).  With our
-        tie-breaking the example packs losslessly, so the schedules tie;
-        the invariant that matters is 'never better'."""
-        from repro.experiments.motivating import drf_schedule_fragmented
-
-        flat = drf_schedule()
-        frag = drf_schedule_fragmented()
-        assert frag.makespan >= flat.makespan
-        for name in flat.completion:
-            assert frag.completion[name] >= 0
-        assert frag.average_completion >= flat.average_completion
-
-    def test_respects_per_machine_capacity(self):
-        from repro.experiments.motivating import drf_schedule_fragmented
-
-        example = MotivatingExample()
-        frag = drf_schedule_fragmented(example, num_machines=3)
-        # with 1/3-capacity machines, no single round may run a mix that
-        # could not be partitioned; total per round still bounded
-        for r in frag.rounds:
-            used_cores = sum(
-                r[j.name][0] * j.phases[0].demand[0]
-                + r[j.name][1] * j.phases[1].demand[0]
-                for j in example.jobs
-            )
-            assert used_cores <= example.capacity[0] + 1e-9
-
-    def test_overfragmented_cluster_is_infeasible(self):
-        """Split far enough, no machine can host a 3-core map or a
-        1 Gbps reducer at all — the runner reports infeasibility instead
-        of looping."""
-        from repro.experiments.motivating import drf_schedule_fragmented
-
-        with pytest.raises(RuntimeError, match="infeasible"):
-            drf_schedule_fragmented(num_machines=9)
-
-
 class TestResourceFeasibility:
+    @pytest.mark.parametrize("make", [drf_schedule, packing_schedule])
+    def test_oversized_task_is_infeasible(self, make):
+        """A 3-core map on a 2-core cluster never fits: the runner
+        reports infeasibility instead of looping."""
+        with pytest.raises(RuntimeError, match="infeasible"):
+            make(MotivatingExample(capacity=(2.0, 36.0, 3.0)))
+
     @pytest.mark.parametrize("make", [drf_schedule, packing_schedule])
     def test_no_round_exceeds_capacity(self, make):
         example = MotivatingExample()

@@ -12,6 +12,7 @@ Covers:
   types, metrics move, and the estimator/tracker instruments fire.
 """
 
+import collections
 import json
 
 import pytest
@@ -73,6 +74,11 @@ def _traced_run(
     return engine, sink, registry
 
 
+def _tally(sink):
+    """Buffered event counts by type."""
+    return dict(collections.Counter(e["type"] for e in sink.events()))
+
+
 # -- the registry ---------------------------------------------------------------
 class TestRegistry:
     def test_counter_monotonic(self):
@@ -88,7 +94,7 @@ class TestRegistry:
         reg = Registry()
         g = reg.gauge("depth", "doc")
         g.set(10)
-        g.dec(3)
+        g.inc(-3)
         g.inc(1)
         assert g.value == 8
 
@@ -407,14 +413,7 @@ class TestDecisionTrace:
         sink.emit("task_start", time=0.0, job="j", stage="s", task=0,
                   machine=0)
         assert len(sink.events("round")) == 1
-        assert sink.tally() == {"round": 1, "task_start": 1}
-
-    def test_write_jsonl_dumps_buffer(self, tmp_path):
-        sink = DecisionTrace()
-        sink.emit("round", time=0.0, machines=2, placements=0, queue_depth=3)
-        path = tmp_path / "dump.jsonl"
-        sink.write_jsonl(path)
-        assert json.loads(path.read_text())["queue_depth"] == 3
+        assert _tally(sink) == {"round": 1, "task_start": 1}
 
     def test_invalid_max_events(self):
         with pytest.raises(ValueError):
@@ -476,7 +475,7 @@ class TestEventValidation:
 class TestTracedRun:
     def test_tetris_emits_documented_event_types(self):
         _, sink, _ = _traced_run()
-        tally = sink.tally()
+        tally = _tally(sink)
         for etype in (
             "round", "fairness_filter", "candidate", "fit_reject",
             "placement", "task_start",
@@ -551,7 +550,7 @@ class TestTracedRun:
 
     def test_baseline_scheduler_gets_engine_events(self):
         _, sink, reg = _traced_run(scheduler=DRFScheduler())
-        tally = sink.tally()
+        tally = _tally(sink)
         assert tally.get("round", 0) > 0
         assert tally.get("task_start", 0) > 0
         assert reg.get("repro_engine_placements_total").value > 0

@@ -26,11 +26,14 @@ from repro.serve import (
     SchedulerService,
     ServeConfig,
     StagingError,
-    SyntheticSource,
     TraceReplaySource,
     verify_free_vectors,
 )
+from repro.resources import DEFAULT_MODEL
 from repro.sim.engine import Engine, EngineConfig
+from repro.workload.job import Job
+from repro.workload.stage import Stage
+from repro.workload.task import Task, TaskWork
 from repro.workload.trace import materialize_trace
 from repro.workload.tracegen import WorkloadSuiteConfig, generate_workload_suite
 
@@ -44,6 +47,27 @@ def _trace(num_jobs=10, seed=3, horizon=150.0):
             seed=seed,
         )
     )
+
+
+def _stream(num_jobs, tasks_per_job=10, interarrival=1.0):
+    """Replay ``num_jobs`` single-stage compute jobs, one every
+    ``interarrival`` simulated seconds (no inputs, so building one
+    touches no cluster state)."""
+    jobs = [
+        Job(
+            [Stage("work", [
+                Task(
+                    DEFAULT_MODEL.vector(cpu=2.0, mem=4.0),
+                    TaskWork(cpu_core_seconds=6.0),
+                )
+                for _ in range(tasks_per_job)
+            ])],
+            arrival_time=index * interarrival,
+            name=f"gen-{index}",
+        )
+        for index in range(num_jobs)
+    ]
+    return TraceReplaySource(jobs)
 
 
 def _build(trace, num_machines=6, seed=3, use_tracker=False):
@@ -164,7 +188,7 @@ class TestAdmission:
             ctl = AdmissionController(
                 AdmissionConfig(queue_cap=2, policy="reject")
             )
-            src = SyntheticSource(num_jobs=5)
+            src = _stream(5)
             arrivals = [a async for a in src.arrivals()]
             outcomes = [await ctl.offer(a) for a in arrivals]
             return ctl, outcomes
@@ -184,7 +208,7 @@ class TestAdmission:
                 AdmissionConfig(rate=1.0, burst=2.0, queue_cap=100),
                 clock=lambda: clock[0],
             )
-            src = SyntheticSource(num_jobs=4)
+            src = _stream(4)
             arrivals = [a async for a in src.arrivals()]
             burst = [await ctl.offer(a) for a in arrivals[:3]]
             clock[0] = 1.0  # one token refilled
@@ -200,7 +224,7 @@ class TestAdmission:
         async def scenario():
             ctl = AdmissionController()
             await ctl.close()
-            src = SyntheticSource(num_jobs=1)
+            src = _stream(1)
             arrivals = [a async for a in src.arrivals()]
             return ctl, await ctl.offer(arrivals[0])
 
@@ -216,7 +240,7 @@ class TestAdmission:
         # a queue of 1 with an eager producer forces queue-full rejects
         service = SchedulerService(
             engine,
-            SyntheticSource(num_jobs=30, tasks_per_job=3),
+            _stream(30, tasks_per_job=3),
             AdmissionController(AdmissionConfig(queue_cap=1)),
             ServeConfig(max_batch=1),
         )
@@ -255,14 +279,14 @@ class TestShutdown:
         admission = AdmissionController(AdmissionConfig(queue_cap=100))
         service = SchedulerService(
             engine,
-            SyntheticSource(num_jobs=0),
+            _stream(0),
             admission,
             ServeConfig(),
         )
 
         async def scenario():
             # arrivals already admitted (in flight) when shutdown lands
-            src = SyntheticSource(num_jobs=4, tasks_per_job=2)
+            src = _stream(4, tasks_per_job=2)
             async for arrival in src.arrivals():
                 assert await admission.offer(arrival)
             service.request_shutdown("test")
@@ -284,7 +308,7 @@ class TestShutdown:
 
         class ShutdownMidway(JobSource):
             async def arrivals(self):
-                src = SyntheticSource(num_jobs=10, tasks_per_job=2)
+                src = _stream(10, tasks_per_job=2)
                 count = 0
                 async for arrival in src.arrivals():
                     yield arrival
@@ -308,9 +332,7 @@ class TestShutdown:
     def test_out_of_order_batch_aborts_without_commit(self):
         class OutOfOrder(JobSource):
             async def arrivals(self):
-                src = SyntheticSource(
-                    num_jobs=2, interarrival=10.0, start_time=0.0
-                )
+                src = _stream(2, interarrival=10.0)
                 jobs = [a async for a in src.arrivals()]
                 yield jobs[1]  # t=10 first
                 yield jobs[0]  # then t=0: violates the ordering contract
@@ -334,7 +356,7 @@ class TestShutdown:
     def test_mismatched_arrival_record_aborts(self):
         class Mismatched(JobSource):
             async def arrivals(self):
-                src = SyntheticSource(num_jobs=1)
+                src = _stream(1)
                 async for arrival in src.arrivals():
                     yield Arrival(arrival.job, arrival.time + 5.0)
 
@@ -358,7 +380,7 @@ class TestShutdown:
         engine.start()
 
         async def scenario():
-            src = SyntheticSource(num_jobs=2, interarrival=50.0)
+            src = _stream(2, interarrival=50.0)
             return [a async for a in src.arrivals()]
 
         first, second = asyncio.run(scenario())
@@ -467,7 +489,7 @@ class TestEngineStepping:
 
     def test_exclusive_limit_stops_before_boundary(self):
         async def scenario():
-            src = SyntheticSource(num_jobs=3, interarrival=10.0)
+            src = _stream(3, interarrival=10.0)
             return [a async for a in src.arrivals()]
 
         arrivals = asyncio.run(scenario())

@@ -2,13 +2,20 @@
 
 import pytest
 
-from repro.resources import DEFAULT_MODEL
+from repro.cluster.cluster import Cluster
+from repro.schedulers.tetris import TetrisConfig, TetrisScheduler
 from repro.workload.dag import StageDag
 from repro.workload.job import Job, JobState
 from repro.workload.stage import Stage
 from repro.workload.task import TaskState
 
 from conftest import make_simple_job, make_task, make_two_stage_job
+
+
+def _tetris(config):
+    scheduler = TetrisScheduler(config)
+    scheduler.bind(Cluster(2, machines_per_rack=2))
+    return scheduler
 
 
 def finish(task, machine=0, t0=0.0, t1=1.0):
@@ -42,12 +49,6 @@ class TestStage:
         assert child.release_if_ready()
         assert child.tasks[0].state is TaskState.RUNNABLE
 
-    def test_first_unfinished_tasks(self):
-        stage = Stage("s", [make_task() for _ in range(3)])
-        finish(stage.tasks[0])
-        remaining = stage.first_unfinished_tasks(5)
-        assert len(remaining) == 2
-
     def test_empty_stage_is_finished(self):
         assert Stage("s", []).is_finished()
         assert Stage("s", []).finished_fraction == 1.0
@@ -58,8 +59,9 @@ class TestStageDag:
         a = Stage("a", [make_task()])
         b = Stage("b", [make_task()], parents=[a])
         c = Stage("c", [make_task()], parents=[b])
-        dag = StageDag([c, a, b])
-        assert [s.name for s in dag.topological_order()] == ["a", "b", "c"]
+        # depth walks the topological order; listed out of order, the
+        # chain still resolves parent-first
+        assert StageDag([c, a, b]).depth() == 3
 
     def test_roots_and_leaves(self):
         a = Stage("a", [make_task()])
@@ -223,29 +225,27 @@ class TestJob:
         assert len(job.runnable_tasks()) == 2
 
     def test_remaining_work_score_decreases(self):
+        """Tetris's SRTF score p (§3.3.1) drops as the job's tasks finish."""
+        scheduler = _tetris(TetrisConfig(fairness_knob=0.0))
         job = make_simple_job(num_tasks=3, cpu=2, cpu_work=20)
-        cap = DEFAULT_MODEL.vector(cpu=16, mem=48, diskr=200, diskw=200,
-                                   netin=125, netout=125)
-        before = job.remaining_work_score(cap)
-        finish(job.all_tasks()[0])
-        after = job.remaining_work_score(cap)
+        job.arrive()
+        scheduler.on_job_arrival(job, 0.0)
+        before = scheduler._remaining_work(job, 0.0)
+        task = job.all_tasks()[0]
+        finish(task)
+        job.note_task_finished()
+        scheduler.on_task_finished(task, 1.0)
+        after = scheduler._remaining_work(job, 1.0)
         assert 0 < after < before
 
-    def test_barrier_tasks_requires_threshold(self):
-        job = make_simple_job(num_tasks=4)
-        assert job.barrier_tasks(0.5) == []
-        for task in job.all_tasks()[:2]:
-            finish(task)
-        eligible = job.barrier_tasks(0.5)
-        assert len(eligible) == 2
-
-    def test_barrier_tasks_validates_knob(self):
-        with pytest.raises(ValueError):
-            make_simple_job().barrier_tasks(1.0)
-
     def test_barrier_tasks_skips_unreleased_stages(self):
+        """Tetris's barrier set (§3.5) never holds an unreleased stage."""
+        scheduler = _tetris(TetrisConfig(fairness_knob=0.0, barrier_knob=0.5))
         job = make_two_stage_job(num_map=2, num_reduce=2)
+        job.arrive()
+        scheduler.on_job_arrival(job, 0.0)
+        map_stage, reduce_stage = job.dag.stages
         # reduce stage not released: never eligible, map stage at 50%
-        finish(job.dag.roots()[0].tasks[0])
-        eligible = job.barrier_tasks(0.5)
-        assert all(t.stage.name == "map" for t in eligible)
+        finish(map_stage.tasks[0])
+        assert scheduler._barrier_stages([job]) == {map_stage.stage_id}
+        assert not reduce_stage.is_released()

@@ -78,7 +78,7 @@ class TestJobIndexing:
         job = make_two_stage_job(num_map=2, num_reduce=2)
         index = StageIndex()
         index.add_job(job)
-        map_stage, reduce_stage = job.dag.topological_order()
+        map_stage, reduce_stage = job.dag.stages
         assert index.has_candidates(map_stage)
         assert not index.has_candidates(reduce_stage)
 

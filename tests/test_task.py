@@ -106,10 +106,3 @@ class TestNominalDuration:
     def test_empty_task_zero_duration(self):
         task = Task(DEFAULT_MODEL.vector(cpu=1), TaskWork())
         assert task.nominal_duration() == 0.0
-
-
-class TestTaskWork:
-    def test_scaled(self):
-        work = TaskWork(10.0, 4.0).scaled(2.0)
-        assert work.cpu_core_seconds == 20.0
-        assert work.write_mb == 8.0

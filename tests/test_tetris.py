@@ -39,6 +39,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("fairness_knob", 1.0),
         ("fairness_knob", -0.1),
+        ("barrier_knob", 1.0),
         ("barrier_knob", 1.5),
         ("remote_penalty", 1.5),
         ("srtf_multiplier", -1),
@@ -280,12 +281,6 @@ class TestConsideredDims:
         cluster, placements = schedule_once(scheduler, [job],
                                             num_machines=1)
         assert len(placements) == 10  # full-dim Tetris would stop at 2
-
-    def test_with_config_builder(self):
-        scheduler = TetrisScheduler()
-        other = scheduler.with_config(fairness_knob=0.5)
-        assert other.config.fairness_knob == 0.5
-        assert scheduler.config.fairness_knob == 0.25
 
 
 class TestEndToEnd:

@@ -669,7 +669,7 @@ class TestProfilerPlumbing:
             prof.stats("tetris.schedule").total
             <= prof.stats("engine.scheduler_round").total
         )
-        assert "engine.scheduler_round" in prof.summary()
+        assert "engine.scheduler_round" in prof.labels()
 
 
 class TestStageRowsInvalidation:

@@ -40,12 +40,6 @@ class TestTokenBucket:
         with pytest.raises(ValueError):
             bucket.refill(4.0)
 
-    def test_set_rate(self):
-        bucket = TokenBucket(rate=10, burst=100)
-        bucket.try_consume(100, now=0.0)
-        bucket.set_rate(50)
-        assert bucket.try_consume(50, now=1.0)
-
     @pytest.mark.parametrize("rate,burst", [(0, 10), (-1, 10), (10, 0)])
     def test_invalid_params(self, rate, burst):
         with pytest.raises(ValueError):
@@ -99,16 +93,6 @@ class TestIoGate:
         gate.request(90, now=0.0, token="big")
         assert not gate.request(1, now=0.5, token="small")
         assert gate.backlog == 2
-
-    def test_next_release_time(self):
-        gate = IoGate(TokenBucket(rate=10, burst=100))
-        gate.request(100, now=0.0)
-        gate.request(40, now=0.0)
-        assert gate.next_release_time(now=0.0) == pytest.approx(4.0)
-
-    def test_next_release_time_empty(self):
-        gate = IoGate(TokenBucket(rate=10, burst=100))
-        assert gate.next_release_time(now=0.0) is None
 
     def test_enforcement_rate_end_to_end(self):
         """Pushing far more than the allocation through the gate delivers

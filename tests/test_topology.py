@@ -24,12 +24,6 @@ class TestTopology:
         assert topo.same_rack(0, 3)
         assert not topo.same_rack(3, 4)
 
-    def test_locality_levels(self):
-        topo = Topology(8, machines_per_rack=4)
-        assert topo.locality_level(1, [1, 5]) == "node"
-        assert topo.locality_level(2, [1, 5]) == "rack"
-        assert topo.locality_level(7, [1, 2]) == "off-rack"
-
     def test_single_machine(self):
         topo = Topology(1)
         assert topo.num_racks == 1

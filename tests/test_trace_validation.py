@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.workload.trace import TraceJob, TraceStage, validate_trace
+from repro.workload.trace import (
+    TraceJob,
+    TraceStage,
+    load_trace,
+    save_trace,
+    validate_trace,
+)
 from repro.workload.tracegen import (
     BingTraceConfig,
     FacebookTraceConfig,
@@ -70,6 +76,20 @@ class TestValidate:
         job = ok_job()
         job.stages[1].shuffle_fanin = 0
         assert any("shuffle_fanin" in i for i in validate_trace([job]))
+
+
+class TestLoadValidates:
+    def test_load_raises_listing_every_issue(self, tmp_path):
+        first, second = ok_job("a"), ok_job("a")
+        first.stages[0].cpu = -3.0
+        path = tmp_path / "bad.json"
+        save_trace([first, second], path)
+        with pytest.raises(ValueError) as exc:
+            load_trace(path)
+        message = str(exc.value)
+        assert "2 issue(s)" in message
+        assert "duplicate job name 'a'" in message
+        assert "negative cpu" in message
 
 
 class TestGeneratorsProduceValidTraces:

@@ -53,9 +53,6 @@ class DemandEstimator(abc.ABC):
     def record_completion(self, task: Task) -> None:
         """Feed back a finished task's observed demands (optional)."""
 
-    def use_metrics(self, registry: "Registry") -> None:
-        """Attach a metrics registry (optional; default does nothing)."""
-
 
 class OracleEstimator(DemandEstimator):
     """Perfect knowledge of task demands."""
@@ -122,15 +119,19 @@ class ProfilingEstimator(DemandEstimator):
         self.overestimate_factor = overestimate_factor
         self.min_peer_samples = min_peer_samples
         self._peer_stats: Dict[int, TemplateHistory] = {}
-        #: per-source estimate counter (history/peers/fallback), set by
-        #: use_metrics; None keeps the hot path unchanged
-        self._m_estimates = None
+        #: estimates served by pipeline stage
+        self.estimates: Dict[str, int] = {
+            "history": 0, "peers": 0, "fallback": 0,
+        }
 
-    def use_metrics(self, registry: "Registry") -> None:
-        self._m_estimates = registry.counter(
+    def declare_metrics(self, registry: "Registry") -> None:
+        estimates = self.estimates
+        registry.counter(
             "repro_estimator_estimates_total",
             "Demand estimates served, by pipeline stage "
             "(history, peers, or the over-estimation fallback)",
+            # a stage that never served an estimate has no sample
+            lambda: {k: n for k, n in estimates.items() if n},
             labelnames=("source",),
         )
 
@@ -159,16 +160,13 @@ class ProfilingEstimator(DemandEstimator):
         ):
             mean = self.history.mean(template, stage_name)
             if mean is not None:
-                if self._m_estimates is not None:
-                    self._m_estimates.labels(source="history").inc()
+                self.estimates["history"] += 1
                 return mean
         peer = self._peer_mean(task)
         if peer is not None:
-            if self._m_estimates is not None:
-                self._m_estimates.labels(source="peers").inc()
+            self.estimates["peers"] += 1
             return peer
-        if self._m_estimates is not None:
-            self._m_estimates.labels(source="fallback").inc()
+        self.estimates["fallback"] += 1
         if self.default_guess is not None:
             return self.default_guess * self.overestimate_factor
         return task.demands * self.overestimate_factor

@@ -71,19 +71,19 @@ class ResourceTracker:
         self._any_dirty = True
         self._alloc_gen = state.alloc_gen
         self._rigid_seen = state.allocated[:, self._rigid_dims]
-        #: optional metrics (set by use_metrics); None costs nothing
-        self._m_reports = None
-        self._m_tracked = None
+        #: report rounds run
+        self.reports = 0
 
-    def use_metrics(self, registry: "Registry") -> None:
-        """Register this tracker's metrics in ``registry``."""
-        self._m_reports = registry.counter(
+    def declare_metrics(self, registry: "Registry") -> None:
+        registry.counter(
             "repro_tracker_reports_total",
             "Cluster-wide tracker report rounds",
+            lambda: self.reports,
         )
-        self._m_tracked = registry.gauge(
+        registry.gauge(
             "repro_tracker_tracked_placements",
             "Live placements the tracker holds ramp-up state for",
+            lambda: len(self._placements),
         )
 
     # -- engine callbacks -----------------------------------------------------
@@ -119,9 +119,7 @@ class ResourceTracker:
         so the per-machine objects see the report with no rebinding.
         """
         self.last_report_time = time
-        if self._m_reports is not None:
-            self._m_reports.inc()
-            self._m_tracked.set(len(self._placements))
+        self.reports += 1
         throughput = flows.slot_throughput()
         fluid_names = flows.fluid_dim_names()
         model = self.cluster.model

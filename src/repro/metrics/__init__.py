@@ -6,7 +6,7 @@ of it as "the metrics" find it in the natural place.
 """
 
 from repro.metrics.collector import MetricsCollector, TimelinePoint
-from repro.obs.registry import Counter, Gauge, Histogram, Registry
+from repro.obs.registry import Histogram, Registry
 from repro.metrics.fairness import (
     job_slowdowns,
     relative_integral_unfairness_summary,
@@ -21,8 +21,6 @@ from repro.metrics.comparison import (
 __all__ = [
     "MetricsCollector",
     "TimelinePoint",
-    "Counter",
-    "Gauge",
     "Histogram",
     "Registry",
     "job_slowdowns",

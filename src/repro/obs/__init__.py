@@ -1,14 +1,16 @@
 """Observability: decision tracing, metrics registry, timeline export.
 
-Three coordinated pieces, all dependency-free and opt-in:
+Five coordinated pieces, all dependency-free and opt-in:
 
 - :mod:`repro.obs.trace` — :class:`DecisionTrace`, a structured sink the
   engine and the schedulers emit per-round decision events into (who was
   a candidate, who was rejected and why, who won), with bounded memory
   and an optional streaming JSONL file;
 - :mod:`repro.obs.registry` — a Prometheus-style :class:`Registry` of
-  :class:`Counter` / :class:`Gauge` / :class:`Histogram` metrics with a
-  text exposition format;
+  counter / gauge / histogram families with a text exposition format.
+  Each family is a *reader* declared next to the state it reports: the
+  registry calls it at scrape time, so a run pushes nothing and a
+  gauge always shows its source's current value;
 - :mod:`repro.obs.timeline` — serialize a finished run (task lifetimes
   per machine, scheduler rounds, shuffle-flow windows) to Chrome
   trace-event JSON loadable in Perfetto;
@@ -32,8 +34,6 @@ from repro.obs.explain import (
 )
 from repro.obs.http import TelemetryServer
 from repro.obs.registry import (
-    Counter,
-    Gauge,
     Histogram,
     LATENCY_BUCKETS,
     Registry,
@@ -50,8 +50,6 @@ from repro.obs.trace import (
 from repro.obs.timeline import chrome_trace_events, write_chrome_trace
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",
     "Registry",

@@ -133,15 +133,7 @@ class TelemetryServer:
     def render_metrics(self) -> str:
         if self.registry is None:
             return ""
-        # label children may be created concurrently by the serving
-        # loop; re-render on the (rare) mid-iteration mutation instead
-        # of locking the hot path
-        for _ in range(3):
-            try:
-                return self.registry.render()
-            except RuntimeError:  # pragma: no cover - needs a data race
-                continue
-        return self.registry.render()  # pragma: no cover
+        return self.registry.render()
 
     def trace_events(self, n: int) -> Dict[str, object]:
         trace = self.trace

@@ -1,23 +1,30 @@
-"""A dependency-free Prometheus-style metrics registry.
+"""A dependency-free Prometheus-style metrics registry of *readers*.
 
-Three metric types, the exposition subset this project needs:
+A metric family is declared once, next to the plain state it reports,
+with a ``read`` callable the registry calls at scrape time —
+:meth:`Registry.render` and :meth:`Registry.snapshot` pull every value
+from its one store, and nothing is pushed while a run is in flight (the
+way an OS keeps counters a tracker reads when it reports).  Three
+types, the exposition subset this project needs:
 
-- :class:`Counter` — monotonically increasing (rounds, placements,
-  cache hits);
-- :class:`Gauge` — goes up and down (ledger size, event-queue depth);
-- :class:`Histogram` — cumulative buckets plus ``_sum`` / ``_count``
-  (placements per round, round latencies).
+- ``counter`` — monotonically increasing (rounds, placements, cache
+  invalidations): ``read()`` returns the current count;
+- ``gauge`` — goes up and down (ledger size, event-queue depth):
+  ``read()`` returns the source's current value;
+- ``histogram`` — ``read()`` returns a :class:`Histogram` (cumulative
+  buckets plus ``_sum`` / ``_count``).
 
-Metrics are created through :class:`Registry` and support optional
-labels::
+A labeled family's ``read()`` returns ``{label value: value}`` (a tuple
+of values when there are several label names)::
 
+    queue = []                            # the component's own state
+    evictions = {"full": 0, "shuffle": 0}
     reg = Registry()
-    hits = reg.counter("repro_cache_hits_total", "Packing-cache hits")
-    hits.inc()
-    evictions = reg.counter(
-        "repro_cache_evictions_total", "Evictions", labelnames=("scope",)
+    reg.gauge("repro_queue_depth", "Queued items", lambda: len(queue))
+    reg.counter(
+        "repro_evictions_total", "Evictions by scope",
+        lambda: dict(evictions), labelnames=("scope",),
     )
-    evictions.labels(scope="full").inc()
     print(reg.render())
 
 ``render()`` emits the Prometheus text exposition format (``# HELP`` /
@@ -30,11 +37,9 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "Registry",
     "RollingWindow",
@@ -113,35 +118,6 @@ def _format_labels(
     if extra:
         parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
-
-
-class Counter:
-    """A monotonically increasing value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up: {amount}")
-        self.value += amount
-
-
-class Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
 
 
 class Histogram:
@@ -239,42 +215,40 @@ class RollingWindow:
     the right bias for a liveness surface).
 
     Timestamps must be nondecreasing (they come from one monotonic
-    clock).  Not thread-safe; writers own it, readers get plain floats
-    via the gauges it feeds.
+    clock).  One writer (:meth:`add`) and any number of reader threads:
+    only the writer evicts, and a read takes one C-level copy of the
+    deque (``tuple(...)``, atomic under the GIL) and filters it, so a
+    scrape never mutates the window nor iterates it while it moves.
     """
 
-    __slots__ = ("window", "_samples", "_total", "_t0")
+    __slots__ = ("window", "_samples", "_t0")
 
     def __init__(self, window: float = 60.0, max_samples: int = 8192) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
         self.window = float(window)
         self._samples: deque = deque(maxlen=max_samples)
-        self._total = 0.0
         self._t0: Optional[float] = None
 
     def add(self, t: float, value: float = 1.0) -> None:
         if self._t0 is None:
             self._t0 = t
-        if len(self._samples) == self._samples.maxlen:
-            self._total -= self._samples[0][1]
-        self._samples.append((t, value))
-        self._total += value
-        self._evict(t)
-
-    def _evict(self, now: float) -> None:
-        floor = now - self.window
         samples = self._samples
-        while samples and samples[0][0] < floor:
-            self._total -= samples.popleft()[1]
+        samples.append((t, value))
+        floor = t - self.window
+        while samples[0][0] < floor:
+            samples.popleft()
+
+    def _retained(self, now: float) -> List[float]:
+        """The values inside the window at ``now``."""
+        floor = now - self.window
+        return [v for t, v in tuple(self._samples) if t >= floor]
 
     def count(self, now: float) -> int:
-        self._evict(now)
-        return len(self._samples)
+        return len(self._retained(now))
 
     def total(self, now: float) -> float:
-        self._evict(now)
-        return self._total
+        return sum(self._retained(now))
 
     def rate(self, now: float) -> float:
         """Summed values per second over the window.  Before a full
@@ -292,10 +266,9 @@ class RollingWindow:
         empty) — the window is small enough to sort on demand."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        self._evict(now)
-        if not self._samples:
+        values = sorted(self._retained(now))
+        if not values:
             return math.nan
-        values = sorted(v for _, v in self._samples)
         rank = q * (len(values) - 1)
         lo = int(rank)
         hi = min(lo + 1, len(values) - 1)
@@ -305,24 +278,23 @@ class RollingWindow:
         return len(self._samples)
 
 
-_TYPES = {Counter: "counter", Gauge: "gauge", Histogram: "histogram"}
+#: what a family's ``read()`` returns: a number, a ``Histogram``, or a
+#: ``{label value(s): number or Histogram}`` map for a labeled family
+Reader = Callable[[], object]
 
 
 class MetricFamily:
-    """One named metric and its per-label-value children.
+    """One named metric: its schema and the callable that reads it."""
 
-    An unlabeled family delegates ``inc``/``set``/``dec``/``observe`` to
-    its single implicit child, so ``reg.counter("x", "...").inc()`` works
-    without a ``labels()`` round-trip.
-    """
+    __slots__ = ("name", "type", "documentation", "labelnames", "read")
 
     def __init__(
         self,
         name: str,
+        type: str,
         documentation: str,
-        cls: type,
+        read: Reader,
         labelnames: Sequence[str] = (),
-        buckets: Optional[Sequence[float]] = None,
     ) -> None:
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name: {name!r}")
@@ -330,118 +302,84 @@ class MetricFamily:
             if not _LABEL_RE.match(label):
                 raise ValueError(f"invalid label name: {label!r}")
         self.name = name
+        self.type = type
         self.documentation = documentation
-        self.cls = cls
+        self.read = read
         self.labelnames = tuple(labelnames)
-        self._buckets = buckets
-        self._children: Dict[Tuple[str, ...], object] = {}
+
+    def samples(self) -> List[Tuple[Tuple[str, ...], object]]:
+        """``(label values, value)`` pairs read now, sorted by labels."""
+        value = self.read()
         if not self.labelnames:
-            self._children[()] = self._make_child()
-
-    @property
-    def type(self) -> str:
-        return _TYPES[self.cls]
-
-    def _make_child(self):
-        if self.cls is Histogram:
-            return Histogram(
-                self._buckets if self._buckets is not None else DEFAULT_BUCKETS
-            )
-        return self.cls()
-
-    def labels(self, **labelvalues: str):
-        if set(labelvalues) != set(self.labelnames):
-            raise ValueError(
-                f"metric {self.name} takes labels {self.labelnames}, "
-                f"got {sorted(labelvalues)}"
-            )
-        key = tuple(str(labelvalues[n]) for n in self.labelnames)
-        child = self._children.get(key)
-        if child is None:
-            child = self._children[key] = self._make_child()
-        return child
-
-    def children(self) -> Iterable[Tuple[Tuple[str, ...], object]]:
-        return sorted(self._children.items())
-
-    # -- unlabeled convenience --------------------------------------------------
-    def _solo(self):
-        if self.labelnames:
-            raise ValueError(
-                f"metric {self.name} is labeled; call .labels(...) first"
-            )
-        return self._children[()]
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._solo().inc(amount)
-
-    def set(self, value: float) -> None:
-        self._solo().set(value)
-
-    def observe(self, value: float) -> None:
-        self._solo().observe(value)
-
-    @property
-    def value(self) -> float:
-        return self._solo().value
-
-    @property
-    def count(self) -> int:
-        return self._solo().count
-
-    @property
-    def sum(self) -> float:
-        return self._solo().sum
+            return [((), value)]
+        out = []
+        for key, child in value.items():
+            key = key if isinstance(key, tuple) else (key,)
+            if len(key) != len(self.labelnames):
+                raise ValueError(
+                    f"metric {self.name} takes labels {self.labelnames}, "
+                    f"read {key}"
+                )
+            out.append((tuple(str(k) for k in key), child))
+        return sorted(out, key=lambda kv: kv[0])
 
 
 class Registry:
     """Holds metric families; renders the text exposition format.
 
-    Registering the same (name, type) twice returns the existing family,
-    so components re-wired across runs share their metrics instead of
-    erroring; a name re-registered as a *different* type raises.
+    Declaring a name again with the same type rebinds it to the new
+    reader (a component re-wired onto the registry reports its own
+    state); a name declared again as a *different* type raises.
     """
 
     def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
 
-    def _register(
+    def _declare(
         self,
         name: str,
+        type: str,
         documentation: str,
-        cls: type,
+        read: Reader,
         labelnames: Sequence[str],
-        buckets: Optional[Sequence[float]] = None,
     ) -> MetricFamily:
         existing = self._families.get(name)
-        if existing is not None:
-            if existing.cls is not cls:
-                raise ValueError(
-                    f"metric {name!r} already registered as {existing.type}"
-                )
-            return existing
-        family = MetricFamily(name, documentation, cls, labelnames, buckets)
+        if existing is not None and existing.type != type:
+            raise ValueError(
+                f"metric {name!r} already registered as {existing.type}"
+            )
+        family = MetricFamily(name, type, documentation, read, labelnames)
         self._families[name] = family
         return family
 
     def counter(
-        self, name: str, documentation: str = "", labelnames: Sequence[str] = ()
+        self,
+        name: str,
+        documentation: str,
+        read: Reader,
+        labelnames: Sequence[str] = (),
     ) -> MetricFamily:
-        return self._register(name, documentation, Counter, labelnames)
+        return self._declare(name, "counter", documentation, read, labelnames)
 
     def gauge(
-        self, name: str, documentation: str = "", labelnames: Sequence[str] = ()
+        self,
+        name: str,
+        documentation: str,
+        read: Reader,
+        labelnames: Sequence[str] = (),
     ) -> MetricFamily:
-        return self._register(name, documentation, Gauge, labelnames)
+        return self._declare(name, "gauge", documentation, read, labelnames)
 
     def histogram(
         self,
         name: str,
-        documentation: str = "",
+        documentation: str,
+        read: Reader,
         labelnames: Sequence[str] = (),
-        buckets: Optional[Sequence[float]] = None,
     ) -> MetricFamily:
-        return self._register(name, documentation, Histogram, labelnames, buckets)
+        return self._declare(
+            name, "histogram", documentation, read, labelnames
+        )
 
     def get(self, name: str) -> Optional[MetricFamily]:
         return self._families.get(name)
@@ -466,15 +404,15 @@ class Registry:
         for name in self.names():
             family = self._families[name]
             values: Dict[str, object] = {}
-            for labelvalues, child in family.children():
+            for labelvalues, child in family.samples():
                 key = ",".join(
                     f"{n}={v}"
                     for n, v in zip(family.labelnames, labelvalues)
                 )
-                if family.cls is Histogram:
+                if family.type == "histogram":
                     values[key] = child.as_dict()
                 else:
-                    values[key] = child.value
+                    values[key] = float(child)
             out[name] = {
                 "type": family.type,
                 "help": family.documentation,
@@ -492,26 +430,22 @@ class Registry:
                     f"# HELP {name} {_escape_help(family.documentation)}"
                 )
             lines.append(f"# TYPE {name} {family.type}")
-            for labelvalues, child in family.children():
-                if family.cls is Histogram:
-                    cumulative = child.cumulative_counts()
-                    for bound, count in zip(child.buckets, cumulative):
-                        le = _format_labels(
-                            family.labelnames,
-                            labelvalues,
-                            extra=f'le="{_format_value(bound)}"',
-                        )
-                        lines.append(f"{name}_bucket{le} {count}")
-                    labels = _format_labels(family.labelnames, labelvalues)
-                    lines.append(
-                        f"{name}_sum{labels} {_format_value(child.sum)}"
+            for labelvalues, child in family.samples():
+                labels = _format_labels(family.labelnames, labelvalues)
+                if family.type != "histogram":
+                    lines.append(f"{name}{labels} {_format_value(child)}")
+                    continue
+                for bound, count in zip(
+                    child.buckets, child.cumulative_counts()
+                ):
+                    le = _format_labels(
+                        family.labelnames,
+                        labelvalues,
+                        extra=f'le="{_format_value(bound)}"',
                     )
-                    lines.append(f"{name}_count{labels} {child.count}")
-                else:
-                    labels = _format_labels(family.labelnames, labelvalues)
-                    lines.append(
-                        f"{name}{labels} {_format_value(child.value)}"
-                    )
+                    lines.append(f"{name}_bucket{le} {count}")
+                lines.append(f"{name}_sum{labels} {_format_value(child.sum)}")
+                lines.append(f"{name}_count{labels} {child.count}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def __repr__(self) -> str:

@@ -152,6 +152,8 @@ class Profiler:
         return self._stats.get(label, PhaseStats())
 
     def labels(self) -> List[str]:
+        """Recorded labels, sorted.  ``sorted`` copies the keys in one
+        C-level pass, so a reader thread never sees the dict move."""
         return sorted(self._stats)
 
     def self_total(self, label: str) -> float:

@@ -31,7 +31,6 @@ from repro.workload.task import Task
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
     from repro.estimation.tracker import ResourceTracker
-    from repro.obs.registry import Registry
     from repro.obs.trace import DecisionTrace
 
 __all__ = ["Placement", "Scheduler", "adjust_for_placement"]
@@ -99,25 +98,6 @@ class Scheduler(abc.ABC):
         #: optional decision-event sink (repro.obs.trace.DecisionTrace);
         #: like the profiler, None means tracing costs nothing
         self.trace: Optional["DecisionTrace"] = None
-
-    # -- observability -----------------------------------------------------------
-    def use_observability(
-        self,
-        trace: Optional["DecisionTrace"] = None,
-        metrics: Optional["Registry"] = None,
-    ) -> None:
-        """Attach a decision-trace sink and/or a metrics registry.
-
-        The engine calls this for every scheduler; subclasses register
-        their own metrics by overriding :meth:`_register_metrics`.
-        """
-        if trace is not None:
-            self.trace = trace
-        if metrics is not None:
-            self._register_metrics(metrics)
-
-    def _register_metrics(self, registry: "Registry") -> None:
-        """Hook for subclasses to create their metric instruments."""
 
     # -- wiring -------------------------------------------------------------
     def bind(

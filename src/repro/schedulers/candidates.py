@@ -35,13 +35,19 @@ never hold a candidate again.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING,
+)
 
 import numpy as np
 
 from repro.resources import EPSILON, ResourceVector
 from repro.workload.stage import Stage
 from repro.workload.task import Task
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.registry import Registry
 
 __all__ = [
     "CandidateIndex", "PlaceabilityPlane", "RoundTable", "StageRows",
@@ -109,8 +115,8 @@ class CandidateIndex:
         self.remote = np.zeros((0, 2, 0), dtype=bool)
         self.active = np.zeros((0, 2, 0), dtype=bool)
         self.stale = np.zeros((0, 2, 0), dtype=bool)
-        #: plain-int counter, always maintained
-        self.stats: Dict[str, int] = {"invalidations": 0}
+        #: row invalidations by scope, always maintained
+        self.invalidations: Dict[str, int] = {"full": 0, "shuffle": 0}
         self._estimate: Optional[Callable[[Task], ResourceVector]] = None
         self._stage_index = None
         self._cluster = None
@@ -120,7 +126,6 @@ class CandidateIndex:
         #: capacity classes (byte-equal capacity vectors): member lists,
         #: and the index each class writes its shared rep row through
         self._classes: List[Tuple[List[int], object]] = []
-        self._m_invalidations = None
 
     def bind(
         self,
@@ -160,9 +165,16 @@ class CandidateIndex:
             cluster.model.index[name] for name in ("netin", "diskr", "netout")
         )
 
-    def set_instruments(self, invalidations=None) -> None:
-        """Attach the labeled invalidation counter family."""
-        self._m_invalidations = invalidations
+    def declare_metrics(self, registry: "Registry") -> None:
+        invalidations = self.invalidations
+        registry.counter(
+            "repro_tetris_cache_invalidations_total",
+            "Candidate-row invalidations by scope (full flush under "
+            "unstable estimates, shuffle resolution)",
+            # a scope that never fired has no sample
+            lambda: {k: n for k, n in invalidations.items() if n},
+            labelnames=("scope",),
+        )
 
     # -- the pooled planes -----------------------------------------------------
     def _alloc(self) -> int:
@@ -189,11 +201,6 @@ class CandidateIndex:
         self._free_slots.append(rows.slot)
         return True
 
-    def _count_invalidation(self, scope: str) -> None:
-        self.stats["invalidations"] += 1
-        if self._m_invalidations is not None:
-            self._m_invalidations.labels(scope=scope).inc()
-
     # -- invalidation ----------------------------------------------------------
     def forget_task(self, task: Task) -> None:
         """A task completed under a *stable* estimator: the stage's rows
@@ -206,7 +213,7 @@ class CandidateIndex:
         """Shuffle resolution re-pinned the stage's inputs: its rows
         (booked against the old inputs) are stale."""
         if self._drop(stage.stage_id):
-            self._count_invalidation("shuffle")
+            self.invalidations["shuffle"] += 1
 
     def clear(self) -> None:
         """Unstable-estimator flush: a completion can move every peer
@@ -214,7 +221,7 @@ class CandidateIndex:
         if self._stage_rows:
             for stage_id in list(self._stage_rows):
                 self._drop(stage_id)
-            self._count_invalidation("full")
+            self.invalidations["full"] += 1
 
     # -- maintenance -----------------------------------------------------------
     def _book(self, out: np.ndarray, task: Task, machine_id: int) -> bool:

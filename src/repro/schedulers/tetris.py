@@ -113,8 +113,8 @@ class TetrisConfig:
     - ``vectorized``: use the batched packing engine (cached demand
       vectors + one numpy pass per machine round).  Placements are
       identical to the scalar path; flip off to run the scalar
-      reference oracle.  Scorers without a ``score_batch`` override
-      fall back to the scalar path automatically;
+      reference oracle.  Every scorer implements ``score_batch`` (it
+      is abstract on :class:`AlignmentScorer`);
     - ``debug_invariants``: run the remote-grant ledger invariant check
       after every grant/release (test/debug aid; off in production).
     """
@@ -193,15 +193,12 @@ class TetrisScheduler(Scheduler):
         #: if the scheduler remembers what it has already granted.
         self._remote_granted: Dict[int, float] = {}
         self._remote_by_task: Dict[int, List[Tuple[int, float]]] = {}
-        #: bumped by every ledger mutation, so remote-headroom verdicts
-        #: are validated with one integer compare
+        #: bumped by every ledger mutation, so the fill loop's in-round
+        #: remote-headroom verdicts are validated with one integer compare
         self._grant_gen = 0
-        #: memoized remote-headroom verdicts: task_id -> (plan, (alloc
-        #: generation, ledger generation), verdict).  A hit requires the
-        #: same plan content and both generations unchanged — source
-        #: free rows move only with allocations, grants only with the
-        #: ledger, so the verdict provably cannot have changed.
-        self._remote_ok_cache: Dict[int, tuple] = {}
+        #: remote-read grants charged and starved-stage reservations made
+        self.remote_grants = 0
+        self.reservations_made = 0
         #: starvation prevention: per-stage last placement time and the
         #: current machine reservations (machine_id -> Stage), both keyed
         #: by the stable ``stage_id`` (object ids can be recycled by the
@@ -219,8 +216,8 @@ class TetrisScheduler(Scheduler):
         self._mask_all = True
         self._masked_names: Tuple[str, ...] = ()
         self._use_vectorized = self.config.vectorized
-        self._i_netout: Optional[int] = None
-        self._i_diskr: Optional[int] = None
+        self._i_netout = 0
+        self._i_diskr = 0
         #: grant-independent remote-transfer plans:
         #: task_id -> machine_id -> ((locations, rate), ...)
         self._remote_plans: Dict[int, Dict[int, tuple]] = {}
@@ -239,52 +236,49 @@ class TetrisScheduler(Scheduler):
             "plane_rounds": 0,
             "plane_stage_rows": 0,
         }
-        #: optional metric instruments (set by use_observability via
-        #: _register_metrics); None keeps the hot paths branch-cheap
-        self._m_invalidations = None
-        self._m_remote_grants = None
-        self._m_ledger_size = None
-        self._m_reservations = None
-        self._m_visits = None
-        self._m_plane_rows = None
 
-    def _register_metrics(self, registry: "Registry") -> None:
-        self._m_invalidations = registry.counter(
-            "repro_tetris_cache_invalidations_total",
-            "Candidate-row invalidations by scope (full flush under "
-            "unstable estimates, shuffle resolution)",
-            labelnames=("scope",),
-        )
-        self._m_remote_grants = registry.counter(
+    def declare_metrics(self, registry: "Registry") -> None:
+        """The scheduler's families, read from its plain tallies."""
+        self.candidates.declare_metrics(registry)
+        registry.counter(
             "repro_tetris_remote_grants_total",
             "Remote-read bandwidth grants charged to source machines",
+            lambda: self.remote_grants,
         )
-        self._m_ledger_size = registry.gauge(
+        registry.gauge(
             "repro_tetris_remote_ledger_machines",
             "Machines with outstanding remote-read grants",
+            lambda: len(self._remote_granted),
         )
-        self._m_reservations = registry.counter(
+        registry.counter(
             "repro_tetris_reservations_total",
             "Machines reserved for starved stages",
+            lambda: self.reservations_made,
         )
-        visits = registry.counter(
+        registry.counter(
             "repro_tetris_machine_visits_total",
             "Machines offered to a Tetris round by outcome: skipped as "
             "provably unplaceable, filled but placed nothing (empty), "
             "or placed at least one task (productive)",
+            self._visits_by_outcome,
             labelnames=("outcome",),
         )
-        self._m_visits = tuple(
-            visits.labels(outcome=outcome)
-            for outcome in ("skipped", "empty", "productive")
-        )
-        self._m_plane_rows = registry.counter(
+        registry.counter(
             "repro_tetris_placeability_rows_total",
             "Stage rows of the round placeability plane computed or "
             "recomputed (the plane's own work, next to the visits it "
             "saved)",
+            lambda: self.visit_stats["plane_stage_rows"],
         )
-        self.candidates.set_instruments(invalidations=self._m_invalidations)
+
+    def _visits_by_outcome(self) -> Dict[str, int]:
+        stats = dict(self.visit_stats)  # one copy: a round's flush or none
+        visited = stats["machines_visited"]
+        return {
+            "skipped": stats["machines_considered"] - visited,
+            "empty": visited - stats["visits_productive"],
+            "productive": stats["visits_productive"],
+        }
 
     # -- wiring -----------------------------------------------------------------
     def bind(self, cluster, estimator=None, tracker=None) -> None:
@@ -299,10 +293,10 @@ class TetrisScheduler(Scheduler):
             for name, on in zip(cluster.model.names, self._dims_mask)
             if on
         )
-        self._i_netout = cluster.model.index.get("netout")
-        self._i_diskr = cluster.model.index.get("diskr")
+        # the candidate index has required both dimensions already
+        self._i_netout = cluster.model.index["netout"]
+        self._i_diskr = cluster.model.index["diskr"]
         self._remote_plans.clear()
-        self._remote_ok_cache.clear()
 
     # -- SRTF bookkeeping -------------------------------------------------------
     def _task_work_term(self, task: Task) -> float:
@@ -351,7 +345,6 @@ class TetrisScheduler(Scheduler):
         self.candidates.invalidate_stage(stage)
         for task in stage.tasks:
             self._remote_plans.pop(task.task_id, None)
-            self._remote_ok_cache.pop(task.task_id, None)
 
     def on_task_failed(self, task: Task, time: float) -> None:
         super().on_task_failed(task, time)
@@ -364,7 +357,6 @@ class TetrisScheduler(Scheduler):
         self.index.forget(task)
         self._release_remote_grants(task.task_id)
         self._remote_plans.pop(task.task_id, None)
-        self._remote_ok_cache.pop(task.task_id, None)
         if self.config.debug_invariants:
             self.check_remote_ledger()
         if self.estimator.stable_estimates:
@@ -375,7 +367,6 @@ class TetrisScheduler(Scheduler):
             # history): drop every stage's rows and transfer plans
             self.candidates.clear()
             self._remote_plans.clear()
-            self._remote_ok_cache.clear()
         term = self._task_work.pop(task.task_id, 0.0)
         job_id = task.job.job_id
         if job_id in self._job_work:
@@ -467,18 +458,12 @@ class TetrisScheduler(Scheduler):
         state = self.cluster.state
         granted = self._remote_granted
         for machine_id in locations:
-            if i_netout is not None and i_diskr is not None:
-                # row scalars off the maintained free matrix: same
-                # storage free_clamped_view() refreshes, same floats
-                row = state.free_clamped_row(machine_id)
-                headroom = min(row[i_netout], row[i_diskr]) - granted.get(
-                    machine_id, 0.0
-                )
-            else:
-                free = self.cluster.machine(machine_id).free_clamped_view()
-                headroom = min(
-                    free.get("netout"), free.get("diskr")
-                ) - granted.get(machine_id, 0.0)
+            # row scalars off the maintained free matrix: same storage
+            # free_clamped_view() refreshes, same floats
+            row = state.free_clamped_row(machine_id)
+            headroom = min(row[i_netout], row[i_diskr]) - granted.get(
+                machine_id, 0.0
+            )
             if headroom > best_headroom:
                 best_headroom = headroom
                 best = machine_id
@@ -511,8 +496,7 @@ class TetrisScheduler(Scheduler):
                 # all-remote plan, which is machine-independent (the
                 # netin estimate is capped at the uniform machine
                 # capacity): intern it under a shared key so every such
-                # machine returns the *same* tuple and downstream
-                # verdict caches hit on identity
+                # machine reuses one computed tuple
                 generic = not any(
                     inp.is_local_to(machine_id) for inp in task.inputs
                 )
@@ -554,11 +538,6 @@ class TetrisScheduler(Scheduler):
         maximizing exactly that headroom — so *the picked source passes
         iff any replica passes*, and one fused max-headroom scan per
         input replaces the argmax pass plus the re-check of the winner.
-        The verdict is memoized per task under the (allocation, grant-
-        ledger) generation pair: plans with no input local to the target
-        are machine-independent, so one computed verdict serves every
-        no-replica machine visited this round until a placement or grant
-        moves a source.
         """
         if not self.config.check_remote_resources:
             return True
@@ -568,40 +547,20 @@ class TetrisScheduler(Scheduler):
         i_netout, i_diskr = self._i_netout, self._i_diskr
         state = self.cluster.state
         granted = self._remote_granted
-        gen = (state.alloc_gen, self._grant_gen)
-        hit = self._remote_ok_cache.get(task.task_id)
-        if hit is not None and hit[1] == gen and (
-            hit[0] is plan or hit[0] == plan
-        ):
-            return hit[2]
-        ok = True
         for locations, required in plan:
-            if i_netout is not None and i_diskr is not None:
-                best = -math.inf
-                for source_id in locations:
-                    row = state.free_clamped_row(source_id)
-                    headroom = row[i_netout]
-                    d = row[i_diskr]
-                    if d < headroom:
-                        headroom = d
-                    headroom -= granted.get(source_id, 0.0)
-                    if headroom > best:
-                        best = headroom
-                if best + EPSILON < required:
-                    ok = False
-                    break
-            else:
-                source_id = self._pick_remote_source(locations)
-                g = granted.get(source_id, 0.0)
-                free = self.cluster.machine(source_id).free_clamped_view()
-                if (
-                    free.get("netout") - g + EPSILON < required
-                    or free.get("diskr") - g + EPSILON < required
-                ):
-                    ok = False
-                    break
-        self._remote_ok_cache[task.task_id] = (plan, gen, ok)
-        return ok
+            best = -math.inf
+            for source_id in locations:
+                row = state.free_clamped_row(source_id)
+                headroom = row[i_netout]
+                d = row[i_diskr]
+                if d < headroom:
+                    headroom = d
+                headroom -= granted.get(source_id, 0.0)
+                if headroom > best:
+                    best = headroom
+            if best + EPSILON < required:
+                return False
+        return True
 
     def _grant_remote(self, task: Task, machine_id: int) -> None:
         grants = self._remote_requirements(task, machine_id)
@@ -612,9 +571,7 @@ class TetrisScheduler(Scheduler):
                 self._remote_granted[source_id] = (
                     self._remote_granted.get(source_id, 0.0) + rate
                 )
-            if self._m_remote_grants is not None:
-                self._m_remote_grants.inc(len(grants))
-                self._m_ledger_size.set(len(self._remote_granted))
+            self.remote_grants += len(grants)
             if self.config.debug_invariants:
                 self.check_remote_ledger()
 
@@ -634,8 +591,6 @@ class TetrisScheduler(Scheduler):
                 self._remote_granted.pop(machine_id, None)
             else:
                 self._remote_granted[machine_id] = left
-        if self._m_ledger_size is not None:
-            self._m_ledger_size.set(len(self._remote_granted))
 
     def check_remote_ledger(self) -> None:
         """Invariant: per-machine granted rate is non-negative and never
@@ -753,21 +708,20 @@ class TetrisScheduler(Scheduler):
                             placements.extend(placed)
                 finally:
                     self._round_table = None
-                # per-round flush of the visit tallies (nothing per visit)
+                # per-round flush of the visit tallies (nothing per
+                # visit), in one dict.update so that a scrape copying
+                # the dict sees all of a round's tallies or none
                 stats = self.visit_stats
-                stats["machines_considered"] += len(visit)
-                stats["machines_visited"] += visited
-                stats["visits_productive"] += productive
+                stats.update(
+                    machines_considered=stats["machines_considered"]
+                    + len(visit),
+                    machines_visited=stats["machines_visited"] + visited,
+                    visits_productive=stats["visits_productive"]
+                    + productive,
+                )
                 if plane is not None:
                     stats["plane_rounds"] += 1
                     stats["plane_stage_rows"] += plane.rows_computed
-                    if self._m_plane_rows is not None:
-                        self._m_plane_rows.inc(plane.rows_computed)
-                if self._m_visits is not None:
-                    skipped, empty, hit = self._m_visits
-                    skipped.inc(len(visit) - visited)
-                    empty.inc(visited - productive)
-                    hit.inc(productive)
         if prof is not None:
             prof.record("tetris.schedule", perf_counter() - start)
         return placements
@@ -800,8 +754,7 @@ class TetrisScheduler(Scheduler):
                     return
                 self._reservations[machine_id] = stage
                 reserved_stages.add(stage.stage_id)
-                if self._m_reservations is not None:
-                    self._m_reservations.inc()
+                self.reservations_made += 1
                 if self.trace is not None:
                     self.trace.emit(
                         "reservation",

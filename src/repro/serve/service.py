@@ -36,10 +36,8 @@ from __future__ import annotations
 
 import asyncio
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from time import monotonic, perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
@@ -61,6 +59,11 @@ __all__ = [
     "StagingError",
     "verify_free_vectors",
 ]
+
+
+def _nonzero(**counts: int) -> Dict[str, int]:
+    """A labeled counter's children: outcomes seen at least once."""
+    return {label: n for label, n in counts.items() if n}
 
 
 class StagingError(RuntimeError):
@@ -163,6 +166,7 @@ class ServeReport:
     jobs_finished: int = 0
     batches_committed: int = 0
     batches_aborted: int = 0
+    batches_dropped: int = 0
     placements: int = 0
     tasks_total: int = 0
     sim_time: float = 0.0
@@ -170,9 +174,6 @@ class ServeReport:
     drive_seconds: float = 0.0
     invariant_checks: int = 0
     invariant_violations: int = 0
-    #: placements evicted from a capped placement log before the latency
-    #: scan saw them (their admission→placement latency was lost)
-    latency_scan_misses: int = 0
     shutdown_reason: Optional[str] = None
     admission: Dict[str, object] = field(default_factory=dict)
     placement_latency: Dict[str, object] = field(default_factory=dict)
@@ -208,6 +209,7 @@ class ServeReport:
             "batches": {
                 "committed": self.batches_committed,
                 "aborted": self.batches_aborted,
+                "dropped": self.batches_dropped,
             },
             "placements": self.placements,
             "tasks_total": self.tasks_total,
@@ -232,9 +234,10 @@ class SchedulerService:
 
     The engine must be constructed with ``jobs=[]`` — every job reaches
     it through :meth:`Engine.add_job` at batch commit.  ``registry``
-    (optional) receives the service gauges: pending-queue depth,
-    admission decisions, commit counts, placement-latency histogram,
-    sustained placements/sec.
+    (optional) gets the service's metric families — pending-queue
+    depth, admission decisions, commit counts, placement-latency
+    histogram, sustained placements/sec, the window gauges — each
+    reading the state below at scrape time.
     """
 
     def __init__(
@@ -264,11 +267,8 @@ class SchedulerService:
         #: wall time each admitted job entered the queue (by job name),
         #: consumed when its first placement commits
         self._admit_wall: Dict[str, float] = {}
-        #: placements already latency-scanned, counted against
-        #: ``engine.num_placements`` so a capped log still scans
-        #: incrementally (evictions are detected, not silently skipped)
+        #: placement-log entries already latency-scanned
         self._log_seen = 0
-        self._latency_warned = False
         self._latency_hist = Histogram(LATENCY_BUCKETS)
         self._started_wall: Optional[float] = None
         #: what the consumer is doing right now: "init" | "waiting"
@@ -295,59 +295,88 @@ class SchedulerService:
         #: rates; only fed when the engine carries a profiler AND the
         #: window gauges are on (an unobserved daemon pays nothing)
         self._profile_ring: deque = deque(maxlen=4096)
-        self._m_depth = self._m_admission = self._m_committed = None
-        self._m_batches = self._m_latency = self._m_pps = None
-        self._m_invariants = None
-        self._m_win_pps = self._m_win_latency = self._m_win_reject = None
         if registry is not None:
-            self._register_metrics(registry)
+            self.declare_metrics(registry)
 
-    def _register_metrics(self, registry: "Registry") -> None:
-        self._m_depth = registry.gauge(
-            "repro_serve_queue_depth", "Admitted arrivals awaiting commit"
+    def declare_metrics(self, registry: "Registry") -> None:
+        stats, report = self.admission.stats, self.report
+        registry.gauge(
+            "repro_serve_queue_depth",
+            "Admitted arrivals awaiting commit",
+            lambda: self.admission.depth,
         )
-        self._m_admission = registry.counter(
+        registry.counter(
             "repro_serve_admission_total",
             "Admission decisions by outcome",
+            lambda: _nonzero(
+                admitted=stats.admitted, rejected=stats.rejected
+            ),
             labelnames=("decision",),
         )
-        self._m_committed = registry.counter(
+        registry.counter(
             "repro_serve_jobs_committed_total",
             "Jobs committed into the engine",
+            lambda: report.jobs_committed,
         )
-        self._m_batches = registry.counter(
+        registry.counter(
             "repro_serve_batches_total",
             "Consumer batches by outcome",
+            lambda: _nonzero(
+                committed=report.batches_committed,
+                aborted=report.batches_aborted,
+                dropped=report.batches_dropped,
+            ),
             labelnames=("outcome",),
         )
-        self._m_latency = registry.histogram(
+        registry.histogram(
             "repro_serve_placement_latency_seconds",
             "Wall clock from admission to a job's first placement",
-            buckets=LATENCY_BUCKETS,
+            lambda: self._latency_hist,
         )
-        self._m_pps = registry.gauge(
+        registry.gauge(
             "repro_serve_placements_per_sec",
             "Sustained placements per drive-wall second",
+            lambda: (
+                self.engine.num_placements / report.drive_seconds
+                if report.drive_seconds > 0
+                else 0.0
+            ),
         )
-        self._m_invariants = registry.counter(
+        registry.counter(
             "repro_serve_invariant_violations_total",
             "Free-vector invariant violations detected after commits",
+            lambda: report.invariant_violations,
         )
-        if self._win_placements is not None:
-            self._m_win_pps = registry.gauge(
-                "repro_serve_window_placements_per_sec",
-                "Placements per second over the sliding window",
+        if self._win_placements is None:
+            return
+        registry.gauge(
+            "repro_serve_window_placements_per_sec",
+            "Placements per second over the sliding window",
+            lambda: self.window_snapshot()["placements_per_sec"],
+        )
+        registry.gauge(
+            "repro_serve_window_placement_latency_seconds",
+            "Sliding-window placement-latency quantiles",
+            self._window_latency,
+            labelnames=("quantile",),
+        )
+        registry.gauge(
+            "repro_serve_window_admission_reject_rate",
+            "Rejected fraction of offered arrivals over the "
+            "sliding window",
+            lambda: self.window_snapshot()["admission_reject_rate"],
+        )
+
+    def _window_latency(self) -> Dict[str, float]:
+        snap = self.window_snapshot()
+        return {
+            str(q): snap[key] if snap[key] is not None else 0.0
+            for q, key in (
+                (0.5, "latency_p50"),
+                (0.95, "latency_p95"),
+                (0.99, "latency_p99"),
             )
-            self._m_win_latency = registry.gauge(
-                "repro_serve_window_placement_latency_seconds",
-                "Sliding-window placement-latency quantiles",
-                labelnames=("quantile",),
-            )
-            self._m_win_reject = registry.gauge(
-                "repro_serve_window_admission_reject_rate",
-                "Rejected fraction of offered arrivals over the "
-                "sliding window",
-            )
+        }
 
     def _now(self) -> float:
         # monotonic (not the event-loop clock) so the telemetry plane's
@@ -419,12 +448,6 @@ class SchedulerService:
                     self._win_offered.add(now)
                     if not admitted:
                         self._win_rejected.add(now)
-                if self._m_admission is not None:
-                    self._m_admission.labels(
-                        decision="admitted" if admitted else "rejected"
-                    ).inc()
-                if self._m_depth is not None:
-                    self._m_depth.set(self.admission.depth)
         finally:
             await self.admission.close()
 
@@ -436,14 +459,11 @@ class SchedulerService:
             self._touch()
             if batch is None:
                 break
-            if self._m_depth is not None:
-                self._m_depth.set(self.admission.depth)
             if self._shutdown:
                 self.report.jobs_dropped_on_shutdown += len(batch)
+                self.report.batches_dropped += 1
                 for arrival in batch:
                     self._admit_wall.pop(arrival.job.name, None)
-                if self._m_batches is not None:
-                    self._m_batches.labels(outcome="dropped").inc()
                 continue
             try:
                 staged = self._stage(batch)
@@ -453,8 +473,6 @@ class SchedulerService:
                 self.report.batches_aborted += 1
                 self.report.jobs_aborted += len(batch)
                 self.report.staging_errors.append(str(exc))
-                if self._m_batches is not None:
-                    self._m_batches.labels(outcome="aborted").inc()
                 continue
             self._commit(staged)
             # watermark: everything strictly before the newest committed
@@ -466,7 +484,7 @@ class SchedulerService:
                 == 0
             ):
                 self._check_invariants()
-            self._update_window_gauges()
+            self._checkpoint_profiler(self._now())
 
     # -- stage / commit / drive ---------------------------------------------------
     def _stage(self, batch: List[Arrival]) -> StagedBatch:
@@ -510,10 +528,6 @@ class SchedulerService:
             self._committed_max_time = staged.max_time
         self.report.jobs_committed += len(staged.jobs)
         self.report.batches_committed += 1
-        if self._m_committed is not None:
-            self._m_committed.inc(len(staged.jobs))
-        if self._m_batches is not None:
-            self._m_batches.labels(outcome="committed").inc()
 
     async def _drive(self, limit: float, inclusive: bool = True) -> None:
         """Advance the engine to the watermark, yielding between slices."""
@@ -529,54 +543,25 @@ class SchedulerService:
                 break
             await asyncio.sleep(0)
         self.report.drive_seconds += perf_counter() - start
-        if self._m_pps is not None and self.report.drive_seconds > 0:
-            self._m_pps.set(
-                self.engine.num_placements / self.report.drive_seconds
-            )
 
     def _scan_placements(self) -> None:
-        """Observe admission→first-placement latency for new placements.
-
-        Tracks progress against ``engine.num_placements`` (not the log
-        length), so a bounded placement log still yields latencies: the
-        scan walks only entries that appeared since the last scan.  If a
-        capped log evicted entries *between* scans (more new placements
-        than the cap holds), the loss is counted in
-        ``report.latency_scan_misses`` and warned about once — degraded
-        coverage is never silent.
-        """
-        total = self.engine.num_placements
-        new = total - self._log_seen
-        if new == 0:
-            return
+        """Observe admission→first-placement latency for the placements
+        logged since the last scan."""
         log = self.engine.placement_log
-        missed = new - len(log) if new > len(log) else 0
-        if missed:
-            self.report.latency_scan_misses += missed
-            if not self._latency_warned:
-                self._latency_warned = True
-                warnings.warn(
-                    f"placement log cap ({len(log)}) evicted {missed} "
-                    "placements before the latency scan; raise "
-                    "max_placement_log (or lower drive_slice) for full "
-                    "placement-latency coverage",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        if self._log_seen == len(log):
+            return
         now = self._now()
-        start = len(log) - (new - missed)
-        for task, _machine, _time, _booked in islice(log, start, len(log)):
+        new = log[self._log_seen:]
+        self._log_seen += len(new)
+        for task, _machine, _time, _booked in new:
             admitted_at = self._admit_wall.pop(task.job.name, None)
             if admitted_at is not None:
                 latency = now - admitted_at
                 self._latency_hist.observe(latency)
-                if self._m_latency is not None:
-                    self._m_latency.observe(latency)
                 if self._win_latency is not None:
                     self._win_latency.add(now, latency)
         if self._win_placements is not None:
-            self._win_placements.add(now, float(new))
-        self._log_seen = total
+            self._win_placements.add(now, float(len(new)))
 
     def _checkpoint_profiler(self, now: float) -> None:
         """Append a profiler checkpoint for the rolling profile view."""
@@ -595,25 +580,6 @@ class SchedulerService:
         floor = now - 2.0 * self.config.window_seconds
         while self._profile_ring and self._profile_ring[0][0] < floor:
             self._profile_ring.popleft()
-
-    def _update_window_gauges(self) -> None:
-        """Refresh the rolling-window gauges (consumer loop only)."""
-        self._checkpoint_profiler(self._now())
-        if self._win_placements is None:
-            return
-        now = self._now()
-        if self._m_win_pps is not None:
-            self._m_win_pps.set(self._win_placements.rate(now))
-        if self._m_win_latency is not None:
-            for q in (0.5, 0.95, 0.99):
-                value = self._win_latency.quantile(q, now)
-                self._m_win_latency.labels(quantile=str(q)).set(
-                    0.0 if math.isnan(value) else value
-                )
-        if self._m_win_reject is not None:
-            offered = self._win_offered.total(now)
-            rejected = self._win_rejected.total(now)
-            self._m_win_reject.set(rejected / offered if offered else 0.0)
 
     # -- live introspection (telemetry-plane surface) -----------------------------
     def window_snapshot(self) -> Optional[Dict[str, object]]:
@@ -662,22 +628,13 @@ class SchedulerService:
         window = self.config.window_seconds
         base = None
         if window is not None:
-            for t, counts in self._profile_ring:
+            # one C-level copy: the consumer appends and evicts meanwhile
+            for t, counts in tuple(self._profile_ring):
                 if t >= now - window:
                     base = (t, counts)
                     break
         phases: Dict[str, Dict[str, object]] = {}
-        # the consumer may register a new phase mid-iteration; re-read
-        # on the (rare) mutation instead of locking the hot path
-        for _ in range(3):
-            try:
-                labels = profiler.labels()
-                break
-            except RuntimeError:  # pragma: no cover - needs a data race
-                continue
-        else:  # pragma: no cover
-            labels = profiler.labels()
-        for label in labels:
+        for label in profiler.labels():
             stats = profiler.stats(label)
             entry: Dict[str, object] = {
                 "count": stats.count,
@@ -808,10 +765,7 @@ class SchedulerService:
         snap["sim_time"] = self.engine.now
         snap["wall_seconds"] = uptime
         snap["admission"] = stats.as_dict()
-        snap["placement_latency"] = dict(
-            self._latency_hist.as_dict(),
-            scan_misses=report.latency_scan_misses,
-        )
+        snap["placement_latency"] = self._latency_hist.as_dict()
         snap["staging_errors"] = list(report.staging_errors)
         snap["phase"] = self._phase
         snap["queue_depth"] = self.admission.depth
@@ -823,8 +777,6 @@ class SchedulerService:
         self.report.invariant_checks += 1
         if issues:
             self.report.invariant_violations += len(issues)
-            if self._m_invariants is not None:
-                self._m_invariants.inc(len(issues))
 
     def _finish_report(self, wall: float) -> ServeReport:
         report = self.report
@@ -841,8 +793,5 @@ class SchedulerService:
         report.sim_time = self.engine.now
         report.shutdown_reason = self._shutdown_reason
         report.admission = self.admission.stats.as_dict()
-        report.placement_latency = dict(
-            self._latency_hist.as_dict(),
-            scan_misses=report.latency_scan_misses,
-        )
+        report.placement_latency = self._latency_hist.as_dict()
         return report

@@ -12,14 +12,12 @@ mis-estimation and over-allocation behave as they would on a real cluster.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
 from typing import (
     Dict,
     Iterable,
     List,
-    MutableSequence,
     Optional,
     Sequence,
     Set,
@@ -32,6 +30,7 @@ from repro.cluster.cluster import Cluster
 from repro.estimation.estimator import DemandEstimator
 from repro.estimation.tracker import ResourceTracker
 from repro.metrics.collector import MetricsCollector
+from repro.obs.registry import Histogram
 from repro.schedulers.base import Placement, Scheduler
 from repro.sim.events import ArrayEventQueue, EventKind
 from repro.sim.fluid import FluidConfig, FlowTable
@@ -50,41 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Engine", "EngineConfig"]
 
 
-class _DisabledLog:
-    """Placeholder for a log disabled with a zero cap.
-
-    Reads behave like an empty log; ``append`` raises, which is the
-    regression guard for the zero-allocation round loop — the engine
-    must gate entry *construction* behind the cap, never build a tuple
-    just to discard it here.
-    """
-
-    __slots__ = ()
-    maxlen = 0
-
-    def append(self, entry: tuple) -> None:
-        raise RuntimeError(
-            "log is disabled (cap=0); the engine must not build entries"
-        )
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-
-_DISABLED_LOG = _DisabledLog()
-
-
-def _make_log(cap: Optional[int]) -> MutableSequence[tuple]:
-    """An append-only log, bounded to the most recent ``cap`` entries
-    when a cap is configured (cap 0 disables the log entirely)."""
-    if cap is None:
-        return []
-    if cap == 0:
-        return _DISABLED_LOG
-    return deque(maxlen=cap)
+#: upper bounds of the placements-per-round histogram
+_ROUND_BUCKETS = (0, 1, 2, 5, 10, 20, 50, 100)
 
 
 @dataclass(frozen=True)
@@ -103,13 +69,6 @@ class EngineConfig:
     tracker_period: float = 2.0
     track_fairness: bool = False
     track_machine_usage: bool = False
-    #: opt-in growth caps for the per-round and per-placement logs; when
-    #: set, only the most recent entries are kept (a bounded deque) so
-    #: long large-cluster runs don't accumulate unbounded tuples.  None
-    #: (the default) keeps everything, which the analysis/report layers
-    #: expect for complete runs.
-    max_round_log: Optional[int] = None
-    max_placement_log: Optional[int] = None
     #: failure injection: probability that a completed attempt is
     #: discarded and the task re-queued (the paper's trace replay mimics
     #: per-task failure probabilities); capped at max_task_attempts
@@ -175,73 +134,92 @@ class Engine:
         self._started = False
         self._accepting_jobs = False
         #: every placement as (task, machine_id, time, booked) — input to
-        #: the Section 3.1 constraint auditor (repro.analysis.model).
-        #: A plain list unless the config caps it (then a bounded deque
-        #: holding the most recent entries).
-        self.placement_log: MutableSequence[tuple] = _make_log(
-            self.config.max_placement_log
-        )
-        self._log_placements = self.config.max_placement_log != 0
-        self._log_rounds = self.config.max_round_log != 0
-        #: total placements applied, independent of any log cap
-        self.num_placements = 0
+        #: the Section 3.1 constraint auditor (repro.analysis.model)
+        self.placement_log: List[tuple] = []
         #: every scheduling round as (time, machines visited, placements,
         #: wall seconds) — the scheduler track of the Perfetto export
-        self.round_log: MutableSequence[tuple] = _make_log(
-            self.config.max_round_log
-        )
+        self.round_log: List[tuple] = []
         #: optional timing sink; also handed to the scheduler so it can
         #: record its own phases under the same object
         self.profiler = profiler
         if profiler is not None and hasattr(scheduler, "profiler"):
             scheduler.profiler = profiler
-        #: optional decision-event sink and metrics registry, shared with
-        #: the scheduler / tracker / estimator (same Optional[...] pattern
-        #: as the profiler: None costs nothing)
+        #: optional decision-event sink (shared with the scheduler) and
+        #: metrics registry (same Optional[...] pattern as the profiler:
+        #: None costs nothing)
         self.trace = decision_trace
+        if decision_trace is not None:
+            scheduler.trace = decision_trace
         self.metrics = metrics
-        self._m_rounds = self._m_placements = self._m_tasks_finished = None
-        self._m_task_failures = self._m_jobs_finished = None
-        self._m_queue_depth = self._m_sim_time = self._m_round_placements = None
-        if metrics is not None:
-            self._register_metrics(metrics)
-        scheduler.use_observability(trace=decision_trace, metrics=metrics)
         scheduler.bind(cluster, estimator=estimator, tracker=tracker)
         self.estimator = scheduler.estimator
         if metrics is not None:
-            if tracker is not None:
-                tracker.use_metrics(metrics)
-            self.estimator.use_metrics(metrics)
-            self.flows.use_metrics(metrics)
+            self._declare_metrics(metrics)
 
-    def _register_metrics(self, registry: "Registry") -> None:
-        self._m_rounds = registry.counter(
-            "repro_engine_rounds_total", "Scheduling rounds run"
+    def _declare_metrics(self, registry: "Registry") -> None:
+        """Declare the engine's metric families and its parts'.  Every
+        family reads a store the run keeps anyway, when scraped."""
+        collector = self.collector
+        registry.counter(
+            "repro_engine_rounds_total",
+            "Scheduling rounds run",
+            lambda: len(self.round_log),
         )
-        self._m_placements = registry.counter(
-            "repro_engine_placements_total", "Task placements applied"
+        registry.counter(
+            "repro_engine_placements_total",
+            "Task placements applied",
+            lambda: self.num_placements,
         )
-        self._m_tasks_finished = registry.counter(
-            "repro_engine_tasks_finished_total", "Task completions"
+        registry.counter(
+            "repro_engine_tasks_finished_total",
+            "Task completions",
+            lambda: len(collector.task_durations),
         )
-        self._m_task_failures = registry.counter(
+        registry.counter(
             "repro_engine_task_failures_total",
             "Failed (retried) task attempts",
+            lambda: collector.task_failures,
         )
-        self._m_jobs_finished = registry.counter(
-            "repro_engine_jobs_finished_total", "Job completions"
+        registry.counter(
+            "repro_engine_jobs_finished_total",
+            "Job completions",
+            lambda: len(self.jobs) - self._unfinished_jobs,
         )
-        self._m_queue_depth = registry.gauge(
-            "repro_engine_event_queue_depth", "Pending simulator events"
+        registry.gauge(
+            "repro_engine_event_queue_depth",
+            "Pending simulator events",
+            lambda: len(self.events),
         )
-        self._m_sim_time = registry.gauge(
-            "repro_engine_sim_time_seconds", "Current simulation time"
+        registry.gauge(
+            "repro_engine_sim_time_seconds",
+            "Current simulation time",
+            lambda: self.now,
         )
-        self._m_round_placements = registry.histogram(
+        registry.histogram(
             "repro_engine_round_placements",
             "Placements made per scheduling round",
-            buckets=(0, 1, 2, 5, 10, 20, 50, 100),
+            self._round_placements,
         )
+        self.flows.declare_metrics(registry)
+        if self.tracker is not None:
+            self.tracker.declare_metrics(registry)
+        # only some schedulers and estimators keep tallies worth scraping
+        for part in (self.scheduler, self.estimator):
+            declare = getattr(part, "declare_metrics", None)
+            if declare is not None:
+                declare(registry)
+
+    def _round_placements(self) -> Histogram:
+        """Placements per round, binned from ``round_log`` when read."""
+        hist = Histogram(_ROUND_BUCKETS)
+        for entry in tuple(self.round_log):
+            hist.observe(entry[2])
+        return hist
+
+    @property
+    def num_placements(self) -> int:
+        """Total placements applied."""
+        return len(self.placement_log)
 
     # -- public API -------------------------------------------------------------
     def run(self) -> MetricsCollector:
@@ -420,8 +398,6 @@ class Engine:
             job.mark_finished(self.now)
             self.collector.job_finished(job, self.now)
             self._unfinished_jobs -= 1
-            if self._m_jobs_finished is not None:
-                self._m_jobs_finished.inc()
             return
         self.scheduler.on_job_arrival(job, self.now)
         self._mark_all_dirty()
@@ -482,15 +458,11 @@ class Engine:
             self.scheduler.on_task_failed(task, self.now)
             task.mark_failed(self.now)
             self.collector.task_failed()
-            if self._m_task_failures is not None:
-                self._m_task_failures.inc()
             self._dirty.add(machine.machine_id)
             return
         task.mark_finished(self.now)
         self.task_table.release(task)
         self.collector.task_finished(task.duration)
-        if self._m_tasks_finished is not None:
-            self._m_tasks_finished.inc()
         self.estimator.record_completion(task)
         if self.tracker is not None:
             self.tracker.note_completion(task)
@@ -507,8 +479,6 @@ class Engine:
             job.mark_finished(self.now)
             self.collector.job_finished(job, self.now)
             self._unfinished_jobs -= 1
-            if self._m_jobs_finished is not None:
-                self._m_jobs_finished.inc()
 
     def _resolve_shuffle_inputs(self, stage: Stage) -> None:
         """Assign source machines to inputs produced by upstream stages.
@@ -557,10 +527,9 @@ class Engine:
         else:
             placements = self.scheduler.schedule(self.now, machine_ids)
         wall = perf_counter() - start
-        if self._log_rounds:
-            self.round_log.append(
-                (self.now, len(machine_ids), len(placements), wall)
-            )
+        self.round_log.append(
+            (self.now, len(machine_ids), len(placements), wall)
+        )
         if self.trace is not None:
             self.trace.emit(
                 "round",
@@ -569,11 +538,6 @@ class Engine:
                 placements=len(placements),
                 queue_depth=len(self.events),
             )
-        if self._m_rounds is not None:
-            self._m_rounds.inc()
-            self._m_round_placements.observe(len(placements))
-            self._m_queue_depth.set(len(self.events))
-            self._m_sim_time.set(self.now)
         self._commit_placements(placements)
 
     def _commit_placements(self, placements: List[Placement]) -> None:
@@ -590,11 +554,9 @@ class Engine:
         machine = self.cluster.machine(placement.machine_id)
         machine.place(task, placement.booked)
         task.mark_running(placement.machine_id, self.now)
-        self.num_placements += 1
-        if self._log_placements:
-            self.placement_log.append(
-                (task, placement.machine_id, self.now, placement.booked)
-            )
+        self.placement_log.append(
+            (task, placement.machine_id, self.now, placement.booked)
+        )
         if self.trace is not None:
             self.trace.emit(
                 "task_start",
@@ -604,8 +566,6 @@ class Engine:
                 task=task.index,
                 machine=placement.machine_id,
             )
-        if self._m_placements is not None:
-            self._m_placements.inc()
         self.scheduler.on_task_started(
             task, placement.machine_id, placement.booked
         )

@@ -165,8 +165,8 @@ class FlowTable:
         #: reference frame for the finish instants
         self._clock = 0.0
 
-        #: plain-int effectiveness counters (always maintained; mirrored
-        #: into the obs Registry when use_metrics is called).
+        #: plain-int effectiveness counters (always maintained; the obs
+        #: Registry reads them, see :meth:`declare_metrics`).
         #: ``heap_entries`` counts finish instants written and
         #: ``stale_heap_pops`` stays 0: the names predate the array
         self.stats: Dict[str, int] = {
@@ -176,24 +176,25 @@ class FlowTable:
             "heap_entries": 0,
             "stale_heap_pops": 0,
         }
-        self._m_recomputes = None
-        self._m_slots = None
-        self._m_flows = None
 
     # -- observability ---------------------------------------------------------
-    def use_metrics(self, registry: "Registry") -> None:
-        """Register sparse-recompute effectiveness counters."""
-        self._m_recomputes = registry.counter(
+    def declare_metrics(self, registry: "Registry") -> None:
+        """Sparse-recompute effectiveness counters, read from ``stats``."""
+        stats = self.stats
+        registry.counter(
             "repro_fluid_sparse_recomputes_total",
             "Sparse rate recomputations (dirty-neighborhood passes)",
+            lambda: stats["sparse_recomputes"],
         )
-        self._m_slots = registry.counter(
+        registry.counter(
             "repro_fluid_slots_recomputed_total",
             "Slots whose demand/scale was resummed across all sparse passes",
+            lambda: stats["slots_recomputed"],
         )
-        self._m_flows = registry.counter(
+        registry.counter(
             "repro_fluid_flows_recomputed_total",
             "Flows re-rated across all sparse passes",
+            lambda: stats["flows_recomputed"],
         )
 
     # -- registration ----------------------------------------------------------
@@ -371,10 +372,6 @@ class FlowTable:
         self.stats["sparse_recomputes"] += 1
         self.stats["slots_recomputed"] += len(slots)
         self.stats["flows_recomputed"] += len(touched)
-        if self._m_recomputes is not None:
-            self._m_recomputes.inc()
-            self._m_slots.inc(len(slots))
-            self._m_flows.inc(len(touched))
 
     def reference_rates(self) -> np.ndarray:
         """Full-table rate rebuild — the pre-sparse implementation, kept

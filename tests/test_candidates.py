@@ -125,7 +125,7 @@ class TestEstimateRevisionInvalidation:
         tasks[1].mark_finished(5.0)
         scheduler.on_task_finished(tasks[1], 5.0)
         assert scheduler.candidates._stage_rows == {}
-        assert scheduler.candidates.stats["invalidations"] >= 1
+        assert scheduler.candidates.invalidations["full"] >= 1
         after = scheduler.candidates.stage_rows(stage)
         assert after is not before
         want = scheduler.booked_demands(after.rep, 0)
@@ -449,4 +449,4 @@ class TestStageRowsOracle:
             assert stage.stage_id in candidates._stage_rows
             drop()
             assert candidates._stage_rows == {}
-        assert candidates.stats["invalidations"] == 2
+        assert candidates.invalidations == {"full": 1, "shuffle": 1}

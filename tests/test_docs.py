@@ -10,7 +10,9 @@ reference and checks each one against the code:
 - ``repro <cmd> --flag`` names a subcommand and its options.
 
 A deleted module, file, subcommand or flag that the docs still name
-fails here instead of being found by reading.
+fails here instead of being found by reading.  The metrics table of
+``docs/observability.md`` is held equal to the families the code
+declares, name and type.
 """
 
 import glob
@@ -21,6 +23,13 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser
+from repro.cluster.cluster import Cluster
+from repro.estimation.estimator import ProfilingEstimator
+from repro.estimation.tracker import ResourceTracker
+from repro.obs import Registry
+from repro.schedulers.tetris import TetrisScheduler
+from repro.serve import SchedulerService, ServeConfig, TraceReplaySource
+from repro.sim.engine import Engine
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = sorted(
@@ -33,6 +42,9 @@ _SPAN = re.compile(r"`([^`]+)`")
 _DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 _PATH = re.compile(r"^(?:src|tests|benchmarks|examples)/[^\s:(),]*")
 _COMMAND = re.compile(r"^(?:python -m )?repro (\S.*)$")
+_METRIC_ROW = re.compile(
+    r"^\| `(repro_\w+?)(?:\{\w+\})?` \| (counter|gauge|histogram) \|", re.M
+)
 
 
 def _spans(path):
@@ -136,3 +148,32 @@ def test_stale_reference_is_caught(tmp_path):
         "stale.md:1: `repro run --no-such-flag`",
         "stale.md:1: `repro nope`",
     ]
+
+
+def _declared_families():
+    """Every family the code declares: an engine with a tracker and the
+    profiling estimator, under a serve daemon with its window gauges."""
+    cluster = Cluster(2, seed=0)
+    registry = Registry()
+    engine = Engine(
+        cluster,
+        TetrisScheduler(),
+        [],
+        tracker=ResourceTracker(cluster),
+        estimator=ProfilingEstimator(),
+        metrics=registry,
+    )
+    SchedulerService(
+        engine,
+        TraceReplaySource([]),
+        config=ServeConfig(window_seconds=60.0),
+        registry=registry,
+    )
+    return {name: registry.get(name).type for name in registry.names()}
+
+
+def test_metrics_table_matches_declared_families():
+    text = (ROOT / "docs" / "observability.md").read_text()
+    table = _METRIC_ROW.findall(text)
+    assert len(table) == len(dict(table)), "a family is listed twice"
+    assert dict(table) == _declared_families()

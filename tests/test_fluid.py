@@ -344,7 +344,7 @@ class TestFluidProperties:
 
         registry = Registry()
         table = make_table()
-        table.use_metrics(registry)
+        table.declare_metrics(registry)
         table.add_flow(
             FlowSpec(work=100, nominal_rate=50, slots=((0, "diskr"),))
         )

@@ -2,18 +2,21 @@
 
 Covers:
 
-- the Prometheus-style registry: counter/gauge/histogram semantics,
-  labels, idempotent re-registration, and the text exposition format;
+- the Prometheus-style registry: reader families read at scrape time,
+  labels, re-registration, and the text exposition format;
 - the decision trace: ring-buffer bounds, JSONL streaming, schema
   validation, and the log summarizer;
 - the Chrome trace-event (Perfetto) export: lane packing and the event
   shapes Perfetto requires;
 - end-to-end wiring: a traced engine run emits the documented event
-  types, metrics move, and the estimator/tracker instruments fire.
+  types, metrics move, and the estimator/tracker families read.
 """
 
 import collections
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -21,9 +24,7 @@ from repro.cluster.cluster import Cluster
 from repro.estimation.estimator import ProfilingEstimator
 from repro.estimation.tracker import ResourceTracker
 from repro.obs import (
-    Counter,
     DecisionTrace,
-    Gauge,
     Histogram,
     Registry,
     RollingWindow,
@@ -80,71 +81,93 @@ def _tally(sink):
 
 
 # -- the registry ---------------------------------------------------------------
-class TestRegistry:
-    def test_counter_monotonic(self):
-        reg = Registry()
-        c = reg.counter("x_total", "doc")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        with pytest.raises(ValueError):
-            c.inc(-1)
+def _hist(*values, buckets=(1.0,)):
+    h = Histogram(buckets=buckets)
+    for v in values:
+        h.observe(v)
+    return h
 
+
+def _demo_registry():
+    """A counter, a gauge, a two-child labeled counter, a histogram."""
+    reg = Registry()
+    reg.counter("a_total", "counts", lambda: 2)
+    reg.gauge("depth", "queue depth", lambda: 1.5)
+    reg.counter(
+        "c_total", "labeled", lambda: {"x": 1, "y": 3}, labelnames=("kind",)
+    )
+    reg.histogram("lat", "latency", lambda: _hist(0.5))
+    return reg
+
+
+# -- the registry ---------------------------------------------------------------
+class TestRegistry:
     def test_gauge_up_and_down(self):
+        """A gauge reads its source at scrape time: it follows the
+        source both ways with nothing pushed."""
+        source = {"depth": 10}
         reg = Registry()
-        g = reg.gauge("depth", "doc")
-        g.set(10)
-        g.inc(-3)
-        g.inc(1)
-        assert g.value == 8
+        reg.gauge("depth", "doc", lambda: source["depth"])
+        assert reg.snapshot()["depth"]["values"][""] == 10
+        source["depth"] -= 3
+        assert reg.snapshot()["depth"]["values"][""] == 7
+        source["depth"] += 1
+        assert "depth 8" in reg.render()
 
     def test_histogram_buckets_and_sum(self):
-        h = Histogram(buckets=(1.0, 5.0))
-        for v in (0.5, 2.0, 100.0):
-            h.observe(v)
+        h = _hist(0.5, 2.0, 100.0, buckets=(1.0, 5.0))
         assert h.count == 3
         assert h.sum == 102.5
         assert h.cumulative_counts() == [1, 2, 3]  # le=1, le=5, le=+Inf
 
     def test_labels_create_children(self):
+        tallies = {"a": 2, "b": 1}
         reg = Registry()
-        fam = reg.counter("hits_total", "doc", labelnames=("scope",))
-        fam.labels(scope="a").inc()
-        fam.labels(scope="a").inc()
-        fam.labels(scope="b").inc()
-        assert fam.labels(scope="a").value == 2
-        assert fam.labels(scope="b").value == 1
+        fam = reg.counter(
+            "hits_total", "doc", lambda: dict(tallies), labelnames=("scope",)
+        )
+        assert fam.samples() == [(("a",), 2), (("b",), 1)]
+        tallies["c"] = 4
+        assert reg.snapshot()["hits_total"]["values"] == {
+            "scope=a": 2.0, "scope=b": 1.0, "scope=c": 4.0,
+        }
 
     def test_wrong_labels_rejected(self):
         reg = Registry()
-        fam = reg.counter("hits_total", "doc", labelnames=("scope",))
-        with pytest.raises(ValueError):
-            fam.labels(other="x")
-        with pytest.raises(ValueError):
-            fam.inc()  # labeled family has no implicit child
+        reg.counter(
+            "hits_total", "doc", lambda: {("a", "b"): 1},
+            labelnames=("scope",),
+        )
+        with pytest.raises(ValueError, match="takes labels"):
+            reg.render()
 
     def test_reregistration_idempotent_same_type(self):
+        """Declaring a name again with its type keeps one family, bound
+        to the newest reader; a different type is an error."""
         reg = Registry()
-        a = reg.counter("x_total", "doc")
-        b = reg.counter("x_total", "doc")
-        assert a is b
+        reg.counter("x_total", "doc", lambda: 1)
+        reg.counter("x_total", "doc", lambda: 2)
+        assert reg.names() == ["x_total"]
+        assert reg.snapshot()["x_total"]["values"] == {"": 2.0}
         with pytest.raises(ValueError):
-            reg.gauge("x_total", "doc")
+            reg.gauge("x_total", "doc", lambda: 0)
 
     def test_invalid_names_rejected(self):
         reg = Registry()
         with pytest.raises(ValueError):
-            reg.counter("0bad", "doc")
+            reg.counter("0bad", "doc", lambda: 0)
         with pytest.raises(ValueError):
-            reg.counter("ok_total", "doc", labelnames=("bad-label",))
+            reg.counter(
+                "ok_total", "doc", lambda: {}, labelnames=("bad-label",)
+            )
 
     def test_render_exposition_format(self):
         reg = Registry()
-        reg.counter("a_total", "counts things").inc(2)
-        reg.gauge("b").set(1.5)
-        fam = reg.counter("c_total", "labeled", labelnames=("kind",))
-        fam.labels(kind="x").inc()
-        reg.histogram("d", "hist", buckets=(1.0,)).observe(0.5)
+        reg.counter("a_total", "counts things", lambda: 2)
+        reg.gauge("b", "", lambda: 1.5)
+        reg.counter("c_total", "labeled", lambda: {"x": 1},
+                    labelnames=("kind",))
+        reg.histogram("d", "hist", lambda: _hist(0.5))
         text = reg.render()
         assert "# HELP a_total counts things" in text
         assert "# TYPE a_total counter" in text
@@ -161,14 +184,9 @@ class TestRegistry:
         assert Registry().render() == ""
 
     def test_reexported_from_metrics_package(self):
-        from repro.metrics import (
-            Counter as C,
-            Gauge as G,
-            Histogram as H,
-            Registry as R,
-        )
+        from repro.metrics import Histogram as H, Registry as R
 
-        assert (C, G, H, R) == (Counter, Gauge, Histogram, Registry)
+        assert (H, R) == (Histogram, Registry)
 
 
 class TestHistogramQuantile:
@@ -224,14 +242,7 @@ class TestHistogramQuantile:
 
 class TestRegistrySnapshot:
     def test_snapshot_plain_dict(self):
-        reg = Registry()
-        reg.counter("a_total", "counts").inc(2)
-        reg.gauge("depth").set(1.5)
-        fam = reg.counter("c_total", "labeled", labelnames=("kind",))
-        fam.labels(kind="x").inc()
-        fam.labels(kind="y").inc(3)
-        reg.histogram("lat", "latency", buckets=(1.0,)).observe(0.5)
-        snap = reg.snapshot()
+        snap = _demo_registry().snapshot()
         assert snap["a_total"] == {
             "type": "counter", "help": "counts", "values": {"": 2.0},
         }
@@ -242,8 +253,8 @@ class TestRegistrySnapshot:
 
     def test_snapshot_is_json_serializable(self):
         reg = Registry()
-        reg.counter("a_total").inc()
-        reg.histogram("h", buckets=(0.1, 1.0)).observe(0.05)
+        reg.counter("a_total", "", lambda: 1)
+        reg.histogram("h", "", lambda: _hist(0.05, buckets=(0.1, 1.0)))
         json.dumps(reg.snapshot(), allow_nan=False)
 
     def test_empty_snapshot(self):
@@ -254,21 +265,13 @@ class TestParseExposition:
     def test_round_trips_rendered_registry(self):
         """render() output parses back to the same values, with label
         keys in the snapshot() shape."""
-        reg = Registry()
-        reg.counter("a_total", "counts").inc(2)
-        reg.gauge("depth", "queue depth").set(1.5)
-        fam = reg.counter("c_total", "labeled", labelnames=("kind",))
-        fam.labels(kind="x").inc()
-        fam.labels(kind="y").inc(3)
-        parsed = parse_exposition(reg.render())
+        parsed = parse_exposition(_demo_registry().render())
         assert parsed["a_total"] == {"": 2.0}
         assert parsed["depth"] == {"": 1.5}
         assert parsed["c_total"] == {"kind=x": 1.0, "kind=y": 3.0}
 
     def test_histogram_series_surface_as_samples(self):
-        reg = Registry()
-        reg.histogram("lat", "latency", buckets=(1.0,)).observe(0.5)
-        parsed = parse_exposition(reg.render())
+        parsed = parse_exposition(_demo_registry().render())
         assert parsed["lat_bucket"]["le=1"] == 1.0
         assert parsed["lat_bucket"]["le=+Inf"] == 1.0
         assert parsed["lat_count"][""] == 1.0
@@ -300,17 +303,16 @@ class TestLabelEscaping:
     )
     def test_label_value_round_trips(self, value):
         reg = Registry()
-        fam = reg.counter("esc_total", "doc", labelnames=("job",))
-        fam.labels(job=value).inc(3)
+        reg.counter("esc_total", "doc", lambda: {value: 3},
+                    labelnames=("job",))
         parsed = parse_exposition(reg.render())
         assert parsed["esc_total"] == {f"job={value}": 3.0}
 
     def test_rendered_line_is_single_line(self):
         # a newline in a label value must not split the sample line
         reg = Registry()
-        reg.counter("nl_total", "doc", labelnames=("j",)).labels(
-            j="a\nb"
-        ).inc()
+        reg.counter("nl_total", "doc", lambda: {"a\nb": 1},
+                    labelnames=("j",))
         sample_lines = [
             line
             for line in reg.render().splitlines()
@@ -320,7 +322,7 @@ class TestLabelEscaping:
 
     def test_help_text_newlines_escaped(self):
         reg = Registry()
-        reg.counter("h_total", "first\nsecond \\ slash")
+        reg.counter("h_total", "first\nsecond \\ slash", lambda: 0)
         rendered = reg.render()
         assert "# HELP h_total first\\nsecond \\\\ slash" in rendered
         # still parseable
@@ -329,9 +331,8 @@ class TestLabelEscaping:
     def test_closing_brace_inside_label_value(self):
         # the sample regex must not stop at the first '}' it sees
         reg = Registry()
-        reg.gauge("g", "doc", labelnames=("expr",)).labels(
-            expr='x{y="z"}'
-        ).set(2.5)
+        reg.gauge("g", "doc", lambda: {'x{y="z"}': 2.5},
+                  labelnames=("expr",))
         parsed = parse_exposition(reg.render())
         assert parsed["g"] == {'expr=x{y="z"}': 2.5}
 
@@ -375,6 +376,38 @@ class TestRollingWindow:
             win.add(float(i), 1.0)
         assert len(win) == 4
         assert win.total(9.0) == 4.0
+
+    def test_reads_never_race_the_writer(self):
+        """Scrapes read the window from other threads while the consumer
+        adds to it: a read must neither evict nor see the deque move."""
+        win = RollingWindow(window=0.05)
+        stop = threading.Event()
+        errors = []
+
+        def read():
+            while not stop.is_set():
+                now = time.monotonic()
+                try:
+                    win.quantile(0.5, now)
+                    win.total(now)
+                    win.rate(now)
+                    win.count(now)
+                except Exception as exc:  # noqa: BLE001 - any race counts
+                    errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline:
+                win.add(time.monotonic(), 1.0)
+        finally:
+            stop.set()
+            reader.join()
+            sys.setswitchinterval(interval)
+        assert errors == []
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -502,27 +535,27 @@ class TestTracedRun:
 
     def test_engine_metrics_move(self):
         engine, _, reg = _traced_run()
-        assert reg.get("repro_engine_rounds_total").value > 0
-        assert reg.get("repro_engine_placements_total").value == len(
+        assert reg.get("repro_engine_rounds_total").read() > 0
+        assert reg.get("repro_engine_placements_total").read() == len(
             engine.placement_log
         )
-        assert reg.get("repro_engine_jobs_finished_total").value == len(
+        assert reg.get("repro_engine_jobs_finished_total").read() == len(
             engine.jobs
         )
         hist = reg.get("repro_engine_round_placements")
-        assert hist.count == reg.get("repro_engine_rounds_total").value
-        assert reg.get("repro_engine_sim_time_seconds").value == engine.now
+        assert hist.read().count == reg.get("repro_engine_rounds_total").read()
+        assert reg.get("repro_engine_sim_time_seconds").read() == engine.now
 
     def test_tetris_cache_and_ledger_metrics(self):
         _, _, reg = _traced_run()
         visits = reg.get("repro_tetris_machine_visits_total")
-        assert visits.labels(outcome="productive").value > 0
+        assert visits.read()["productive"] > 0
         # a traced run judges no machine before visiting it
-        assert visits.labels(outcome="skipped").value == 0
+        assert visits.read()["skipped"] == 0
         assert reg.get("repro_tetris_cache_invalidations_total") is not None
-        assert reg.get("repro_tetris_remote_grants_total").value > 0
+        assert reg.get("repro_tetris_remote_grants_total").read() > 0
         # drained run: no outstanding grants
-        assert reg.get("repro_tetris_remote_ledger_machines").value == 0
+        assert reg.get("repro_tetris_remote_ledger_machines").read() == 0
 
     def test_estimator_fallback_counter(self):
         _, _, reg = _traced_run(
@@ -530,7 +563,7 @@ class TestTracedRun:
             estimator=ProfilingEstimator(),
         )
         fam = reg.get("repro_estimator_estimates_total")
-        assert fam.labels(source="fallback").value > 0
+        assert fam.read()["fallback"] > 0
 
     def test_tracker_metrics(self):
         trace = _workload()
@@ -545,15 +578,15 @@ class TestTracedRun:
             metrics=reg,
         )
         engine.run()
-        assert reg.get("repro_tracker_reports_total").value > 0
-        assert reg.get("repro_tracker_tracked_placements").value == 0
+        assert reg.get("repro_tracker_reports_total").read() > 0
+        assert reg.get("repro_tracker_tracked_placements").read() == 0
 
     def test_baseline_scheduler_gets_engine_events(self):
         _, sink, reg = _traced_run(scheduler=DRFScheduler())
         tally = _tally(sink)
         assert tally.get("round", 0) > 0
         assert tally.get("task_start", 0) > 0
-        assert reg.get("repro_engine_placements_total").value > 0
+        assert reg.get("repro_engine_placements_total").read() > 0
         for event in sink.events():
             validate_event(event)
 
@@ -567,7 +600,7 @@ class TestTracedRun:
         reservations = sink.events("reservation")
         if reservations:  # workload-dependent; metrics must agree
             assert (
-                reg.get("repro_tetris_reservations_total").value
+                reg.get("repro_tetris_reservations_total").read()
                 == len(reservations)
             )
             via = [

@@ -37,10 +37,10 @@ def _get(url, timeout=5.0):
 @pytest.fixture
 def registry():
     reg = Registry()
-    reg.counter("demo_total", "a counter").inc(7)
-    reg.gauge("demo_depth", "a gauge", labelnames=("q",)).labels(
-        q="high"
-    ).set(2.5)
+    reg.counter("demo_total", "a counter", lambda: 7)
+    reg.gauge(
+        "demo_depth", "a gauge", lambda: {"high": 2.5}, labelnames=("q",)
+    )
     return reg
 
 

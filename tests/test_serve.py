@@ -98,13 +98,13 @@ def _batch_run(trace, seed=3, num_machines=6, use_tracker=False):
 def _serve_run(
     trace, seed=3, num_machines=6, use_tracker=False,
     max_batch=8, admission=None, registry=None,
-    serve_config=None, max_placement_log=None,
+    serve_config=None,
 ):
     cluster, jobs, tracker = _build(trace, num_machines, seed, use_tracker)
     engine = Engine(
         cluster, TetrisScheduler(), [],
         tracker=tracker,
-        config=EngineConfig(seed=seed, max_placement_log=max_placement_log),
+        config=EngineConfig(seed=seed),
         metrics=registry,
     )
     service = SchedulerService(
@@ -524,13 +524,12 @@ class TestEngineStepping:
 # ---------------------------------------------------------------------------
 
 def _make_service(
-    trace, seed=3, num_machines=6, max_placement_log=None,
-    serve_config=None, registry=None,
+    trace, seed=3, num_machines=6, serve_config=None, registry=None,
 ):
     cluster, jobs, _ = _build(trace, num_machines, seed)
     engine = Engine(
         cluster, TetrisScheduler(), [],
-        config=EngineConfig(seed=seed, max_placement_log=max_placement_log),
+        config=EngineConfig(seed=seed),
         metrics=registry,
     )
     service = SchedulerService(
@@ -551,42 +550,7 @@ class TestPlacementLatencyScan:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             report = asyncio.run(service.serve())
-        assert report.latency_scan_misses == 0
         assert report.placement_latency["count"] == 6
-        assert report.placement_latency["scan_misses"] == 0
-
-    def test_capped_log_warns_and_accounts_misses(self):
-        # a 2-entry log cap with 8-job batches: placements are evicted
-        # between scans, so coverage degrades -- loudly
-        engine, service = _make_service(
-            _trace(num_jobs=10),
-            max_placement_log=2,
-            serve_config=ServeConfig(max_batch=8),
-        )
-        with pytest.warns(RuntimeWarning, match="placement log cap"):
-            report = asyncio.run(service.serve())
-        assert report.latency_scan_misses > 0
-        assert report.placement_latency["scan_misses"] == (
-            report.latency_scan_misses
-        )
-        # every placement is either scanned or counted as missed
-        assert report.latency_scan_misses < engine.num_placements
-
-    def test_capped_log_warns_once(self):
-        import warnings
-
-        _, service = _make_service(
-            _trace(num_jobs=10),
-            max_placement_log=2,
-            serve_config=ServeConfig(max_batch=8),
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            asyncio.run(service.serve())
-        cap_warnings = [
-            w for w in caught if "placement log cap" in str(w.message)
-        ]
-        assert len(cap_warnings) == 1
 
 
 class TestRollingWindowTelemetry:
@@ -720,7 +684,7 @@ class TestHealthAndStatus:
         assert snap["placements"] > 0
         assert snap["queue_depth"] == 0
         assert snap["window"]["seconds"] == 60.0
-        assert snap["placement_latency"]["scan_misses"] == 0
+        assert snap["placement_latency"]["count"] == 5
         json.dumps(snap)
 
     def test_status_snapshot_before_serve(self):

@@ -212,18 +212,14 @@ class TestTrackerSkipIdentity:
             _workload(seed=11, num_jobs=10, horizon=200.0), self.FAST,
             num_machines=8, use_tracker=True, stats=stats, metrics=registry,
         )
-        visits = registry.get("repro_tetris_machine_visits_total")
-        by_outcome = {
-            outcome: visits.labels(outcome=outcome).value
-            for outcome in ("skipped", "empty", "productive")
-        }
+        by_outcome = registry.get("repro_tetris_machine_visits_total").read()
         assert by_outcome["skipped"] == (
             stats["machines_considered"] - stats["machines_visited"]
         ) > 0
         assert by_outcome["productive"] == stats["visits_productive"]
         assert sum(by_outcome.values()) == stats["machines_considered"]
         rows = registry.get("repro_tetris_placeability_rows_total")
-        assert rows.value == stats["plane_stage_rows"] > 0
+        assert rows.read() == stats["plane_stage_rows"] > 0
 
     def test_inspect_reports_useful_visit_ratio(self, tmp_path, capsys):
         """``repro inspect --metrics`` reads the plane's tightness and

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.cluster import Cluster
 from repro.estimation.estimator import NoisyEstimator, ProfilingEstimator
 from repro.estimation.tracker import ResourceTracker
-from repro.resources import DEFAULT_MODEL, FB_MACHINE_CAPACITY
+from repro.resources import DEFAULT_MODEL, EPSILON, FB_MACHINE_CAPACITY
 from repro.schedulers.tetris import TetrisConfig, TetrisScheduler
 from repro.sim.engine import Engine, EngineConfig
 from repro.workload.job import Job
@@ -382,7 +382,7 @@ class TestRemoteLedger:
         dict/set hanging off the scheduler, its candidate index and its
         stage index is empty, bar the cumulative counters."""
         scheduler = self._drained_scheduler(vectorized)
-        counters = {"stats", "visit_stats"}
+        counters = {"invalidations", "visit_stats"}
         checked = 0
         for owner in (scheduler, scheduler.candidates, scheduler.index):
             for name, value in vars(owner).items():
@@ -418,9 +418,10 @@ class TestRemoteLedger:
             scheduler.check_remote_ledger()
 
 
-class TestRemoteVerdictCache:
-    """The memoized remote-headroom verdict (``_remote_sources_ok``)
-    equals a fresh computation after every mutation that can move it."""
+class TestRemoteVerdict:
+    """The fused remote-headroom verdict (``_remote_sources_ok``) equals
+    checking the source :meth:`_pick_remote_source` charges, read off
+    each machine's free vector, after every mutation that can move it."""
 
     _i = st.integers(0, 3)  # a machine, reader or filler index
     _ops = st.one_of(
@@ -435,7 +436,9 @@ class TestRemoteVerdictCache:
 
     @given(ops=st.lists(_ops, max_size=40))
     @settings(deadline=None, max_examples=60)
-    def test_memo_equals_fresh_under_interleavings(self, ops):
+    def test_verdict_equals_picked_source_check_under_interleavings(
+        self, ops
+    ):
         cluster = Cluster(4, seed=0)
         scheduler = TetrisScheduler(TetrisConfig(debug_invariants=True))
         scheduler.bind(cluster)
@@ -449,18 +452,25 @@ class TestRemoteVerdictCache:
         scheduler.on_job_arrival(Job([stage]), 0.0)
         fillers = [make_task(diskr=150.0, netout=70.0) for _ in range(4)]
         placed = {}
-        cache = scheduler._remote_ok_cache
+
+        def headroom(source_id):
+            free = cluster.machine(source_id).free_clamped_view()
+            return min(
+                free.get("netout"), free.get("diskr")
+            ) - scheduler._remote_granted.get(source_id, 0.0)
 
         def check():
             for task in readers:
                 for machine_id in range(4):
-                    memo = scheduler._remote_sources_ok(task, machine_id)
-                    kept = dict(cache)
-                    cache.clear()
-                    fresh = scheduler._remote_sources_ok(task, machine_id)
-                    cache.clear()
-                    cache.update(kept)
-                    assert memo == fresh, (task.index, machine_id)
+                    expected = all(
+                        headroom(source_id) + EPSILON >= required
+                        for source_id, required in (
+                            scheduler._remote_requirements(task, machine_id)
+                        )
+                    )
+                    assert scheduler._remote_sources_ok(
+                        task, machine_id
+                    ) == expected, (task.index, machine_id)
 
         for kind, *args in [("check",)] + ops:
             if kind == "grant":
@@ -484,7 +494,6 @@ class TestRemoteVerdictCache:
             task.mark_finished(1.0)
             scheduler.on_task_finished(task, 1.0)
         assert not (scheduler._remote_granted or scheduler._remote_by_task)
-        assert not cache
 
 
 class TestRemoteSourceChoice:
@@ -695,7 +704,7 @@ class TestStageRowsInvalidation:
         scheduler.on_task_finished(first, 1.0)
         assert scheduler.candidates.stage_rows(stage) is rows
         assert rows.rep is second
-        assert scheduler.candidates.stats["invalidations"] == 0
+        assert scheduler.candidates.invalidations == {"full": 0, "shuffle": 0}
 
     def test_stage_drain_drops_stage_rows(self):
         scheduler, job = self._arrived()
@@ -716,7 +725,7 @@ class TestStageRowsInvalidation:
         tasks[0].mark_finished(1.0)
         scheduler.on_task_finished(tasks[0], 1.0)
         assert scheduler.candidates._stage_rows == {}
-        assert scheduler.candidates.stats["invalidations"] >= 1
+        assert scheduler.candidates.invalidations["full"] >= 1
         assert scheduler.candidates.stage_rows(stage) is not rows
 
     def test_rows_equal_masked_scalar_booking(self):

@@ -26,9 +26,7 @@ def _config(prob):
         num_machines=DEPLOY_MACHINES,
         seed=1,
         use_tracker=True,
-        engine_config=EngineConfig(
-            seed=1, task_failure_prob=prob
-        ),
+        engine_config=EngineConfig(task_failure_prob=prob),
     )
 
 

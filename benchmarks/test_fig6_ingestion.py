@@ -39,7 +39,7 @@ def _run(scheduler, use_tracker):
     tracker = None
     if use_tracker:
         tracker = ResourceTracker(
-            cluster, TrackerConfig(report_period=1.0, ramp_seconds=2.0)
+            cluster, TrackerConfig(ramp_seconds=2.0)
         )
     # ingestion loads machine 0's NIC and disk from t=50 on (120 MB/s:
     # nearly the full 125 MB/s NIC, leaving less disk headroom than one

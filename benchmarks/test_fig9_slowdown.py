@@ -22,6 +22,7 @@ from repro.metrics.fairness import (
 )
 from repro.schedulers.slot_fair import SlotFairScheduler
 from repro.schedulers.tetris import TetrisConfig, TetrisScheduler
+from repro.sim.engine import EngineConfig
 
 KNOBS = (0.0, 0.25, 0.5, 0.99)
 #: ignore sub-5% jitters, as CDF eyeballing in the paper effectively does
@@ -41,8 +42,8 @@ def test_fig9_job_slowdown_vs_knob(benchmark):
             deploy_trace(),
             schedulers,
             ExperimentConfig(
-                num_machines=DEPLOY_MACHINES, seed=1, track_fairness=True,
-                use_tracker=True,
+                num_machines=DEPLOY_MACHINES, seed=1, use_tracker=True,
+                engine_config=EngineConfig(track_fairness=True),
             ),
         )
 

@@ -13,6 +13,7 @@ from conftest import (
 )
 
 from repro.analysis.tightness import machine_usage_tightness
+from repro.sim.engine import EngineConfig
 
 THRESHOLDS = (0.6, 0.8, 1.0)
 IO_DIMS = ("diskr", "diskw", "netin", "netout")
@@ -24,8 +25,8 @@ def test_table6_machine_level_usage(benchmark):
         # booked demand never exceeds capacity (the tracker deliberately
         # re-packs reclaimed headroom, which can transiently overshoot)
         results = standard_comparison(
-            deploy_trace(), DEPLOY_MACHINES, seed=1,
-            track_machine_usage=True, use_tracker=False,
+            deploy_trace(), DEPLOY_MACHINES, seed=1, use_tracker=False,
+            engine_config=EngineConfig(track_machine_usage=True),
         )
         tightness = {
             name: machine_usage_tightness(

@@ -56,7 +56,7 @@ def run(scheduler, with_tracker):
     tracker = None
     if with_tracker:
         tracker = ResourceTracker(
-            cluster, TrackerConfig(report_period=1.0, ramp_seconds=2.0)
+            cluster, TrackerConfig(ramp_seconds=2.0)
         )
     # a long 120 MB/s ingestion stream lands on machine 0 at t=50
     activity = ingestion(LOADED_MACHINE, start_time=50.0,

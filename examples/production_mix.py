@@ -23,7 +23,6 @@ from repro import (
     materialize_trace,
 )
 from repro.analysis.model import audit_engine
-from repro.estimation.tracker import TrackerConfig
 from repro.metrics.fairness import jains_index
 
 
@@ -49,7 +48,7 @@ def main() -> None:
     )
     cluster = make_cluster()
     jobs = materialize_trace(trace, cluster, seed=9)
-    tracker = ResourceTracker(cluster, TrackerConfig(report_period=2.0))
+    tracker = ResourceTracker(cluster)
     scheduler = TetrisScheduler(
         TetrisConfig(
             fairness_knob=0.25,

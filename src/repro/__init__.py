@@ -65,7 +65,7 @@ from repro.estimation import (
     ResourceTracker,
 )
 from repro.activity import evacuation, ingestion
-from repro.sim import Engine, EngineConfig, FluidConfig
+from repro.sim import Engine, EngineConfig
 from repro.experiments import (
     ExperimentConfig,
     RunResult,
@@ -116,7 +116,6 @@ __all__ = [
     "evacuation",
     "Engine",
     "EngineConfig",
-    "FluidConfig",
     "ExperimentConfig",
     "RunResult",
     "run_trace",

@@ -16,10 +16,9 @@ import argparse
 import sys
 from typing import Callable, Dict, Optional, Sequence
 
-from repro.analysis.model import audit_engine
+from repro.analysis.model import audit_schedule
 from repro.exec import RunSpec, get_backend, run_specs
-from repro.exec.backends import WORKERS_ENV
-from repro.experiments.harness import ExperimentConfig
+from repro.experiments.harness import ExperimentConfig, assemble_run
 from repro.metrics.comparison import improvement_percent
 from repro.schedulers.registry import SCHEDULER_REGISTRY, build_scheduler
 from repro.workload.trace import load_trace, save_trace
@@ -163,11 +162,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"choose from {sorted(SCHEDULERS)}"
         )
     backend = get_backend(args.workers)
+    config = _experiment_config(args)
     spec = RunSpec(
         trace=tuple(trace),
         scheduler=args.scheduler,
         knobs=_scheduler_knobs(args.scheduler, args),
-        config=_experiment_config(args),
+        config=config,
     )
     start = perf_counter()
     outcome = run_specs([spec], backend)[0]
@@ -197,22 +197,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         print(f"wrote {args.json}")
     if args.audit:
-        # re-run with a kept engine to audit; run_trace does not expose
-        # the engine, so audit on a fresh engine run
-        from repro.sim.engine import Engine
-        from repro.workload.trace import materialize_trace
-
-        config = _experiment_config(args)
-        cluster = config.make_cluster()
-        jobs = materialize_trace(trace, cluster, seed=config.seed)
-        engine = Engine(
-            cluster,
-            _make_scheduler(args.scheduler, args),
-            jobs,
-            config=config.make_engine_config(),
+        # audit the schedule reported above; the booked-capacity check
+        # (eq. 1) holds only for tracker-less runs (see audit_schedule)
+        capacities = {
+            m.machine_id: m.capacity for m in config.make_cluster().machines
+        }
+        report = audit_schedule(
+            result.jobs,
+            result.placement_log,
+            capacities,
+            include_capacity=not config.use_tracker,
         )
-        engine.run()
-        report = audit_engine(engine)
         if report.ok:
             print("audit: schedule satisfies all Section 3.1 constraints")
         else:
@@ -336,17 +331,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """One fully-observed run: decision JSONL + Perfetto timeline + metrics."""
     import os
 
-    from repro.estimation.tracker import ResourceTracker
     from repro.obs import DecisionTrace, Registry, write_chrome_trace
     from repro.profiling import Profiler
-    from repro.sim.engine import Engine
-    from repro.workload.trace import materialize_trace
 
     trace = _load_trace(args.trace)
-    config = _experiment_config(args)
-    cluster = config.make_cluster()
-    jobs = materialize_trace(trace, cluster, seed=config.seed)
-    tracker = ResourceTracker(cluster) if config.use_tracker else None
     os.makedirs(args.output, exist_ok=True)
     decisions_path = os.path.join(args.output, "decisions.jsonl")
     timeline_path = os.path.join(args.output, "timeline.json")
@@ -354,12 +342,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     profiler = Profiler()
     registry = Registry()
     with DecisionTrace(decisions_path, max_events=args.max_events) as sink:
-        engine = Engine(
-            cluster,
+        engine, _ = assemble_run(
+            trace,
             _make_scheduler(args.scheduler, args),
-            jobs,
-            tracker=tracker,
-            config=config.make_engine_config(),
+            _experiment_config(args),
             profiler=profiler,
             decision_trace=sink,
             metrics=registry,
@@ -552,7 +538,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the streaming scheduler daemon over a job-arrival stream."""
     import asyncio
 
-    from repro.estimation.tracker import ResourceTracker
     from repro.obs import DecisionTrace, Registry, TelemetryServer
     from repro.profiling import Profiler
     from repro.serve import (
@@ -562,15 +547,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ServeConfig,
         TraceReplaySource,
     )
-    from repro.sim.engine import Engine
-    from repro.workload.trace import materialize_trace
 
-    config = _experiment_config(args)
-    cluster = config.make_cluster()
     trace = _load_trace(args.trace)
-    jobs = materialize_trace(trace, cluster, seed=config.seed)
-    source = TraceReplaySource(jobs, speedup=args.speedup)
-    tracker = ResourceTracker(cluster) if config.use_tracker else None
     registry = Registry()
     # /debug/trace is a debug knob: a full decision trace is expensive
     # (per-candidate events), so the ring is only wired when asked for
@@ -583,12 +561,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # scrape it, so no profiler is created and the engine's timing
     # hooks stay on their None fast path (zero overhead)
     profiler = Profiler() if args.listen else None
-    engine = Engine(
-        cluster,
+    # a streaming engine starts empty; the replay source delivers the jobs
+    engine, jobs = assemble_run(
+        trace,
         _make_scheduler(args.scheduler, args),
-        [],
-        tracker=tracker,
-        config=config.make_engine_config(),
+        _experiment_config(args),
+        stream=True,
         profiler=profiler,
         decision_trace=decision_trace,
         metrics=registry,
@@ -603,7 +581,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     service = SchedulerService(
         engine,
-        source,
+        TraceReplaySource(jobs, speedup=args.speedup),
         admission,
         ServeConfig(
             max_batch=args.batch_cap,
@@ -750,6 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=cmd_generate)
 
+    # the option groups several subcommands share, each declared once
     def common(p):
         p.add_argument("trace", help="trace JSON from `repro generate`")
         p.add_argument("--machines", type=int, default=20)
@@ -760,18 +739,20 @@ def build_parser() -> argparse.ArgumentParser:
     def workers_arg(p):
         p.add_argument(
             "--workers", type=int, default=None, metavar="N",
-            help="parallel worker processes (default: the "
-            f"{WORKERS_ENV} env var, else 1 = serial); results are "
-            "bit-identical to a serial run",
+            help="parallel worker processes (default 1 = serial); "
+            "results are bit-identical to a serial run",
         )
+
+    def scheduler_args(p):
+        p.add_argument("--scheduler", default="tetris",
+                       choices=sorted(SCHEDULERS))
+        p.add_argument("--fairness-knob", type=float, default=None)
+        p.add_argument("--barrier-knob", type=float, default=None)
 
     run = sub.add_parser("run", help="run one scheduler on a trace")
     common(run)
     workers_arg(run)
-    run.add_argument("--scheduler", default="tetris",
-                     choices=sorted(SCHEDULERS))
-    run.add_argument("--fairness-knob", type=float, default=None)
-    run.add_argument("--barrier-knob", type=float, default=None)
+    scheduler_args(run)
     run.add_argument("--audit", action="store_true",
                      help="verify the Section 3.1 constraints afterwards")
     run.add_argument("--json", default=None, metavar="PATH",
@@ -801,10 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
         "timeline, metrics",
     )
     common(tr)
-    tr.add_argument("--scheduler", default="tetris",
-                    choices=sorted(SCHEDULERS))
-    tr.add_argument("--fairness-knob", type=float, default=None)
-    tr.add_argument("--barrier-knob", type=float, default=None)
+    scheduler_args(tr)
     tr.add_argument("-o", "--output", default="obs",
                     help="output directory for the three artifacts")
     tr.add_argument("--max-events", type=int, default=200_000,
@@ -824,8 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="exit non-zero if any event fails validation")
     ins.add_argument("--metrics", default=None, metavar="PATH",
                      help="metrics.prom from the same `repro trace` run; "
-                     "adds a cache-effectiveness section (candidate-index "
-                     "hit/miss/invalidation counters, fluid sparse-"
+                     "adds a cache-effectiveness section (candidate-row "
+                     "invalidations, machine visits, fluid sparse-"
                      "recompute footprint)")
     ins.set_defaults(func=cmd_inspect)
 
@@ -856,15 +834,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the streaming scheduler daemon over a replayed trace",
     )
-    serve.add_argument("trace", help="trace JSON from `repro generate`")
-    serve.add_argument("--machines", type=int, default=20)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--no-tracker", action="store_true",
-                       help="disable the resource tracker")
-    serve.add_argument("--scheduler", default="tetris",
-                       choices=sorted(SCHEDULERS))
-    serve.add_argument("--fairness-knob", type=float, default=None)
-    serve.add_argument("--barrier-knob", type=float, default=None)
+    common(serve)
+    scheduler_args(serve)
     serve.add_argument("--rate", type=float, default=None,
                        help="admission rate limit in jobs per wall second "
                        "(default: unlimited)")

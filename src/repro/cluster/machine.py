@@ -115,10 +115,6 @@ class Machine:
         self.state.free_clamped_row(self.row)
         return self._free_clamped
 
-    def can_fit(self, demands: ResourceVector) -> bool:
-        """Full-vector admission check (what Tetris enforces)."""
-        return (self.allocated + demands).fits_in(self.capacity)
-
     @property
     def num_running(self) -> int:
         return len(self.running)

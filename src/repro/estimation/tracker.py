@@ -34,9 +34,9 @@ __all__ = ["ResourceTracker", "TrackerConfig"]
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Tracker parameters."""
+    """Tracker parameters.  The report period is the engine's
+    (``EngineConfig.tracker_period``): the engine schedules the reports."""
 
-    report_period: float = 2.0
     ramp_seconds: float = 10.0
 
 

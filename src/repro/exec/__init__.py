@@ -11,8 +11,7 @@ serializable :class:`RunSpec` cells that any backend can execute:
 - :mod:`repro.exec.backends` — :class:`SerialBackend` (default,
   current behavior) and :class:`ProcessPoolBackend` (multiprocessing
   with per-run failure isolation, timeouts that kill hung workers,
-  bounded retries, progress callbacks); worker counts default from the
-  ``REPRO_WORKERS`` environment variable.
+  bounded retries, progress callbacks).
 
 Key invariant (property-tested): a grid run with ``workers=N`` is
 bit-identical, metric for metric, to the serial run — parallelism is an

@@ -20,15 +20,12 @@ of completion order.  Two implementations:
   would fail identically — and are returned as failed outcomes with the
   worker's traceback.
 
-Worker counts resolve ``workers`` argument → ``REPRO_WORKERS`` env var →
-1, so CI and users can set a fleet-wide default without threading an
-argument through every call site.
+A worker count of ``None`` means 1 (serial).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import time
 import traceback
 from collections import deque
@@ -46,8 +43,8 @@ __all__ = [
     "get_backend",
 ]
 
-#: environment variable holding the default worker count
-WORKERS_ENV = "REPRO_WORKERS"
+#: seconds the pool waits on its workers' pipes between deadline checks
+_POLL_INTERVAL = 0.05
 
 #: progress callback: (completed_count, total, outcome_just_finished)
 ProgressCallback = Callable[[int, int, "TaskOutcome"], None]
@@ -72,31 +69,16 @@ class TaskOutcome:
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Explicit argument, else ``REPRO_WORKERS``, else 1."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{WORKERS_ENV} must be an integer, got {env!r}"
-                ) from None
-        else:
-            workers = 1
-    return max(1, int(workers))
+    """The worker count: the argument, 1 when it is ``None``."""
+    return max(1, int(workers or 1))
 
 
-def get_backend(
-    workers: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-):
+def get_backend(workers: Optional[int] = None):
     """The backend for a worker count: serial at 1, process pool above."""
     count = resolve_workers(workers)
     if count <= 1:
         return SerialBackend()
-    return ProcessPoolBackend(workers=count, timeout=timeout, retries=retries)
+    return ProcessPoolBackend(workers=count)
 
 
 class SerialBackend:
@@ -204,10 +186,8 @@ class ProcessPoolBackend:
     ``timeout`` is per attempt (seconds of wall clock before the worker
     is terminated and replaced); ``retries`` bounds how many
     *additional* attempts a timed-out or silently-dead worker's item
-    gets, so total attempts are at most ``retries + 1``.
-    ``start_method`` selects the multiprocessing context (platform
-    default when ``None``; items and ``fn`` must be picklable under
-    ``spawn``).
+    gets, so total attempts are at most ``retries + 1``.  Workers start
+    under the platform's default multiprocessing context.
 
     The pool is usable as a context manager; otherwise call
     :meth:`close` (or rely on daemonized workers dying with the parent).
@@ -220,8 +200,6 @@ class ProcessPoolBackend:
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
         retries: int = 1,
-        start_method: Optional[str] = None,
-        poll_interval: float = 0.05,
     ) -> None:
         self.workers = resolve_workers(workers)
         if timeout is not None and timeout <= 0:
@@ -230,10 +208,7 @@ class ProcessPoolBackend:
             raise ValueError(f"retries must be non-negative, got {retries}")
         self.timeout = timeout
         self.retries = retries
-        self.poll_interval = poll_interval
-        self._ctx = (
-            mp.get_context(start_method) if start_method else mp.get_context()
-        )
+        self._ctx = mp.get_context()
         #: one slot per worker; None until first used (lazy spawn)
         self._slots: List[Optional[_Worker]] = [None] * self.workers
         self._closed = False
@@ -271,15 +246,6 @@ class ProcessPoolBackend:
             worker.proc.join(1.0)
         if self._slots[worker.slot] is worker:
             self._slots[worker.slot] = None
-
-    def worker_pids(self) -> List[Optional[int]]:
-        """Live worker PIDs by slot (None for never-spawned slots) —
-        lets callers (and the PID-stability regression test) observe
-        pool persistence without reaching into internals."""
-        return [
-            w.proc.pid if w is not None and w.proc.is_alive() else None
-            for w in self._slots
-        ]
 
     def close(self) -> None:
         """Shut the pool down: ask workers to exit, then make sure."""
@@ -458,7 +424,7 @@ class ProcessPoolBackend:
                     if done < total:
                         continue  # a dispatch failed; loop respawns
                     break
-                for conn in _mp_wait(list(busy), timeout=self.poll_interval):
+                for conn in _mp_wait(list(busy), timeout=_POLL_INTERVAL):
                     worker = busy[conn]
                     if worker.attempt is not None:
                         settle(worker)

@@ -75,8 +75,7 @@ def replicate(
     vary, as in repeated real experiments).
 
     The whole seeds × schedulers grid is independent cells, executed on
-    an execution backend (``workers`` > 1 / ``REPRO_WORKERS`` selects
-    the process pool); results are aggregated in seed order and are
+    an execution backend (``workers`` > 1 selects the process pool); results are aggregated in seed order and are
     bit-identical across backends.
     """
     from repro.exec import RunSpec, get_backend, raise_on_failure, run_specs

@@ -9,14 +9,18 @@ line as ``python -m repro report -o report.md``.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.analysis.wastage import excess_holding
-from repro.cluster.cluster import Cluster
-from repro.experiments.harness import ExperimentConfig, run_comparison
+from repro.experiments.harness import (
+    ExperimentConfig,
+    assemble_run,
+    run_comparison,
+)
 from repro.metrics.comparison import (
     improvement_distribution,
     improvement_percent,
@@ -26,7 +30,6 @@ from repro.schedulers.drf import DRFScheduler
 from repro.schedulers.slot_fair import SlotFairScheduler
 from repro.schedulers.tetris import TetrisConfig, TetrisScheduler
 from repro.schedulers.upper_bound import aggregate_upper_bound
-from repro.sim.engine import Engine
 from repro.workload.trace import materialize_trace
 from repro.workload.tracegen import WorkloadSuiteConfig, generate_workload_suite
 
@@ -143,14 +146,14 @@ def generate_report(
 
     lines += ["## Wastage from over-allocation", ""]
     rows = []
+    # tracker off, as in Table 6: the wastage of the base heuristic, not
+    # of the tracker's re-packing of reclaimed head-room
+    untracked = replace(config, use_tracker=False)
     for name, factory in (
         ("tetris", TetrisScheduler),
         ("slot-fair", SlotFairScheduler),
     ):
-        cluster = Cluster(machines, seed=seed)
-        jobs = materialize_trace(trace, cluster, seed=seed)
-        engine = Engine(cluster, factory(), jobs,
-                        config=config.make_engine_config())
+        engine, _ = assemble_run(trace, factory(), untracked)
         engine.run()
         rows.append([
             name,
@@ -164,7 +167,7 @@ def generate_report(
     )
 
     lines += ["## Upper bound (Section 2.3)", ""]
-    cluster = Cluster(machines, seed=seed)
+    cluster = config.make_cluster()
     jobs = materialize_trace(trace, cluster, seed=seed)
     ub = aggregate_upper_bound(
         jobs, cluster.total_capacity(), cluster.machine_capacity()

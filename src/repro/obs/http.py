@@ -91,11 +91,6 @@ class TelemetryServer:
             raise RuntimeError("telemetry server is not running")
         return self._server.server_address[:2]
 
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
     def start(self) -> Tuple[str, int]:
         """Bind and serve from a daemon thread; returns the address."""
         if self._server is not None:

@@ -211,9 +211,6 @@ class ResourceVector:
     def is_zero(self) -> bool:
         return bool(np.all(np.abs(self.data) <= EPSILON))
 
-    def is_nonnegative(self) -> bool:
-        return bool(np.all(self.data >= -EPSILON))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ResourceVector)
@@ -254,8 +251,9 @@ class ResourceVector:
 
 #: The paper's six-dimension model (Tables 4 and 5).  CPU is fluid because
 #: cores time-share: over-committing CPU slows everyone proportionally
-#: (with no extra penalty — see FluidConfig).  Memory is the only rigid
-#: resource: a task's peak memory is held for its whole lifetime.
+#: (with no extra penalty — see repro.sim.fluid.CONTENTION_SIGMA).  Memory
+#: is the only rigid resource: a task's peak memory is held for its whole
+#: lifetime.
 DEFAULT_MODEL = ResourceModel(
     names=("cpu", "mem", "diskr", "diskw", "netin", "netout"),
     fluid=("cpu", "diskr", "diskw", "netin", "netout"),

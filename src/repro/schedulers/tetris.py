@@ -114,9 +114,7 @@ class TetrisConfig:
       vectors + one numpy pass per machine round).  Placements are
       identical to the scalar path; flip off to run the scalar
       reference oracle.  Every scorer implements ``score_batch`` (it
-      is abstract on :class:`AlignmentScorer`);
-    - ``debug_invariants``: run the remote-grant ledger invariant check
-      after every grant/release (test/debug aid; off in production).
+      is abstract on :class:`AlignmentScorer`).
     """
 
     fairness_knob: float = 0.25
@@ -125,12 +123,10 @@ class TetrisConfig:
     srtf_multiplier: float = 1.0
     alignment_weight: float = 1.0
     scorer: str = "cosine"
-    check_remote_resources: bool = True
     considered_dims: Optional[Tuple[str, ...]] = None
     starvation_timeout: Optional[float] = None
     progress_aware_srtf: bool = False
     vectorized: bool = True
-    debug_invariants: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fairness_knob < 1.0:
@@ -349,16 +345,12 @@ class TetrisScheduler(Scheduler):
     def on_task_failed(self, task: Task, time: float) -> None:
         super().on_task_failed(task, time)
         self._release_remote_grants(task.task_id)
-        if self.config.debug_invariants:
-            self.check_remote_ledger()
 
     def on_task_finished(self, task: Task, time: float) -> None:
         super().on_task_finished(task, time)
         self.index.forget(task)
         self._release_remote_grants(task.task_id)
         self._remote_plans.pop(task.task_id, None)
-        if self.config.debug_invariants:
-            self.check_remote_ledger()
         if self.estimator.stable_estimates:
             # the stage's rows stay valid for its surviving peers
             self.candidates.forget_task(task)
@@ -539,8 +531,6 @@ class TetrisScheduler(Scheduler):
         iff any replica passes*, and one fused max-headroom scan per
         input replaces the argmax pass plus the re-check of the winner.
         """
-        if not self.config.check_remote_resources:
-            return True
         plan = self._remote_transfer_plan(task, machine_id)
         if not plan:
             return True
@@ -572,8 +562,6 @@ class TetrisScheduler(Scheduler):
                     self._remote_granted.get(source_id, 0.0) + rate
                 )
             self.remote_grants += len(grants)
-            if self.config.debug_invariants:
-                self.check_remote_ledger()
 
     def _release_remote_grants(self, task_id: int) -> None:
         """Undo a task's grants, clamping float drift and purging empties.
@@ -870,8 +858,7 @@ class TetrisScheduler(Scheduler):
             # the claim moved the stage's fronts for every machine not
             # yet visited this round
             self._round_table.refresh(task.stage)
-        if self.config.check_remote_resources:
-            self._grant_remote(task, machine_id)
+        self._grant_remote(task, machine_id)
         placements.append(Placement(task, machine_id, booked))
         self._stage_last_placement[task.stage.stage_id] = time
         if self.trace is not None:

@@ -105,29 +105,29 @@ def verify_free_vectors(cluster: "Cluster") -> List[str]:
     return issues
 
 
+#: engine steps per drive slice: the consumer yields to the event loop
+#: between slices, so pacing and admission stay live during long drives
+DRIVE_SLICE = 512
+#: wall seconds the consumer may go without progress *while actively
+#: working* before :meth:`SchedulerService.health` reports it stalled
+LIVENESS_DEADLINE = 30.0
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Service knobs.
 
     ``max_batch`` caps arrivals committed per consumer iteration;
     ``duration`` is a wall-clock cap on serving (None = run the stream
-    out); ``drive_slice`` bounds engine steps between asyncio yields so
-    pacing and admission stay live during long drives; ``verify_every``
-    runs :func:`verify_free_vectors` after every N committed batches
-    (0 disables); ``liveness_deadline`` is how many wall seconds the
-    consumer may go without progress *while actively working* before
-    :meth:`SchedulerService.health` reports it stalled (idle waiting on
-    a paced stream never counts); ``window_seconds`` enables the
-    rolling-window telemetry gauges (sliding placements/sec, latency
-    quantiles, admission-reject rate) over that span — ``None`` (the
-    default) keeps them off so an unobserved daemon pays nothing.
+    out); ``window_seconds`` enables the rolling-window telemetry gauges
+    (sliding placements/sec, latency quantiles, admission-reject rate)
+    over that span — ``None`` (the default) keeps them off so an
+    unobserved daemon pays nothing.  :func:`verify_free_vectors` runs
+    after every committed batch.
     """
 
     max_batch: int = 64
     duration: Optional[float] = None
-    drive_slice: int = 512
-    verify_every: int = 1
-    liveness_deadline: Optional[float] = 30.0
     window_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -135,12 +135,6 @@ class ServeConfig:
             raise ValueError("max_batch must be >= 1")
         if self.duration is not None and self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.drive_slice < 1:
-            raise ValueError("drive_slice must be >= 1")
-        if self.verify_every < 0:
-            raise ValueError("verify_every must be >= 0")
-        if self.liveness_deadline is not None and self.liveness_deadline <= 0:
-            raise ValueError("liveness_deadline must be positive")
         if self.window_seconds is not None and self.window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
 
@@ -478,12 +472,7 @@ class SchedulerService:
             # watermark: everything strictly before the newest committed
             # arrival is now safe to simulate
             await self._drive(staged.max_time, inclusive=False)
-            if (
-                self.config.verify_every
-                and self.report.batches_committed % self.config.verify_every
-                == 0
-            ):
-                self._check_invariants()
+            self._check_invariants()
             self._checkpoint_profiler(self._now())
 
     # -- stage / commit / drive ---------------------------------------------------
@@ -534,12 +523,12 @@ class SchedulerService:
         start = perf_counter()
         while True:
             steps = self.engine.run_until(
-                limit, inclusive=inclusive, max_steps=self.config.drive_slice
+                limit, inclusive=inclusive, max_steps=DRIVE_SLICE
             )
             self._touch()
             if steps:
                 self._scan_placements()
-            if steps < self.config.drive_slice:
+            if steps < DRIVE_SLICE:
                 break
             await asyncio.sleep(0)
         self.report.drive_seconds += perf_counter() - start
@@ -682,7 +671,7 @@ class SchedulerService:
         Safe to call from any thread mid-run: it only reads plain
         attributes and counters.  *Stalled* means the consumer has been
         in an active phase (staging/committing/driving) for longer than
-        ``liveness_deadline`` without making progress — idle waiting on
+        :data:`LIVENESS_DEADLINE` without making progress — idle waiting on
         a paced or empty stream is healthy.  ``watermark.lag_seconds``
         is event-time backlog: how far the engine clock trails the
         newest committed arrival.
@@ -697,11 +686,9 @@ class SchedulerService:
             else 0.0
         )
         age = now - self._last_progress
-        deadline = self.config.liveness_deadline
         stalled = (
             self._phase in ("active", "draining")
-            and deadline is not None
-            and age > deadline
+            and age > LIVENESS_DEADLINE
         )
         violations = self.report.invariant_violations
         healthy = not stalled and violations == 0
@@ -732,7 +719,7 @@ class SchedulerService:
             },
             "liveness": {
                 "last_progress_age_seconds": age,
-                "deadline_seconds": deadline,
+                "deadline_seconds": LIVENESS_DEADLINE,
             },
             "invariant_violations": violations,
         }

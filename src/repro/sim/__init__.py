@@ -1,14 +1,13 @@
 """Discrete-event fluid simulator for the cluster."""
 
 from repro.sim.events import Event, EventKind
-from repro.sim.fluid import FlowTable, FluidConfig
+from repro.sim.fluid import FlowTable
 from repro.sim.engine import Engine, EngineConfig
 
 __all__ = [
     "Event",
     "EventKind",
     "FlowTable",
-    "FluidConfig",
     "Engine",
     "EngineConfig",
 ]

@@ -33,7 +33,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.obs.registry import Histogram
 from repro.schedulers.base import Placement, Scheduler
 from repro.sim.events import ArrayEventQueue, EventKind
-from repro.sim.fluid import FluidConfig, FlowTable
+from repro.sim.fluid import FlowTable
 from repro.sim.runtime import build_flows
 from repro.workload.job import Job
 from repro.workload.stage import Stage
@@ -52,28 +52,30 @@ __all__ = ["Engine", "EngineConfig"]
 #: upper bounds of the placements-per-round histogram
 _ROUND_BUCKETS = (0, 1, 2, 5, 10, 20, 50, 100)
 
+#: simulated seconds charged to a task with no modeled work
+#: (bookkeeping-only tasks)
+MIN_TASK_DURATION = 0.05
+#: runaway guard: a simulation that passes this instant raises
+MAX_TIME = 50_000_000.0
+#: failure injection gives up on a task after this many attempts
+MAX_TASK_ATTEMPTS = 4
+
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Engine parameters.
 
-    ``min_task_duration`` is the wall-time charged to tasks with no
-    modeled work (bookkeeping-only tasks).  ``max_time`` guards against
-    runaway simulations.  ``shuffle_fanin`` caps how many distinct source
-    machines one task's shuffle read is coalesced into.
+    ``tracker_period`` is how often the resource tracker reports (the
+    node managers' configurable period of Section 4.1).
     """
 
-    min_task_duration: float = 0.05
-    max_time: float = 50_000_000.0
-    sample_period: float = 10.0
     tracker_period: float = 2.0
     track_fairness: bool = False
     track_machine_usage: bool = False
     #: failure injection: probability that a completed attempt is
     #: discarded and the task re-queued (the paper's trace replay mimics
-    #: per-task failure probabilities); capped at max_task_attempts
+    #: per-task failure probabilities); capped at MAX_TASK_ATTEMPTS
     task_failure_prob: float = 0.0
-    max_task_attempts: int = 4
     seed: int = 0
 
 
@@ -88,9 +90,7 @@ class Engine:
         activities: Iterable["ClusterActivity"] = (),
         estimator: Optional[DemandEstimator] = None,
         tracker: Optional[ResourceTracker] = None,
-        fluid_config: Optional[FluidConfig] = None,
         config: Optional[EngineConfig] = None,
-        collector: Optional[MetricsCollector] = None,
         profiler: Optional["Profiler"] = None,
         decision_trace: Optional["DecisionTrace"] = None,
         metrics: Optional["Registry"] = None,
@@ -101,19 +101,12 @@ class Engine:
         self.activities = list(activities)
         self.config = config if config is not None else EngineConfig()
         self.tracker = tracker
-        self.collector = (
-            collector
-            if collector is not None
-            else MetricsCollector(
-                sample_period=self.config.sample_period,
-                track_fairness=self.config.track_fairness,
-                track_machine_usage=self.config.track_machine_usage,
-            )
+        self.collector = MetricsCollector(
+            track_fairness=self.config.track_fairness,
+            track_machine_usage=self.config.track_machine_usage,
         )
         self.flows = FlowTable(
-            cluster.model,
-            [m.capacity.data for m in cluster.machines],
-            fluid_config,
+            cluster.model, [m.capacity.data for m in cluster.machines]
         )
         self.events = ArrayEventQueue()
         self.now = 0.0
@@ -325,10 +318,8 @@ class Engine:
 
     def _step_to(self, t_next: float) -> None:
         """One iteration of the simulation loop, advancing to ``t_next``."""
-        if t_next > self.config.max_time:
-            raise RuntimeError(
-                f"simulation exceeded max_time={self.config.max_time}"
-            )
+        if t_next > MAX_TIME:
+            raise RuntimeError(f"simulation exceeded max_time={MAX_TIME}")
         dt = max(t_next - self.now, 0.0)
         self._accumulate_fairness(dt)
         completed = self.flows.advance(dt)
@@ -449,7 +440,7 @@ class Engine:
         self._outstanding_flows.pop(task.task_id, None)
         if (
             self.config.task_failure_prob > 0
-            and task.attempts + 1 < self.config.max_task_attempts
+            and task.attempts + 1 < MAX_TASK_ATTEMPTS
             and self.rng.uniform() < self.config.task_failure_prob
         ):
             # the attempt is lost; release bookkeeping and requeue
@@ -582,7 +573,7 @@ class Engine:
                 self.flows.add_flow(spec)
         else:
             self.events.push(
-                self.now + self.config.min_task_duration,
+                self.now + MIN_TASK_DURATION,
                 EventKind.TASK_FIXED_COMPLETE,
                 task,
             )

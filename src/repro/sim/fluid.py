@@ -12,8 +12,7 @@ Every piece of in-flight work is a *flow*:
 
 Each (machine, fluid-dimension) pair is a *slot* with a fixed capacity.
 When the nominal demand on a slot exceeds its capacity, every flow through
-it is scaled down proportionally — and a configurable *contention penalty*
-makes the aggregate throughput drop below capacity, modeling incast, disk
+it is scaled down proportionally — and a *contention penalty* makes the aggregate throughput drop below capacity, modeling incast, disk
 seeks and cache misses (Section 2.1): with over-subscription ratio r > 1
 the aggregate achieved throughput is capacity / (1 + sigma * (r - 1)).
 
@@ -53,7 +52,7 @@ from repro.resources import ResourceModel
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.registry import Registry
 
-__all__ = ["FlowTable", "FluidConfig", "FlowSpec"]
+__all__ = ["FlowTable", "FlowSpec", "CONTENTION_SIGMA"]
 
 #: a flow touches at most this many (machine, dimension) slots
 MAX_SLOTS = 3
@@ -61,31 +60,13 @@ MAX_SLOTS = 3
 #: work below this is considered complete (guards float error)
 WORK_TOLERANCE = 1e-7
 
-
-@dataclass(frozen=True)
-class FluidConfig:
-    """Contention model parameters.
-
-    ``contention_sigma`` is the penalty slope: 0 gives pure proportional
-    sharing; the default 0.5 makes a 2x over-subscribed resource deliver
-    only ~67% of its capacity in aggregate — the "sharply lower
-    throughput" of Section 2.1 (switch-buffer incast, disk-seek and
-    cache-miss overheads).  ``sigma_overrides`` sets a per-dimension
-    slope — CPU time-sharing is lossless (sigma 0) while I/O contention
-    is worse than proportional.
-    """
-
-    contention_sigma: float = 0.5
-    sigma_overrides: Optional[Dict[str, float]] = None
-
-    def sigma_for(self, dim_name: str) -> float:
-        if self.sigma_overrides and dim_name in self.sigma_overrides:
-            return self.sigma_overrides[dim_name]
-        if dim_name == "cpu" and (
-            not self.sigma_overrides or "cpu" not in self.sigma_overrides
-        ):
-            return 0.0
-        return self.contention_sigma
+#: contention penalty slope sigma of every fluid dimension but cpu: 0
+#: would be pure proportional sharing; 0.5 makes a 2x over-subscribed
+#: resource deliver only ~67% of its capacity in aggregate — the
+#: "sharply lower throughput" of Section 2.1 (switch-buffer incast,
+#: disk-seek and cache-miss overheads).  CPU time-sharing is lossless
+#: (sigma 0).
+CONTENTION_SIGMA = 0.5
 
 
 @dataclass(frozen=True)
@@ -111,10 +92,8 @@ class FlowTable:
         self,
         model: ResourceModel,
         machine_capacities: Sequence[Sequence[float]],
-        config: Optional[FluidConfig] = None,
     ):
         self.model = model
-        self.config = config if config is not None else FluidConfig()
         self._fluid_dims = [
             i for i, fluid in enumerate(model.fluid_mask) if fluid
         ]
@@ -130,7 +109,10 @@ class FlowTable:
         self._num_slots = self.num_machines * nf
         self._nf = nf
         dim_sigmas = np.array(
-            [self.config.sigma_for(model.names[d]) for d in self._fluid_dims]
+            [
+                0.0 if model.names[d] == "cpu" else CONTENTION_SIGMA
+                for d in self._fluid_dims
+            ]
         )
         #: contention penalty slope per slot
         self._slot_sigma = np.tile(dim_sigmas, self.num_machines)

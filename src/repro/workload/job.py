@@ -83,9 +83,6 @@ class Job:
     def num_tasks(self) -> int:
         return sum(s.num_tasks for s in self.dag)
 
-    def runnable_tasks(self) -> List[Task]:
-        return [t for s in self.dag for t in s.runnable_tasks()]
-
     def has_runnable_tasks(self) -> bool:
         """O(1) via the transition-maintained runnable counter."""
         return self._num_runnable > 0

@@ -2,15 +2,35 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import dataclasses
+import importlib
+import pkgutil
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
+import repro
 from repro.cluster.cluster import Cluster
 from repro.resources import DEFAULT_MODEL, ResourceVector
 from repro.workload.job import Job
 from repro.workload.stage import Stage
 from repro.workload.task import Task, TaskInput, TaskWork
+
+
+def config_dataclasses() -> Dict[str, type]:
+    """Every ``*Config`` dataclass the ``repro`` package defines, by
+    name."""
+    found = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (
+                name.endswith("Config")
+                and dataclasses.is_dataclass(obj)
+                and obj.__module__ == info.name
+            ):
+                found[name] = obj
+    return found
 
 
 def make_task(

@@ -64,7 +64,7 @@ class TestTrackerSteersAroundIngestion:
         a machine under heavy ingestion (Figure 6)."""
         cluster = Cluster(2, machines_per_rack=2)
         tracker = ResourceTracker(
-            cluster, TrackerConfig(report_period=1.0, ramp_seconds=0.0)
+            cluster, TrackerConfig(ramp_seconds=0.0)
         )
         # heavy ingestion on machine 0 for a long time
         act = ingestion(0, start_time=0.0, size_mb=50_000, rate_mbps=180)

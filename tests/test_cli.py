@@ -54,6 +54,46 @@ class TestRun:
         assert rc == 0
         assert "audit" in capsys.readouterr().out
 
+    def test_audit_checks_the_reported_schedule(
+        self, trace_file, tmp_path, capsys, monkeypatch
+    ):
+        """``--audit`` audits the run it reports: one simulation, whose
+        jobs are the ones audited, and — the tracker being on — no
+        booked-capacity sweep (eq. 1 holds only without the tracker)."""
+        from repro.analysis import model
+        from repro.sim.engine import Engine
+
+        runs, audited, capacity_sweeps = [], [], []
+        engine_run, check_execution = Engine.run, model._check_execution
+
+        def counted_run(engine):
+            runs.append(engine)
+            return engine_run(engine)
+
+        def recorded_execution(jobs, report):
+            audited.append(jobs)
+            check_execution(jobs, report)
+
+        monkeypatch.setattr(Engine, "run", counted_run)
+        monkeypatch.setattr(model, "_check_execution", recorded_execution)
+        monkeypatch.setattr(
+            model, "_check_capacity",
+            lambda *args: capacity_sweeps.append(args),
+        )
+        out = tmp_path / "run.json"
+        rc = main([
+            "run", str(trace_file), "--machines", "8", "--audit",
+            "--json", str(out),
+        ])
+        assert rc == 0
+        assert "satisfies all Section 3.1" in capsys.readouterr().out
+        assert len(runs) == 1
+        assert audited == [runs[0].jobs]
+        assert capacity_sweeps == []
+        summary = json.loads(out.read_text())["summary"]
+        jcts = [job.completion_time for job in audited[0]]
+        assert summary["mean_jct"] == pytest.approx(sum(jcts) / len(jcts))
+
     def test_run_with_knobs(self, trace_file, capsys):
         rc = main([
             "run", str(trace_file), "--scheduler", "tetris",
@@ -296,7 +336,7 @@ class TestParser:
         assert args.command == "generate"
 
     def test_federation_stays_deleted(self, capsys):
-        """Measured slower and removed: see docs/performance.md."""
+        """Measured slower and removed: see docs/measurements/PR-16.md."""
         from repro.experiments import ExperimentConfig
 
         for command in (["run", "t.json"], ["serve", "t.json"]):
@@ -358,6 +398,69 @@ class TestParser:
             build_parser().parse_args(["serve"])
         assert "required: trace" in capsys.readouterr().err
 
+    def test_option_table_is_pinned(self):
+        """Every subcommand's option strings and defaults, as they were
+        before the shared groups (trace/cluster, workers, scheduler and
+        knobs) were each declared once."""
+        action = next(
+            a for a in build_parser()._actions
+            if a.__class__.__name__ == "_SubParsersAction"
+        )
+        table = {
+            name: {
+                " ".join(a.option_strings) or a.dest: a.default
+                for a in subparser._actions
+                if a.__class__.__name__ != "_HelpAction"
+            }
+            for name, subparser in action.choices.items()
+        }
+        assert table == PARSER_TABLE
+
+
+#: ``repro <command>`` options -> default
+_CLUSTER = {
+    "trace": None, "--machines": 20, "--seed": 0, "--no-tracker": False,
+}
+_KNOBS = {
+    "--scheduler": "tetris", "--fairness-knob": None, "--barrier-knob": None,
+}
+PARSER_TABLE = {
+    "generate": {
+        "--kind": "suite", "--jobs": 40, "--task-scale": 0.05,
+        "--horizon": 1000.0, "--seed": 0, "-o --output": None,
+    },
+    "run": {
+        **_CLUSTER, "--workers": None, **_KNOBS, "--audit": False,
+        "--json": None,
+    },
+    "compare": {
+        **_CLUSTER, "--workers": None, "--schedulers": "tetris,slot-fair,drf",
+        "--baseline": "slot-fair", "--json": None,
+    },
+    "sweep": {
+        **_CLUSTER, "--workers": None, "--knob": "fairness",
+        "--values": "0,0.25,0.5,0.75",
+    },
+    "trace": {
+        **_CLUSTER, **_KNOBS, "-o --output": "obs", "--max-events": 200000,
+    },
+    "inspect": {
+        "log": None, "--profile": None, "--strict": False, "--metrics": None,
+    },
+    "explain": {
+        "log": None, "--task": None, "--window": None, "--limit": 10,
+        "--json": False,
+    },
+    "serve": {
+        **_CLUSTER, **_KNOBS, "--rate": None, "--burst": 8.0,
+        "--queue-cap": 1024, "--policy": "reject", "--speedup": 0.0,
+        "--duration": None, "--batch-cap": 64, "--json": None,
+        "--listen": None, "--window": 60.0, "--trace-ring": 0,
+    },
+    "figures": {"-o --output": "figures", "--full": False},
+    "report": {"-o --output": "report.md", "--full": False, "--seed": 1},
+}
+
 
 class TestWorkers:
     def test_compare_parallel_json_matches_serial(self, trace_file, tmp_path):
@@ -404,6 +507,8 @@ class TestWorkers:
         assert stanza["wall_seconds_total"] > 0
 
     def test_workers_env_var(self, trace_file, tmp_path, monkeypatch):
+        """``--workers`` is the one setting of the worker count: the
+        environment does not change it."""
         monkeypatch.setenv("REPRO_WORKERS", "2")
         out = tmp_path / "run.json"
         rc = main([
@@ -411,7 +516,8 @@ class TestWorkers:
             "--machines", "8", "--json", str(out),
         ])
         assert rc == 0
-        assert json.loads(out.read_text())["execution"]["workers"] == 2
+        execution = json.loads(out.read_text())["execution"]
+        assert (execution["backend"], execution["workers"]) == ("serial", 1)
 
     def test_sweep_with_workers(self, trace_file, capsys):
         rc = main([

@@ -1,13 +1,17 @@
 """Docs guard: every code name the prose mentions resolves in this tree.
 
 Scans the inline code spans (single backticks) of ``README.md``,
-``DESIGN.md``, ``EXPERIMENTS.md`` and ``docs/*.md`` for three kinds of
+``DESIGN.md``, ``EXPERIMENTS.md`` and ``docs/*.md`` for five kinds of
 reference and checks each one against the code:
 
 - ``repro.*`` dotted names import (module, then attributes);
 - ``src/``, ``tests/``, ``benchmarks/`` and ``examples/`` paths exist
   (a glob must match something);
-- ``repro <cmd> --flag`` names a subcommand and its options.
+- ``repro <cmd> --flag`` names a subcommand and its options;
+- ``XConfig``, ``XConfig.field`` and ``XConfig(field=…, …)`` name a
+  config dataclass of ``repro`` and its fields (or methods);
+- a bare ``--flag`` is an option of some subcommand, or of the
+  repository benchmark's ``benchmarks/e2e/run.py``.
 
 A deleted module, file, subcommand or flag that the docs still name
 fails here instead of being found by reading.  The metrics table of
@@ -15,9 +19,12 @@ fails here instead of being found by reading.  The metrics table of
 declares, name and type.
 """
 
+import ast
+import dataclasses
 import glob
 import importlib
 import re
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -31,6 +38,8 @@ from repro.schedulers.tetris import TetrisScheduler
 from repro.serve import SchedulerService, ServeConfig, TraceReplaySource
 from repro.sim.engine import Engine
 
+from conftest import config_dataclasses
+
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = sorted(
     [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
@@ -42,6 +51,9 @@ _SPAN = re.compile(r"`([^`]+)`")
 _DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 _PATH = re.compile(r"^(?:src|tests|benchmarks|examples)/[^\s:(),]*")
 _COMMAND = re.compile(r"^(?:python -m )?repro (\S.*)$")
+_CONFIG = re.compile(r"\b([A-Z]\w*Config)\b(?:\.(\w+)|\(([^()]*)\))?")
+_FLAG = re.compile(r"^--[a-z][\w-]*")
+CONFIGS = config_dataclasses()
 _METRIC_ROW = re.compile(
     r"^\| `(repro_\w+?)(?:\{\w+\})?` \| (counter|gauge|histogram) \|", re.M
 )
@@ -67,6 +79,10 @@ def _references(docs):
                 yield "path", where, _PATH.match(span).group(0)
             if _COMMAND.match(span):
                 yield "command", where, "repro " + _COMMAND.match(span).group(1)
+            for match in _CONFIG.finditer(span):
+                yield "config", where, match.group(0)
+            if _FLAG.match(span):
+                yield "flag", where, _FLAG.match(span).group(0)
 
 
 def _resolves_name(dotted):
@@ -111,11 +127,47 @@ def _resolves_command(command):
     )
 
 
+def _resolves_config(ref):
+    match = _CONFIG.match(ref)
+    cls = CONFIGS.get(match.group(1))
+    if cls is None:
+        return False
+    fields = {f.name for f in dataclasses.fields(cls)}
+    names = [match.group(2)] if match.group(2) else []
+    if match.group(3):
+        names += re.findall(r"(\w+)\s*=", match.group(3))
+    return all(name in fields or hasattr(cls, name) for name in names)
+
+
+@lru_cache(maxsize=None)
+def _benchmark_flags():
+    """The option strings ``benchmarks/e2e/run.py`` declares (read from
+    its source: the script is not importable as a module)."""
+    tree = ast.parse((ROOT / "benchmarks" / "e2e" / "run.py").read_text())
+    return {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "add_argument"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+
+
+def _resolves_flag(flag):
+    return flag in _benchmark_flags() or any(
+        flag in subparser._option_string_actions
+        for subparser in _subparsers().values()
+    )
+
+
 def stale_references(docs=DOCS):
     check = {
         "name": _resolves_name,
         "path": _resolves_path,
         "command": _resolves_command,
+        "config": _resolves_config,
+        "flag": _resolves_flag,
     }
     return [
         f"{where}: `{ref}`"
@@ -124,7 +176,9 @@ def stale_references(docs=DOCS):
     ]
 
 
-@pytest.mark.parametrize("kind", ["name", "path", "command"])
+@pytest.mark.parametrize(
+    "kind", ["name", "path", "command", "config", "flag"]
+)
 def test_guard_finds_each_kind(kind):
     """The scanner sees every kind of reference it claims to check."""
     assert any(k == kind for k, _, _ in _references(DOCS))
@@ -141,12 +195,20 @@ def test_stale_reference_is_caught(tmp_path):
         "`repro.no_such_module`, `src/repro/no_such.py`, "
         "`repro run --no-such-flag` and `repro nope`; fine: "
         "`repro.cli.main`, `src/repro/cli.py:12`, `repro run --audit`.\n"
+        "`NoSuchConfig`, `TetrisConfig.no_such_knob`, "
+        "`ServeConfig(max_batch=8, no_such=1)`, `--no-such-flag 3`; fine: "
+        "`TetrisConfig(fairness_knob=0.5)`, `ExperimentConfig.seed`, "
+        "`ExperimentConfig.make_cluster()`, `--audit`.\n"
     )
     assert stale_references([doc]) == [
         "stale.md:1: `repro.no_such_module`",
         "stale.md:1: `src/repro/no_such.py`",
         "stale.md:1: `repro run --no-such-flag`",
         "stale.md:1: `repro nope`",
+        "stale.md:2: `NoSuchConfig`",
+        "stale.md:2: `TetrisConfig.no_such_knob`",
+        "stale.md:2: `ServeConfig(max_batch=8, no_such=1)`",
+        "stale.md:2: `--no-such-flag`",
     ]
 
 

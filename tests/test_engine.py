@@ -6,7 +6,8 @@ from repro.cluster.cluster import Cluster
 from repro.resources import DEFAULT_MODEL
 from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.tetris import TetrisConfig, TetrisScheduler
-from repro.sim.engine import Engine, EngineConfig
+from repro.sim import engine as engine_module
+from repro.sim.engine import MIN_TASK_DURATION, Engine, EngineConfig
 from repro.workload.job import Job
 from repro.workload.stage import Stage
 from repro.workload.task import Task, TaskInput, TaskState, TaskWork
@@ -46,8 +47,8 @@ class TestBasicExecution:
     def test_zero_work_task_charged_min_duration(self):
         task = Task(DEFAULT_MODEL.vector(cpu=1, mem=1), TaskWork())
         job = Job([Stage("s", [task])])
-        run_jobs([job], min_task_duration=0.5)
-        assert task.duration == pytest.approx(0.5)
+        run_jobs([job])
+        assert task.duration == pytest.approx(MIN_TASK_DURATION)
 
     def test_two_stage_barrier_ordering(self):
         job = make_two_stage_job(num_map=3, num_reduce=2)
@@ -154,10 +155,11 @@ class TestStuckDetection:
         with pytest.raises(RuntimeError, match="stuck"):
             run_jobs([job], scheduler=TetrisScheduler())
 
-    def test_max_time_guard(self):
+    def test_max_time_guard(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_TIME", 10.0)
         job = make_simple_job(num_tasks=1, cpu=1, cpu_work=1000.0)
         with pytest.raises(RuntimeError, match="max_time"):
-            run_jobs([job], max_time=10.0)
+            run_jobs([job])
 
 
 class TestContentionEndToEnd:

@@ -68,7 +68,7 @@ class TestEvacuationEndToEnd:
     def test_tracker_sees_evacuation(self):
         cluster = Cluster(2, machines_per_rack=2)
         tracker = ResourceTracker(
-            cluster, TrackerConfig(report_period=1.0, ramp_seconds=0.0)
+            cluster, TrackerConfig(ramp_seconds=0.0)
         )
         act = evacuation(0, start_time=0.0, size_mb=50_000, rate_mbps=120)
         from repro.workload.job import Job
@@ -103,7 +103,6 @@ class TestSamplePeriod:
         job = make_simple_job(num_tasks=2, cpu=1, cpu_work=100)
         engine = Engine(
             Cluster(1), FifoScheduler(), [job],
-            config=EngineConfig(sample_period=25.0),
         )
         collector = engine.run()
         times = [p.time for p in collector.timeline]

@@ -159,16 +159,13 @@ class TestBackendMap:
         assert "exited" in outs[0].error
 
     def test_resolve_workers_env(self, monkeypatch):
+        """The worker count is the argument alone: ``--workers`` is its
+        one setting, no environment variable is read."""
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers() == 3
-        assert get_backend().workers == 3
-        monkeypatch.setenv("REPRO_WORKERS", "zzz")
-        with pytest.raises(ValueError):
-            resolve_workers()
-        monkeypatch.delenv("REPRO_WORKERS")
         assert resolve_workers() == 1
         assert get_backend().name == "serial"
         assert resolve_workers(4) == 4
+        assert get_backend(2).workers == 2
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -181,21 +178,30 @@ class TestBackendMap:
 # pool persistence: workers are reused across fan-outs
 # ---------------------------------------------------------------------------
 
+def worker_pids(backend):
+    """Live worker PIDs by slot (None for never-spawned slots): what the
+    pool-persistence tests observe."""
+    return [
+        w.proc.pid if w is not None and w.proc.is_alive() else None
+        for w in backend._slots
+    ]
+
+
 class TestPersistentPool:
     def test_worker_pids_stable_across_fanouts(self):
         with ProcessPoolBackend(workers=2) as backend:
             backend.map(_getpid, range(4))
-            pids = backend.worker_pids()
+            pids = worker_pids(backend)
             backend.map(_getpid, range(4))
             # the same two processes sit behind the slots after a second
             # fan-out — i.e. the pool was not rebuilt per call
-            assert backend.worker_pids() == pids
+            assert worker_pids(backend) == pids
         assert None not in pids and len(set(pids)) == 2
 
     def test_nonsticky_pool_is_also_persistent(self):
         with ProcessPoolBackend(workers=2) as backend:
             first = {o.value for o in backend.map(_getpid, range(6))}
-            pids = {pid for pid in backend.worker_pids() if pid is not None}
+            pids = {pid for pid in worker_pids(backend) if pid is not None}
             second = {o.value for o in backend.map(_getpid, range(6))}
         assert first <= pids
         assert second <= pids
@@ -203,7 +209,7 @@ class TestPersistentPool:
     def test_crashed_worker_is_replaced_in_place(self):
         with ProcessPoolBackend(workers=2, retries=1) as backend:
             backend.map(_getpid, range(2))
-            before = backend.worker_pids()
+            before = worker_pids(backend)
             # item 0 kills the worker it runs on, on both attempts; the
             # other slot's worker serves item 1 and is untouched
             outs = backend.map(_crash_on_zero, range(2))
@@ -212,7 +218,7 @@ class TestPersistentPool:
             # the crashed slot serves later fan-outs with a fresh process
             after = backend.map(_getpid, range(2))
             assert all(o.ok for o in after)
-            now = backend.worker_pids()
+            now = worker_pids(backend)
             survivor = before.index(outs[1].value)
             assert now[survivor] == before[survivor]
             assert now[1 - survivor] not in (None, before[1 - survivor])
@@ -221,7 +227,7 @@ class TestPersistentPool:
         backend = ProcessPoolBackend(workers=2)
         backend.map(_double, [1])
         backend.close()
-        assert backend.worker_pids() == [None, None]
+        assert worker_pids(backend) == [None, None]
         with pytest.raises(RuntimeError, match="closed"):
             backend.map(_double, [1])
 
@@ -255,7 +261,17 @@ class TestDeterminism:
             "tetris": TetrisScheduler, "slot-fair": SlotFairScheduler,
         }
         serial = run_comparison(small_trace, factories, config)
-        parallel = run_comparison(small_trace, factories, config, workers=2)
+        parallel = {
+            o.label: o.result
+            for o in run_specs(
+                [
+                    RunSpec(trace=small_trace, scheduler=factory,
+                            config=config, label=name)
+                    for name, factory in factories.items()
+                ],
+                ProcessPoolBackend(workers=2),
+            )
+        }
         assert list(serial) == list(parallel) == ["tetris", "slot-fair"]
         for name in serial:
             assert (serial[name].completion_by_name()

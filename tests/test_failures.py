@@ -9,7 +9,7 @@ from repro.cluster.cluster import Cluster
 from repro.schedulers.capacity import CapacityScheduler
 from repro.schedulers.slot_fair import SlotFairScheduler
 from repro.schedulers.tetris import TetrisConfig, TetrisScheduler
-from repro.sim.engine import Engine, EngineConfig
+from repro.sim.engine import MAX_TASK_ATTEMPTS, Engine, EngineConfig
 from repro.workload.task import TaskState
 
 from conftest import make_simple_job, make_two_stage_job
@@ -39,7 +39,7 @@ class TestFailureInjection:
         attempts = [t.attempts for t in jobs[0].all_tasks()]
         assert max(attempts) >= 1
         assert all(
-            a < engine.config.max_task_attempts for a in attempts
+            a < MAX_TASK_ATTEMPTS for a in attempts
         )
 
     def test_failures_prolong_jobs(self):

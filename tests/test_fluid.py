@@ -1,37 +1,34 @@
 """Fluid flow-table tests: proportional sharing, contention, completion."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.resources import DEFAULT_MODEL
-from repro.sim.fluid import FluidConfig, FlowSpec, FlowTable
+from repro.sim import fluid
+from repro.sim.fluid import CONTENTION_SIGMA, FlowSpec, FlowTable
 
 
-def make_table(num_machines=2, sigma=0.25, **overrides):
+def make_table(num_machines=2, sigma=0.25):
+    """A flow table whose non-cpu slots contend with slope ``sigma``."""
     caps = [
         DEFAULT_MODEL.vector(
             cpu=16, mem=48, diskr=200, diskw=200, netin=125, netout=125
         ).data
         for _ in range(num_machines)
     ]
-    config = FluidConfig(contention_sigma=sigma, **overrides)
-    return FlowTable(DEFAULT_MODEL, caps, config)
+    with mock.patch.object(fluid, "CONTENTION_SIGMA", sigma):
+        return FlowTable(DEFAULT_MODEL, caps)
 
 
 class TestFluidConfig:
     def test_cpu_sigma_defaults_to_zero(self):
-        cfg = FluidConfig(contention_sigma=0.25)
-        assert cfg.sigma_for("cpu") == 0.0
-        assert cfg.sigma_for("diskr") == 0.25
-
-    def test_overrides(self):
-        cfg = FluidConfig(
-            contention_sigma=0.25, sigma_overrides={"cpu": 0.5, "diskr": 0.0}
-        )
-        assert cfg.sigma_for("cpu") == 0.5
-        assert cfg.sigma_for("diskr") == 0.0
-        assert cfg.sigma_for("netin") == 0.25
+        table = make_table(num_machines=1, sigma=CONTENTION_SIGMA)
+        sigma = dict(zip(table.fluid_dim_names(), table._slot_sigma))
+        assert sigma["cpu"] == 0.0
+        assert sigma["diskr"] == CONTENTION_SIGMA == 0.5
 
 
 class TestRegistration:

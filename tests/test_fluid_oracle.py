@@ -9,7 +9,7 @@ for bit, ties between equal finish instants included.
 from hypothesis import given, settings, strategies as st
 
 from repro.resources import DEFAULT_MODEL
-from repro.sim.fluid import FluidConfig, FlowSpec, FlowTable
+from repro.sim.fluid import FlowSpec, FlowTable
 
 from fluid_oracle import HeapFlowTable
 
@@ -23,11 +23,7 @@ def _tables():
         ).data
         for _ in range(_NUM_MACHINES)
     ]
-    config = FluidConfig(contention_sigma=0.25)
-    return (
-        FlowTable(DEFAULT_MODEL, caps, config),
-        HeapFlowTable(DEFAULT_MODEL, caps, config),
-    )
+    return FlowTable(DEFAULT_MODEL, caps), HeapFlowTable(DEFAULT_MODEL, caps)
 
 
 def _slots(machine, kind):

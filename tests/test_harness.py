@@ -10,6 +10,7 @@ from repro.experiments.harness import (
 )
 from repro.schedulers.slot_fair import SlotFairScheduler
 from repro.schedulers.tetris import TetrisScheduler
+from repro.sim.engine import EngineConfig
 from repro.workload.tracegen import WorkloadSuiteConfig, generate_workload_suite
 
 
@@ -47,7 +48,9 @@ class TestRunTrace:
         assert len(result.collector.jobs) == len(small_trace)
 
     def test_fairness_tracking(self, small_trace):
-        cfg = ExperimentConfig(num_machines=8, track_fairness=True)
+        cfg = ExperimentConfig(
+            num_machines=8, engine_config=EngineConfig(track_fairness=True)
+        )
         result = run_trace(small_trace, TetrisScheduler(), cfg)
         assert result.collector.unfairness_integral
 

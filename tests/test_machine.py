@@ -64,12 +64,17 @@ class TestPlacement:
         assert machine.free_clamped().get("netin") == 0
 
 
+def can_fit(machine, demands):
+    """Full-vector admission check (what Tetris enforces)."""
+    return (machine.allocated + demands).fits_in(machine.capacity)
+
+
 class TestCapacityQueries:
     def test_can_fit(self, machine):
-        assert machine.can_fit(DEFAULT_MODEL.vector(cpu=16, mem=48))
-        assert not machine.can_fit(DEFAULT_MODEL.vector(cpu=17))
+        assert can_fit(machine, DEFAULT_MODEL.vector(cpu=16, mem=48))
+        assert not can_fit(machine, DEFAULT_MODEL.vector(cpu=17))
 
     def test_can_fit_after_placement(self, machine):
         machine.place(make_task(cpu=10, mem=10))
-        assert machine.can_fit(DEFAULT_MODEL.vector(cpu=6))
-        assert not machine.can_fit(DEFAULT_MODEL.vector(cpu=7))
+        assert can_fit(machine, DEFAULT_MODEL.vector(cpu=6))
+        assert not can_fit(machine, DEFAULT_MODEL.vector(cpu=7))

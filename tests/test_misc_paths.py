@@ -5,7 +5,7 @@ import pytest
 
 from repro.cli import build_parser
 from repro.cluster.cluster import Cluster
-from repro.estimation.tracker import ResourceTracker, TrackerConfig
+from repro.estimation.tracker import ResourceTracker
 from repro.metrics.collector import MetricsCollector
 from repro.schedulers.flow_network import FlowNetworkScheduler
 from repro.schedulers.tetris import TetrisScheduler
@@ -87,9 +87,7 @@ class TestCliParser:
 class TestFailuresWithTracker:
     def test_combined_machinery_consistent(self):
         cluster = Cluster(2, machines_per_rack=2, seed=2)
-        tracker = ResourceTracker(
-            cluster, TrackerConfig(report_period=1.0)
-        )
+        tracker = ResourceTracker(cluster)
         jobs = [make_simple_job(num_tasks=8, cpu=2, cpu_work=10,
                                 arrival_time=float(i)) for i in range(3)]
         engine = Engine(

@@ -135,13 +135,13 @@ class TestTrackerAwareDefaults:
         """With the tracker, booked sums may exceed peak capacity by
         design (Section 4.1 reclamation); audit_engine skips eq. 1
         automatically."""
-        from repro.estimation.tracker import ResourceTracker, TrackerConfig
+        from repro.estimation.tracker import ResourceTracker
         from repro.sim.engine import EngineConfig
 
         jobs = [make_simple_job(num_tasks=6, cpu=2, cpu_work=10,
                                 arrival_time=float(i)) for i in range(3)]
         cluster = Cluster(2, machines_per_rack=2, seed=4)
-        tracker = ResourceTracker(cluster, TrackerConfig(report_period=1.0))
+        tracker = ResourceTracker(cluster)
         engine = Engine(cluster, TetrisScheduler(), jobs, tracker=tracker,
                         config=EngineConfig(tracker_period=1.0))
         engine.run()

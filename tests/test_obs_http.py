@@ -21,6 +21,11 @@ from repro.obs import (
 )
 
 
+def _url(server):
+    host, port = server.address
+    return f"http://{host}:{port}"
+
+
 def _get(url, timeout=5.0):
     """(status code, content-type, body text) — HTTPError included."""
     try:
@@ -51,7 +56,7 @@ class TestLifecycle:
         try:
             assert host == "127.0.0.1"
             assert port > 0
-            assert server.url == f"http://{host}:{port}"
+            assert _url(server) == f"http://{host}:{port}"
         finally:
             server.stop()
 
@@ -79,14 +84,14 @@ class TestLifecycle:
 
     def test_context_manager(self, registry):
         with TelemetryServer(port=0, registry=registry) as server:
-            code, _, _ = _get(server.url + "/metrics")
+            code, _, _ = _get(_url(server) + "/metrics")
             assert code == 200
 
 
 class TestMetricsEndpoint:
     def test_exposition_parses_back(self, registry):
         with TelemetryServer(port=0, registry=registry) as server:
-            code, ctype, body = _get(server.url + "/metrics")
+            code, ctype, body = _get(_url(server) + "/metrics")
         assert code == 200
         assert ctype.startswith("text/plain")
         assert "version=0.0.4" in ctype
@@ -96,7 +101,7 @@ class TestMetricsEndpoint:
 
     def test_no_registry_renders_empty(self):
         with TelemetryServer(port=0) as server:
-            code, _, body = _get(server.url + "/metrics")
+            code, _, body = _get(_url(server) + "/metrics")
         assert code == 200
         assert body == ""
 
@@ -105,7 +110,7 @@ class TestHealthEndpoint:
     def test_healthy_is_200(self):
         payload = {"healthy": True, "status": "ok"}
         with TelemetryServer(port=0, health_fn=lambda: payload) as server:
-            code, ctype, body = _get(server.url + "/healthz")
+            code, ctype, body = _get(_url(server) + "/healthz")
         assert code == 200
         assert ctype == "application/json"
         assert json.loads(body) == payload
@@ -113,13 +118,13 @@ class TestHealthEndpoint:
     def test_unhealthy_is_503(self):
         payload = {"healthy": False, "status": "stalled"}
         with TelemetryServer(port=0, health_fn=lambda: payload) as server:
-            code, _, body = _get(server.url + "/healthz")
+            code, _, body = _get(_url(server) + "/healthz")
         assert code == 503
         assert json.loads(body)["status"] == "stalled"
 
     def test_unwired_health_is_404(self):
         with TelemetryServer(port=0) as server:
-            code, _, _ = _get(server.url + "/healthz")
+            code, _, _ = _get(_url(server) + "/healthz")
         assert code == 404
 
     def test_health_fn_exception_is_500_not_fatal(self):
@@ -127,11 +132,11 @@ class TestHealthEndpoint:
             raise RuntimeError("sensor exploded")
 
         with TelemetryServer(port=0, health_fn=boom) as server:
-            code, _, body = _get(server.url + "/healthz")
+            code, _, body = _get(_url(server) + "/healthz")
             assert code == 500
             assert "sensor exploded" in json.loads(body)["error"]
             # the server survives the handler failure
-            code, _, _ = _get(server.url + "/")
+            code, _, _ = _get(_url(server) + "/")
             assert code == 200
 
 
@@ -139,13 +144,13 @@ class TestStatusEndpoint:
     def test_status_payload(self):
         snap = {"phase": "active", "placements": 42}
         with TelemetryServer(port=0, status_fn=lambda: snap) as server:
-            code, _, body = _get(server.url + "/status")
+            code, _, body = _get(_url(server) + "/status")
         assert code == 200
         assert json.loads(body) == snap
 
     def test_unwired_status_is_404(self):
         with TelemetryServer(port=0) as server:
-            code, _, _ = _get(server.url + "/status")
+            code, _, _ = _get(_url(server) + "/status")
         assert code == 404
 
 
@@ -161,7 +166,7 @@ class TestTraceEndpoint:
 
     def test_last_k_events(self):
         with TelemetryServer(port=0, trace=self._trace(10)) as server:
-            code, _, body = _get(server.url + "/debug/trace?n=3")
+            code, _, body = _get(_url(server) + "/debug/trace?n=3")
         assert code == 200
         payload = json.loads(body)
         assert [e["time"] for e in payload["events"]] == [7.0, 8.0, 9.0]
@@ -171,13 +176,13 @@ class TestTraceEndpoint:
 
     def test_default_window(self):
         with TelemetryServer(port=0, trace=self._trace(5)) as server:
-            code, _, body = _get(server.url + "/debug/trace")
+            code, _, body = _get(_url(server) + "/debug/trace")
         assert code == 200
         assert len(json.loads(body)["events"]) == 5
 
     def test_no_trace_yields_note_not_404(self):
         with TelemetryServer(port=0) as server:
-            code, _, body = _get(server.url + "/debug/trace")
+            code, _, body = _get(_url(server) + "/debug/trace")
         assert code == 200
         payload = json.loads(body)
         assert payload["events"] == []
@@ -185,7 +190,7 @@ class TestTraceEndpoint:
 
     def test_bad_n_is_400(self):
         with TelemetryServer(port=0, trace=self._trace(3)) as server:
-            code, _, body = _get(server.url + "/debug/trace?n=banana")
+            code, _, body = _get(_url(server) + "/debug/trace?n=banana")
         assert code == 400
         assert "integer" in json.loads(body)["error"]
 
@@ -193,7 +198,7 @@ class TestTraceEndpoint:
 class TestRouting:
     def test_index_lists_endpoints(self):
         with TelemetryServer(port=0) as server:
-            code, _, body = _get(server.url + "/")
+            code, _, body = _get(_url(server) + "/")
         assert code == 200
         endpoints = json.loads(body)["endpoints"]
         assert "/metrics" in endpoints
@@ -201,13 +206,13 @@ class TestRouting:
 
     def test_unknown_route_is_404(self):
         with TelemetryServer(port=0) as server:
-            code, _, body = _get(server.url + "/nope")
+            code, _, body = _get(_url(server) + "/nope")
         assert code == 404
         assert "/nope" in json.loads(body)["error"]
 
     def test_trailing_slash_is_tolerated(self, registry):
         with TelemetryServer(port=0, registry=registry) as server:
-            code, _, _ = _get(server.url + "/metrics/")
+            code, _, _ = _get(_url(server) + "/metrics/")
         assert code == 200
 
     def test_concurrent_scrapes(self, registry):
@@ -217,7 +222,7 @@ class TestRouting:
         results = []
         with TelemetryServer(port=0, registry=registry) as server:
             def scrape():
-                results.append(_get(server.url + "/metrics")[0])
+                results.append(_get(_url(server) + "/metrics")[0])
 
             threads = [threading.Thread(target=scrape) for _ in range(8)]
             for t in threads:
@@ -230,7 +235,7 @@ class TestRouting:
 class TestProfileEndpoint:
     def test_no_profiler_yields_note_not_404(self):
         with TelemetryServer(port=0) as server:
-            code, ctype, body = _get(server.url + "/debug/profile")
+            code, ctype, body = _get(_url(server) + "/debug/profile")
         assert code == 200
         assert ctype == "application/json"
         payload = json.loads(body)
@@ -252,7 +257,7 @@ class TestProfileEndpoint:
             },
         }
         with TelemetryServer(port=0, profile_fn=lambda: snapshot) as server:
-            code, _, body = _get(server.url + "/debug/profile")
+            code, _, body = _get(_url(server) + "/debug/profile")
         assert code == 200
         payload = json.loads(body)
         assert payload["enabled"] is True
@@ -263,13 +268,13 @@ class TestProfileEndpoint:
             raise ValueError("profiler detached")
 
         with TelemetryServer(port=0, profile_fn=boom) as server:
-            code, _, body = _get(server.url + "/debug/profile")
+            code, _, body = _get(_url(server) + "/debug/profile")
             # the server thread must survive the failed request
-            assert _get(server.url + "/")[0] == 200
+            assert _get(_url(server) + "/")[0] == 200
         assert code == 500
         assert "profiler detached" in json.loads(body)["error"]
 
     def test_index_lists_profile_endpoint(self):
         with TelemetryServer(port=0) as server:
-            _, _, body = _get(server.url + "/")
+            _, _, body = _get(_url(server) + "/")
         assert "/debug/profile" in json.loads(body)["endpoints"]

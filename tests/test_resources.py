@@ -103,10 +103,6 @@ class TestResourceVectorPredicates:
         assert DEFAULT_MODEL.zeros().is_zero()
         assert not vec(cpu=0.1).is_zero()
 
-    def test_is_nonnegative(self):
-        assert vec(cpu=1).is_nonnegative()
-        assert not (vec(cpu=1) - vec(cpu=2)).is_nonnegative()
-
     def test_equality(self):
         assert vec(cpu=1) == vec(cpu=1)
         assert vec(cpu=1) != vec(cpu=2)

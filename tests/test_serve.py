@@ -29,6 +29,7 @@ from repro.serve import (
     TraceReplaySource,
     verify_free_vectors,
 )
+from repro.serve.service import LIVENESS_DEADLINE
 from repro.resources import DEFAULT_MODEL
 from repro.sim.engine import Engine, EngineConfig
 from repro.workload.job import Job
@@ -598,8 +599,6 @@ class TestRollingWindowTelemetry:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="window_seconds"):
             ServeConfig(window_seconds=0.0)
-        with pytest.raises(ValueError, match="liveness_deadline"):
-            ServeConfig(liveness_deadline=-1.0)
 
 
 class TestHealthAndStatus:
@@ -632,17 +631,20 @@ class TestHealthAndStatus:
             engine,
             TraceReplaySource(jobs),
             AdmissionController(AdmissionConfig(queue_cap=100)),
-            ServeConfig(liveness_deadline=5.0),
+            ServeConfig(),
             clock=lambda: clock[0],
         )
         # simulate a wedged active consumer: phase active, no progress
         service._phase = "active"
         service._last_progress = 0.0
-        clock[0] = 10.0
+        clock[0] = LIVENESS_DEADLINE + 10.0
         health = service.health()
         assert health["healthy"] is False
         assert health["status"] == "stalled"
-        assert health["liveness"]["last_progress_age_seconds"] == 10.0
+        assert health["liveness"] == {
+            "last_progress_age_seconds": LIVENESS_DEADLINE + 10.0,
+            "deadline_seconds": LIVENESS_DEADLINE,
+        }
 
     def test_idle_waiting_never_counts_as_stalled(self):
         clock = [0.0]
@@ -654,7 +656,7 @@ class TestHealthAndStatus:
             engine,
             TraceReplaySource(jobs),
             AdmissionController(AdmissionConfig(queue_cap=100)),
-            ServeConfig(liveness_deadline=5.0),
+            ServeConfig(),
             clock=lambda: clock[0],
         )
         service._phase = "waiting"

@@ -32,7 +32,7 @@ from repro.obs.trace import DecisionTrace
 from repro.resources import DEFAULT_MODEL
 from repro.schedulers.tetris import TetrisConfig, TetrisScheduler
 from repro.sim.engine import Engine, EngineConfig
-from repro.sim.fluid import FluidConfig, FlowSpec, FlowTable
+from repro.sim.fluid import FlowSpec, FlowTable
 from repro.workload.table import TaskTable
 from repro.workload.task import Task, TaskWork
 from repro.workload.trace import materialize_trace
@@ -453,9 +453,7 @@ class TestFluidRateIdentity:
             ).data
             for _ in range(num_machines)
         ]
-        return FlowTable(
-            DEFAULT_MODEL, caps, FluidConfig(contention_sigma=0.25)
-        )
+        return FlowTable(DEFAULT_MODEL, caps)
 
     @given(
         st.lists(

@@ -222,7 +222,7 @@ class TestJob:
 
     def test_runnable_tasks_respect_barrier(self):
         job = make_two_stage_job(num_map=2, num_reduce=3)
-        assert len(job.runnable_tasks()) == 2
+        assert sum(len(stage.runnable_tasks()) for stage in job.dag) == 2
 
     def test_remaining_work_score_decreases(self):
         """Tetris's SRTF score p (§3.3.1) drops as the job's tasks finish."""

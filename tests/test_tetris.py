@@ -83,22 +83,6 @@ class TestNoOverAllocation:
         placements = scheduler.schedule(0.0, machine_ids=[0])
         assert placements == []
 
-    def test_remote_check_can_be_disabled(self):
-        cluster = Cluster(2, machines_per_rack=2)
-        blocker = make_task(netout=125)
-        cluster.machine(1).place(blocker, blocker.demands)
-        job = make_simple_job(num_tasks=1, cpu=1, mem=1)
-        task = job.all_tasks()[0]
-        task.demands.set("netin", 50.0)
-        task.inputs.append(TaskInput(100, (1,)))
-        scheduler = TetrisScheduler(
-            TetrisConfig(check_remote_resources=False)
-        )
-        scheduler.bind(cluster)
-        job.arrive()
-        scheduler.on_job_arrival(job, 0.0)
-        assert len(scheduler.schedule(0.0, machine_ids=[0])) == 1
-
 
 class TestPacking:
     def test_complementary_tasks_share_a_machine(self):

@@ -11,7 +11,7 @@ Covers:
   scheduler state the way recycled ``id(stage)`` values could;
 - the remote-grant ledger: clamped at zero, empty once the workload
   drains, and consistent with the live per-task grants throughout a run
-  (``debug_invariants``);
+  (``check_remote_ledger`` after every grant and release);
 - the replica choice for remote reads: the source with the most
   remaining headroom, not blindly ``locations[0]``;
 - ε = ā/p̄ computed over the full candidate set, unchanged by barrier
@@ -50,6 +50,18 @@ def _workload(num_jobs=10, seed=7, horizon=200.0):
     )
 
 
+def checking_ledger(scheduler):
+    """Run the remote-grant ledger invariant check after every grant and
+    every release of ``scheduler``."""
+    for name in ("_grant_remote", "_release_remote_grants"):
+        def checked(*args, _method=getattr(scheduler, name)):
+            _method(*args)
+            scheduler.check_remote_ledger()
+
+        setattr(scheduler, name, checked)
+    return scheduler
+
+
 def _run_engine(
     trace,
     config,
@@ -60,6 +72,7 @@ def _run_engine(
     engine_config=None,
     decision_trace=None,
     machine_capacities=None,
+    check_ledger=False,
 ):
     """One end-to-end run; returns (placement key list, scheduler)."""
     cluster = Cluster(
@@ -68,6 +81,8 @@ def _run_engine(
     jobs = materialize_trace(trace, cluster, seed=seed)
     tracker = ResourceTracker(cluster) if use_tracker else None
     scheduler = TetrisScheduler(config)
+    if check_ledger:
+        checking_ledger(scheduler)
     engine = Engine(
         cluster,
         scheduler,
@@ -214,13 +229,15 @@ class TestPlacementEquivalence:
         engine_config = EngineConfig(task_failure_prob=0.1, seed=13)
         scalar, _ = _run_engine(
             trace,
-            TetrisConfig(vectorized=False, debug_invariants=True),
+            TetrisConfig(vectorized=False),
             engine_config=engine_config,
+            check_ledger=True,
         )
         vector, _ = _run_engine(
             trace,
-            TetrisConfig(vectorized=True, debug_invariants=True),
+            TetrisConfig(vectorized=True),
             engine_config=engine_config,
+            check_ledger=True,
         )
         assert len(scalar) > 0
         assert scalar == vector
@@ -362,8 +379,9 @@ class TestRemoteLedger:
         trace = _workload(num_jobs=6, seed=17)
         _, scheduler = _run_engine(
             trace,
-            TetrisConfig(vectorized=vectorized, debug_invariants=True),
+            TetrisConfig(vectorized=vectorized),
             use_tracker=True,
+            check_ledger=True,
         )
         return scheduler
 
@@ -440,7 +458,7 @@ class TestRemoteVerdict:
         self, ops
     ):
         cluster = Cluster(4, seed=0)
-        scheduler = TetrisScheduler(TetrisConfig(debug_invariants=True))
+        scheduler = checking_ledger(TetrisScheduler())
         scheduler.bind(cluster)
         # a source has 125 MB/s netout: two 60 MB/s grants or one filler
         # exhaust it, so verdicts really flip

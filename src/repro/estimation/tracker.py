@@ -138,7 +138,13 @@ class ResourceTracker:
         """Usage headroom still owed to freshly-placed tasks, one row
         per entry of ``machine_ids``: each live placement younger than
         ``ramp_seconds`` contributes ``booked * (1 - age / ramp)``,
-        summed in placement order."""
+        summed in placement order.
+
+        Placement order is also time order (the simulated clock never
+        runs back, and a re-placement moves its record to the end), so
+        the walk goes newest first and stops at the first record too
+        old to contribute; the young ones are then summed oldest first.
+        """
         out = np.zeros((len(machine_ids), self.cluster.model.dims))
         ramp = self.config.ramp_seconds
         if ramp <= 0:
@@ -146,12 +152,17 @@ class ResourceTracker:
         by_machine = self._by_machine
         for k, machine_id in enumerate(machine_ids):
             placed = by_machine[machine_id]
-            if placed:
+            if not placed:
+                continue
+            young = []
+            for record in reversed(placed.values()):
+                if time - record[0] >= ramp:
+                    break
+                young.append(record)
+            if young:
                 row = out[k]
-                for placed_time, _, booked in placed.values():
-                    age = time - placed_time
-                    if age < ramp:
-                        row += booked.data * (1.0 - age / ramp)
+                for placed_time, _, booked in reversed(young):
+                    row += booked.data * (1.0 - (time - placed_time) / ramp)
         return out
 
     def _available_rows(self, machine_ids, time: float) -> np.ndarray:

@@ -32,7 +32,7 @@ from repro.estimation.tracker import ResourceTracker
 from repro.metrics.collector import MetricsCollector
 from repro.obs.registry import Histogram
 from repro.schedulers.base import Placement, Scheduler
-from repro.sim.events import ArrayEventQueue, EventKind
+from repro.sim.events import EventKind, EventQueue
 from repro.sim.fluid import FlowTable
 from repro.sim.runtime import build_flows
 from repro.workload.job import Job
@@ -108,7 +108,7 @@ class Engine:
         self.flows = FlowTable(
             cluster.model, [m.capacity.data for m in cluster.machines]
         )
-        self.events = ArrayEventQueue()
+        self.events = EventQueue()
         self.now = 0.0
         self.rng = np.random.default_rng(self.config.seed)
         #: structure-of-arrays task plane: live tasks occupy stable

@@ -1,14 +1,15 @@
 """Event queue for the discrete-event engine.
 
-:class:`ArrayEventQueue` is the structure-of-arrays queue the engine
-runs on: the heap lives in parallel numpy arrays (times, sequence
-numbers, kind codes) plus a payload list, so the pending-event state
-can be inspected, snapshotted, and scanned (``has_pending``) without
-walking an object heap.
+:class:`EventQueue` is a ``heapq`` min-heap of :class:`Event` tuples
+``(time, seq, kind, payload)``.  ``seq`` is unique, so ``(time, seq)``
+is a total order: tuple comparison never reaches ``kind`` or
+``payload``, and any conforming heap pops the same sequence.  The queue
+also keeps a pending count per kind, so ``has_pending`` is a lookup,
+not a scan.
 
 ``pop_until`` resolves ties with a *relative* tolerance (``TIE_RTOL``),
 so tie handling is scale-invariant at any simulated clock.  The
-``heapq``-of-``Event``-objects reference it is tested against lives in
+structure-of-arrays heap it is tested against lives in
 ``tests/event_oracles.py``: the property tests drive both queues with
 the same traffic and require identical pop sequences.
 """
@@ -16,12 +17,10 @@ the same traffic and require identical pop sequences.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, List
+import heapq
+from typing import Any, Dict, List, NamedTuple
 
-import numpy as np
-
-__all__ = ["Event", "EventKind", "ArrayEventQueue"]
+__all__ = ["Event", "EventKind", "EventQueue"]
 
 
 class EventKind(enum.Enum):
@@ -33,32 +32,17 @@ class EventKind(enum.Enum):
     WAKEUP = "wakeup"  # generic scheduler wake-up
 
 
-@dataclass(frozen=True, order=True)
-class Event:
+class Event(NamedTuple):
     """A timestamped event; ``seq`` breaks ties deterministically."""
 
     time: float
-    seq: int = field(compare=True)
-    kind: EventKind = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    seq: int
+    kind: EventKind
+    payload: Any = None
 
 
-#: EventKind <-> small-int codes for the array-backed queue
-_KIND_LIST = list(EventKind)
-_KIND_CODES = {kind: code for code, kind in enumerate(_KIND_LIST)}
-
-
-class ArrayEventQueue:
-    """The structure-of-arrays event queue.
-
-    A binary min-heap ordered by ``(time, seq)`` whose node storage is
-    three parallel numpy arrays (``float64`` times, ``int64`` sequence
-    numbers, ``int8`` kind codes) plus a payload list.  Pop order is
-    identical to the ``heapq`` reference: ``seq`` is unique, so the
-    ``(time, seq)`` order is total and any conforming heap pops the
-    same sequence.  ``has_pending`` becomes a vectorized scan over the
-    kind-code array instead of a walk over event objects.
-    """
+class EventQueue:
+    """A deterministic min-heap of events with per-kind pending counts."""
 
     #: relative tie tolerance for :meth:`pop_until`.  An event whose time
     #: differs from the query time by less than this *fraction* is a tie:
@@ -69,100 +53,25 @@ class ArrayEventQueue:
     #: early ones did.
     TIE_RTOL = 1e-12
 
-    def __init__(self, capacity: int = 256) -> None:
-        capacity = max(int(capacity), 1)
-        self._time = np.empty(capacity)
-        self._seq = np.empty(capacity, dtype=np.int64)
-        self._kind = np.empty(capacity, dtype=np.int8)
-        self._payload: List[Any] = [None] * capacity
-        self._size = 0
+    def __init__(self) -> None:
+        self._heap: List[Event] = []
         self._next_seq = 0
+        #: queued events per kind
+        self._pending: Dict[EventKind, int] = dict.fromkeys(EventKind, 0)
 
-    # -- heap plumbing -----------------------------------------------------
-    def _grow(self) -> None:
-        old = self._time.shape[0]
-        new = old * 2
-        for name in ("_time", "_seq", "_kind"):
-            arr = getattr(self, name)
-            grown = np.empty(new, dtype=arr.dtype)
-            grown[:old] = arr
-            setattr(self, name, grown)
-        self._payload.extend([None] * (new - old))
-
-    def _swap(self, a: int, b: int) -> None:
-        t, s, k, p = self._time, self._seq, self._kind, self._payload
-        t[a], t[b] = t[b], t[a]
-        s[a], s[b] = s[b], s[a]
-        k[a], k[b] = k[b], k[a]
-        p[a], p[b] = p[b], p[a]
-
-    def _less(self, a: int, b: int) -> bool:
-        ta = self._time[a]
-        tb = self._time[b]
-        if ta != tb:
-            return bool(ta < tb)
-        return bool(self._seq[a] < self._seq[b])
-
-    def _sift_up(self, pos: int) -> None:
-        while pos > 0:
-            parent = (pos - 1) >> 1
-            if self._less(pos, parent):
-                self._swap(pos, parent)
-                pos = parent
-            else:
-                break
-
-    def _sift_down(self, pos: int) -> None:
-        size = self._size
-        while True:
-            child = 2 * pos + 1
-            if child >= size:
-                break
-            right = child + 1
-            if right < size and self._less(right, child):
-                child = right
-            if self._less(child, pos):
-                self._swap(pos, child)
-                pos = child
-            else:
-                break
-
-    def _pop_root(self) -> Event:
-        event = Event(
-            float(self._time[0]),
-            int(self._seq[0]),
-            _KIND_LIST[self._kind[0]],
-            self._payload[0],
-        )
-        last = self._size - 1
-        if last > 0:
-            self._swap(0, last)
-        self._payload[last] = None
-        self._size = last
-        if last > 0:
-            self._sift_down(0)
-        return event
-
-    # -- queue API ---------------------------------------------------------
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         if time < 0:
             raise ValueError(f"negative event time: {time}")
-        if self._size == self._time.shape[0]:
-            self._grow()
-        pos = self._size
         seq = self._next_seq
         self._next_seq = seq + 1
-        self._time[pos] = time
-        self._seq[pos] = seq
-        self._kind[pos] = _KIND_CODES[kind]
-        self._payload[pos] = payload
-        self._size = pos + 1
-        self._sift_up(pos)
-        return Event(float(time), seq, kind, payload)
+        event = Event(float(time), seq, kind, payload)
+        heapq.heappush(self._heap, event)
+        self._pending[kind] += 1
+        return event
 
     def peek_time(self) -> float:
         """Time of the earliest event, or +inf when empty."""
-        return float(self._time[0]) if self._size else float("inf")
+        return self._heap[0][0] if self._heap else float("inf")
 
     def pop_until(self, time: float) -> List[Event]:
         """Pop every event with ``event.time <= time`` (in order).
@@ -173,24 +82,28 @@ class ArrayEventQueue:
         at t=1 or t=1e9.
         """
         cutoff = time + self.TIE_RTOL * max(1.0, abs(time))
+        heap = self._heap
+        pending = self._pending
         out: List[Event] = []
-        while self._size and self._time[0] <= cutoff:
-            out.append(self._pop_root())
+        while heap and heap[0][0] <= cutoff:
+            event = heapq.heappop(heap)
+            pending[event[2]] -= 1
+            out.append(event)
         return out
 
     def has_pending(self, *kinds: EventKind) -> bool:
         """Whether any queued event has one of the given kinds (or any
-        event at all when no kinds are named) — a vectorized scan over
-        the kind-code array."""
+        event at all when no kinds are named)."""
         if not kinds:
-            return self._size > 0
-        if not self._size:
-            return False
-        codes = np.array([_KIND_CODES[k] for k in kinds], dtype=np.int8)
-        return bool(np.isin(self._kind[: self._size], codes).any())
+            return bool(self._heap)
+        pending = self._pending
+        for kind in kinds:
+            if pending[kind]:
+                return True
+        return False
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._heap)
 
     def __bool__(self) -> bool:
-        return self._size > 0
+        return bool(self._heap)

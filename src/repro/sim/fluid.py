@@ -31,6 +31,13 @@ ascending flow-id order — the order a full ``np.add.at`` rebuild uses —
 so the sparse path is bit-identical to :meth:`reference_rates`, the
 retained full-table oracle.
 
+A dirty slot holds one to three flows, so the per-slot and per-flow
+arithmetic runs on Python floats (list mirrors of capacity, sigma,
+scale, nominal and rate, and a slot-id tuple per flow) and writes back
+to the numpy arrays only the flows it re-rated: numpy's fixed cost per
+call would exceed the work.  The whole-table paths — ``advance`` and
+the finish-instant min — stay single array operations.
+
 ``time_to_next_completion`` reads a per-flow *finish instant* array:
 whenever a flow's rate is set, ``clock + remaining/rate`` is written
 beside it (the instant is invariant under ``advance``, both terms move
@@ -86,7 +93,7 @@ class FlowSpec:
 
 
 class FlowTable:
-    """Vectorized store of all active flows with sparse rate updates."""
+    """Store of all active flows with sparse rate updates."""
 
     def __init__(
         self,
@@ -105,17 +112,17 @@ class FlowTable:
         nf = len(self._fluid_dims)
         caps = np.asarray(machine_capacities, dtype=float)
         #: capacity per (machine, fluid-dim) slot, flattened
-        self._slot_capacity = caps[:, self._fluid_dims].reshape(-1)
+        self._slot_capacity: List[float] = (
+            caps[:, self._fluid_dims].reshape(-1).tolist()
+        )
         self._num_slots = self.num_machines * nf
         self._nf = nf
-        dim_sigmas = np.array(
-            [
-                0.0 if model.names[d] == "cpu" else CONTENTION_SIGMA
-                for d in self._fluid_dims
-            ]
-        )
+        dim_sigmas = [
+            0.0 if model.names[d] == "cpu" else CONTENTION_SIGMA
+            for d in self._fluid_dims
+        ]
         #: contention penalty slope per slot
-        self._slot_sigma = np.tile(dim_sigmas, self.num_machines)
+        self._slot_sigma: List[float] = dim_sigmas * self.num_machines
 
         # flow arrays, grown on demand
         n = 64
@@ -132,17 +139,25 @@ class FlowTable:
         self._gen = np.zeros(n, dtype=np.int64)
         self._free: List[int] = list(range(n))
         self._tags: Dict[int, object] = {}
+        #: Python mirrors of ``_nominal``, of ``_rate`` (for flows
+        #: re-rated by contention) and of each ``_slots`` row, unpadded
+        self._nominal_of: List[float] = [0.0] * n
+        self._rate_of: List[float] = [0.0] * n
+        self._slots_of: List[Tuple[int, ...]] = [()] * n
 
         # sparse-maintenance state
-        #: nominal demand and contention scale per slot, kept equal to
-        #: what a full rebuild would produce (see _recompute_rates)
-        self._slot_demand = np.zeros(self._num_slots)
-        self._slot_scale = np.ones(self._num_slots)
+        #: contention scale per slot, kept equal to what a full rebuild
+        #: would produce (see _recompute_rates)
+        self._slot_scale: List[float] = [1.0] * self._num_slots
         #: non-fixed active flow ids touching each slot
         self._slot_members: List[Set[int]] = [
             set() for _ in range(self._num_slots)
         ]
         self._dirty_slots: Set[int] = set()
+        #: achieved throughput per slot as of the last slot_throughput(),
+        #: and the slots whose members or member rates moved since
+        self._throughput = np.zeros(self._num_slots)
+        self._throughput_dirty: Set[int] = set()
         #: internal absolute clock: the sum of every advance() dt, the
         #: reference frame for the finish instants
         self._clock = 0.0
@@ -212,21 +227,28 @@ class FlowTable:
         gen = np.zeros(new, dtype=np.int64)
         gen[:old] = self._gen
         self._gen = gen
+        self._nominal_of.extend([0.0] * old)
+        self._rate_of.extend([0.0] * old)
+        self._slots_of.extend([()] * old)
         self._free.extend(range(old, new))
 
-    def _schedule_finish(self, flows) -> None:
-        """Write the finish instants of ``flows`` (an id or an ascending
-        id array) after their rates were set.
+    def _schedule_finish(self, flows: Sequence[int]) -> None:
+        """Write the finish instants of ``flows`` (ascending ids) after
+        their rates were set.
 
         The absolute instant ``clock + remaining/rate`` is invariant
         under advance(), so it stays correct until the rate changes,
-        which writes it again.
+        which writes it again.  One to three flows at a time: element
+        writes cost less than fancy indexing, with the same float64
+        operations.
         """
-        self._finish[flows] = (
-            self._clock + self._remaining[flows] / self._rate[flows]
-        )
-        self._gen[flows] += 1
-        self.stats["heap_entries"] += np.size(flows)
+        clock = self._clock
+        finish, gen = self._finish, self._gen
+        remaining, rate = self._remaining, self._rate
+        for flow_id in flows:
+            finish[flow_id] = clock + remaining[flow_id] / rate[flow_id]
+            gen[flow_id] += 1
+        self.stats["heap_entries"] += len(flows)
 
     def add_flow(self, spec: FlowSpec) -> int:
         """Register a flow; returns its id.  Zero-work flows are rejected."""
@@ -238,28 +260,34 @@ class FlowTable:
             )
         if len(spec.slots) > MAX_SLOTS:
             raise ValueError(f"flow touches too many slots: {spec.slots}")
+        slots = tuple(
+            [
+                self._slot_index(machine_id, dim_name)
+                for machine_id, dim_name in spec.slots
+            ]
+        )
         if not self._free:
             self._grow()
         idx = self._free.pop()
         self._remaining[idx] = spec.work
         self._nominal[idx] = spec.nominal_rate
+        self._nominal_of[idx] = float(spec.nominal_rate)
         self._rate[idx] = spec.nominal_rate
-        self._slots[idx, :] = -1
-        for j, (machine_id, dim_name) in enumerate(spec.slots):
-            self._slots[idx, j] = self._slot_index(machine_id, dim_name)
+        self._slots[idx] = slots + (-1,) * (MAX_SLOTS - len(slots))
+        self._slots_of[idx] = slots
         self._fixed[idx] = spec.fixed
         self._active[idx] = True
         if spec.tag is not None:
             self._tags[idx] = spec.tag
-        if spec.fixed or not spec.slots:
+        if spec.fixed or not slots:
             # contention never touches this flow: its rate is final now,
             # so its finish instant can be written immediately
-            self._schedule_finish(idx)
+            self._schedule_finish((idx,))
         else:
-            for j in range(len(spec.slots)):
-                slot = int(self._slots[idx, j])
-                self._slot_members[slot].add(idx)
-                self._dirty_slots.add(slot)
+            members = self._slot_members
+            for slot in slots:
+                members[slot].add(idx)
+            self._dirty_slots.update(slots)
         return idx
 
     def _deactivate(self, flow_id: int) -> None:
@@ -270,11 +298,11 @@ class FlowTable:
         self._gen[flow_id] += 1
         self._free.append(flow_id)
         if not self._fixed[flow_id]:
-            for j in range(MAX_SLOTS):
-                slot = int(self._slots[flow_id, j])
-                if slot >= 0:
-                    self._slot_members[slot].discard(flow_id)
-                    self._dirty_slots.add(slot)
+            slots = self._slots_of[flow_id]
+            members = self._slot_members
+            for slot in slots:
+                members[slot].discard(flow_id)
+            self._dirty_slots.update(slots)
 
     def remove_flow(self, flow_id: int) -> None:
         if not self._active[flow_id]:
@@ -299,57 +327,57 @@ class FlowTable:
     def _recompute_rates(self) -> None:
         """Refresh rates for the dirty-slot neighborhood only.
 
-        Per dirty slot: resum the members' nominal demand (ascending
-        flow-id order, matching a full ``np.add.at`` rebuild bit for
-        bit) and recompute the contention scale.  Then re-rate exactly
-        the flows touching a dirty slot.  Clean slots keep their stored
-        demand/scale, which by induction equals the full rebuild's.
+        Per dirty slot: resum the members' nominal demand from 0.0 in
+        ascending flow-id order (an explicit loop, not ``sum()``, whose
+        compensated float summation would round differently), the
+        order and operations of a full ``np.add.at`` rebuild, and
+        recompute the contention scale with the rebuild's formula.
+        Then re-rate exactly the flows touching a dirty slot.  Clean
+        slots keep their stored scale, which by induction equals the
+        full rebuild's.
         """
-        if not self._dirty_slots:
+        dirty = self._dirty_slots
+        if not dirty:
             return
-        slots = np.fromiter(
-            sorted(self._dirty_slots), dtype=np.int64,
-            count=len(self._dirty_slots),
-        )
-        self._dirty_slots.clear()
-        demand = self._slot_demand
-        demand[slots] = 0.0
+        slots = sorted(dirty)
+        dirty.clear()
+        nominal = self._nominal_of
+        slot_members = self._slot_members
+        capacity = self._slot_capacity
+        sigma = self._slot_sigma
+        scale = self._slot_scale
         touched: Set[int] = set()
-        member_ids: List[int] = []
-        member_slots: List[int] = []
         for s in slots:
-            members = self._slot_members[s]
+            members = slot_members[s]
+            demand = 0.0
             if members:
-                ordered = sorted(members)
-                member_ids.extend(ordered)
-                member_slots.extend([int(s)] * len(ordered))
-                touched.update(ordered)
-        if member_ids:
-            np.add.at(
-                demand,
-                np.asarray(member_slots, dtype=np.int64),
-                self._nominal[np.asarray(member_ids, dtype=np.int64)],
-            )
-        cap = self._slot_capacity[slots]
-        d = demand[slots]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(cap > 0, d / cap, np.inf)
-        over = ratio > 1.0
-        scale = np.ones(len(slots))
-        # proportional share times the contention penalty
-        sigma = self._slot_sigma[slots][over]
-        scale[over] = 1.0 / (ratio[over] * (1.0 + sigma * (ratio[over] - 1.0)))
-        scale[d <= 0] = 1.0
-        self._slot_scale[slots] = scale
+                for flow_id in sorted(members):
+                    demand += nominal[flow_id]
+                touched.update(members)
+            cap = capacity[s]
+            ratio = demand / cap if cap > 0 else float("inf")
+            if demand > 0 and ratio > 1.0:
+                # proportional share times the contention penalty
+                scale[s] = 1.0 / (ratio * (1.0 + sigma[s] * (ratio - 1.0)))
+            else:
+                scale[s] = 1.0
+        throughput_dirty = self._throughput_dirty
+        throughput_dirty.update(slots)
         if touched:
-            flows = np.fromiter(
-                sorted(touched), dtype=np.int64, count=len(touched)
-            )
-            fslots = self._slots[flows]
-            slot_scale = np.where(
-                fslots >= 0, self._slot_scale[np.maximum(fslots, 0)], 1.0
-            )
-            self._rate[flows] = self._nominal[flows] * slot_scale.min(axis=1)
+            flows = sorted(touched)
+            rate_of = self._rate_of
+            slots_of = self._slots_of
+            rate_array = self._rate
+            for flow_id in flows:
+                least = 1.0
+                for s in slots_of[flow_id]:
+                    if scale[s] < least:
+                        least = scale[s]
+                rate = nominal[flow_id] * least
+                if rate != rate_of[flow_id]:
+                    rate_of[flow_id] = rate
+                    throughput_dirty.update(slots_of[flow_id])
+                rate_array[flow_id] = rate
             self._schedule_finish(flows)
         self.stats["sparse_recomputes"] += 1
         self.stats["slots_recomputed"] += len(slots)
@@ -375,13 +403,12 @@ class FlowTable:
                 slots[valid],
                 np.repeat(self._nominal[idx], MAX_SLOTS)[valid.reshape(-1)],
             )
+        capacity = np.asarray(self._slot_capacity)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(
-                self._slot_capacity > 0, demand / self._slot_capacity, np.inf
-            )
+            ratio = np.where(capacity > 0, demand / capacity, np.inf)
         over = ratio > 1.0
         scale = np.ones(self._num_slots)
-        sigma = self._slot_sigma[over]
+        sigma = np.asarray(self._slot_sigma)[over]
         scale[over] = 1.0 / (ratio[over] * (1.0 + sigma * (ratio[over] - 1.0)))
         scale[demand <= 0] = 1.0
         if idx.size:
@@ -413,18 +440,20 @@ class FlowTable:
         return float(self._remaining[idx] / self._rate[idx])
 
     def advance(self, dt: float) -> List[int]:
-        """Progress all flows by ``dt`` seconds; return ids that completed."""
+        """Progress all flows by ``dt`` seconds; return ids that completed.
+
+        One whole-array update: free flow ids burn stale work too, which
+        nothing reads (``add_flow`` overwrites it), and each active flow
+        gets exactly the elementwise ``remaining - rate * dt``.
+        """
         if dt < 0:
             raise ValueError(f"negative dt: {dt}")
         self._recompute_rates()
         self._clock += dt
-        active = np.flatnonzero(self._active)
-        if active.size == 0:
-            return []
         if dt > 0:
-            self._remaining[active] -= self._rate[active] * dt
-        done_mask = self._remaining[active] <= WORK_TOLERANCE
-        completed = [int(i) for i in active[done_mask]]
+            self._remaining -= self._rate * dt
+        done = (self._remaining <= WORK_TOLERANCE) & self._active
+        completed = done.nonzero()[0].tolist()
         for flow_id in completed:
             self._deactivate(flow_id)
         return completed
@@ -457,19 +486,24 @@ class FlowTable:
         return demand.reshape(self.num_machines, self._nf)
 
     def slot_throughput(self) -> np.ndarray:
-        """Achieved rate per (machine, fluid-dim), shape (M, F)."""
+        """Achieved rate per (machine, fluid-dim), shape (M, F).
+
+        Re-sums, in ascending flow id from 0.0 (the order and operations
+        of a full ``np.add.at`` over the active flows), only the slots
+        whose members or member rates moved since the last call.
+        """
         self._recompute_rates()
-        throughput = np.zeros(self._num_slots)
-        idx = np.flatnonzero(self._active & ~self._fixed)
-        if idx.size:
-            slots = self._slots[idx]
-            valid = slots >= 0
-            np.add.at(
-                throughput,
-                slots[valid],
-                np.repeat(self._rate[idx], MAX_SLOTS)[valid.reshape(-1)],
-            )
-        return throughput.reshape(self.num_machines, self._nf)
+        throughput = self._throughput
+        if self._throughput_dirty:
+            rate_of = self._rate_of
+            slot_members = self._slot_members
+            for s in self._throughput_dirty:
+                total = 0.0
+                for flow_id in sorted(slot_members[s]):
+                    total += rate_of[flow_id]
+                throughput[s] = total
+            self._throughput_dirty.clear()
+        return throughput.reshape(self.num_machines, self._nf).copy()
 
     def fluid_dim_names(self) -> Tuple[str, ...]:
         return tuple(self.model.names[d] for d in self._fluid_dims)

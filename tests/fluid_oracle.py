@@ -1,13 +1,17 @@
-"""Test-only oracle: the lazy completion min-heap of ``FlowTable``,
-moved out of ``repro.sim.fluid``.
+"""Test-only oracles for ``FlowTable``, moved out of ``repro.sim.fluid``:
+the lazy completion min-heap and the full-table throughput sum.
 
 ``HeapFlowTable`` is a ``FlowTable`` that, wherever the table writes a
 flow's finish instant, also pushes ``(instant, generation, flow id)`` on
 a heap, and answers ``time_to_next_completion`` by popping stale
 entries (retired or re-rated flows) off the top.
 ``tests/test_fluid_oracle.py`` drives it beside the array version and
-requires bit-identical answers.  Not importable from ``src/`` on
-purpose: the engine runs on the finish-instant array only.
+requires bit-identical answers.
+
+``slot_throughput`` is the whole-table ``np.add.at`` the table's kept
+per-slot throughput replaced; the same tests require byte-equal
+answers.  Not importable from ``src/`` on purpose: the engine runs on
+the finish-instant array and the kept throughput only.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.sim.fluid import FlowTable
+from repro.sim.fluid import MAX_SLOTS, FlowTable
 
-__all__ = ["HeapFlowTable"]
+__all__ = ["HeapFlowTable", "slot_throughput"]
 
 
 class HeapFlowTable(FlowTable):
@@ -33,7 +37,7 @@ class HeapFlowTable(FlowTable):
 
     def _schedule_finish(self, flows) -> None:
         super()._schedule_finish(flows)
-        for idx in np.atleast_1d(flows):
+        for idx in flows:
             heapq.heappush(
                 self._heap,
                 (
@@ -53,3 +57,20 @@ class HeapFlowTable(FlowTable):
             heapq.heappop(heap)
             self.stale_pops += 1
         return float("inf")
+
+
+def slot_throughput(table: FlowTable) -> np.ndarray:
+    """Achieved rate per (machine, fluid-dim), shape (M, F): one
+    ``np.add.at`` over every active non-fixed flow."""
+    table._recompute_rates()
+    throughput = np.zeros(table._num_slots)
+    idx = np.flatnonzero(table._active & ~table._fixed)
+    if idx.size:
+        slots = table._slots[idx]
+        valid = slots >= 0
+        np.add.at(
+            throughput,
+            slots[valid],
+            np.repeat(table._rate[idx], MAX_SLOTS)[valid.reshape(-1)],
+        )
+    return throughput.reshape(table.num_machines, table._nf)

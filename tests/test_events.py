@@ -1,12 +1,12 @@
-"""Event queue tests — both implementations must behave identically."""
+"""Event queue tests — the queue and its oracle must behave identically."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.events import ArrayEventQueue, EventKind
+from repro.sim.events import EventKind, EventQueue
 
-from event_oracles import EventQueue
+from event_oracles import ArrayEventQueue
 
 QUEUES = [EventQueue, ArrayEventQueue]
 
@@ -130,18 +130,18 @@ class TestQueueEquivalence:
         ),
     )
     def test_interleaved_pop_sequences_match(self, pushes, pop_times):
-        ref, soa = EventQueue(), ArrayEventQueue()
+        ref, queue = ArrayEventQueue(), EventQueue()
         for t, kind in pushes:
             ref.push(t, kind, payload=(t, kind))
-            soa.push(t, kind, payload=(t, kind))
+            queue.push(t, kind, payload=(t, kind))
         for pt in sorted(pop_times):
             a = ref.pop_until(pt)
-            b = soa.pop_until(pt)
+            b = queue.pop_until(pt)
             assert [(e.time, e.seq, e.kind, e.payload) for e in a] == [
                 (e.time, e.seq, e.kind, e.payload) for e in b
             ]
-            assert ref.peek_time() == soa.peek_time()
-            assert len(ref) == len(soa)
+            assert ref.peek_time() == queue.peek_time()
+            assert len(ref) == len(queue)
 
     def test_ulp_tie_storm_at_large_clock(self):
         # many near-identical times around t=1e6: pop order must match
@@ -151,13 +151,57 @@ class TestQueueEquivalence:
         for _ in range(5):
             times.append(float(np.nextafter(times[-1], np.inf)))
         times += [t + 1e-3, t - 1e-3]
-        ref, soa = EventQueue(), ArrayEventQueue()
+        ref, queue = ArrayEventQueue(), EventQueue()
         for i, tt in enumerate(times):
             ref.push(tt, EventKind.WAKEUP, i)
-            soa.push(tt, EventKind.WAKEUP, i)
+            queue.push(tt, EventKind.WAKEUP, i)
         a = ref.pop_until(t)
-        b = soa.pop_until(t)
+        b = queue.pop_until(t)
         assert [e.payload for e in a] == [e.payload for e in b]
         # the ulp chain and the earlier event are ties, the +1e-3 is not
         assert len(a) == len(times) - 1
-        assert len(ref) == len(soa) == 1
+        assert len(ref) == len(queue) == 1
+
+
+def _oracle_kinds(ref):
+    """A scan of the oracle's queued kind codes, as one count per kind."""
+    codes = ref._kind[: len(ref)]
+    return {kind: int((codes == code).sum()) for code, kind in enumerate(EventKind)}
+
+
+class TestPendingCounts:
+    """The queue's per-kind counts against a scan of the oracle heap."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("push"),
+                    st.floats(min_value=0, max_value=1e3, allow_nan=False),
+                    st.sampled_from(list(EventKind)),
+                ),
+                st.tuples(
+                    st.just("pop"),
+                    st.floats(min_value=0, max_value=1e3, allow_nan=False),
+                ),
+            ),
+            max_size=80,
+        )
+    )
+    def test_counts_equal_oracle_scan_after_every_call(self, ops):
+        ref, queue = ArrayEventQueue(), EventQueue()
+        for op in ops:
+            if op[0] == "push":
+                ref.push(op[1], op[2])
+                queue.push(op[1], op[2])
+            else:
+                assert [e.seq for e in ref.pop_until(op[1])] == [
+                    e.seq for e in queue.pop_until(op[1])
+                ]
+            assert queue._pending == _oracle_kinds(ref)
+            for kind in EventKind:
+                assert queue.has_pending(kind) == ref.has_pending(kind)
+            assert queue.has_pending(
+                EventKind.JOB_ARRIVAL, EventKind.ACTIVITY_START
+            ) == ref.has_pending(EventKind.JOB_ARRIVAL, EventKind.ACTIVITY_START)
+            assert queue.has_pending() == ref.has_pending()

@@ -313,3 +313,76 @@ class TestAvailabilityPlane:
         # age = 4 - 5 = -1 s  ->  factor 1 - (-1 / 10) = 1.1
         assert avail.get("diskw") == 200 - 50 * (1.0 - (4.0 - 5.0) / 10.0)
         assert avail.get("diskw") < 200 - 50
+
+
+def full_walk_ramp_rows(tracker, machine_ids, time):
+    """The allowance summed over *every* live record of each machine in
+    placement order — the walk ``_ramp_rows`` cuts short at the first
+    record too old to contribute."""
+    out = np.zeros((len(machine_ids), tracker.cluster.model.dims))
+    ramp = tracker.config.ramp_seconds
+    if ramp <= 0:
+        return out
+    for k, machine_id in enumerate(machine_ids):
+        row = out[k]
+        for placed_time, _, booked in tracker._by_machine[machine_id].values():
+            age = time - placed_time
+            if age < ramp:
+                row += booked.data * (1.0 - age / ramp)
+    return out
+
+
+class TestNewestFirstRampWalk:
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("place"), st.integers(0, 2), _demand, _gap),
+                st.tuples(st.just("replace"), st.integers(0, 40), _gap),
+                st.tuples(st.just("finish"), st.integers(0, 40)),
+                st.tuples(st.just("report"), _gap),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.sampled_from([3.0, 10.0]),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_equals_full_walk(self, ops, ramp):
+        """Placements on a clock that runs ahead of the last report
+        (negative ages), re-placements that move a record to the end,
+        and completions: after every step, the allowance rows at the
+        last report, at the clock and between them equal the full walk
+        bit for bit."""
+        cluster = Cluster(3, machines_per_rack=3)
+        tracker = ResourceTracker(cluster, TrackerConfig(ramp_seconds=ramp))
+        flows = FlowTable(
+            cluster.model, [m.capacity.data for m in cluster.machines]
+        )
+        now = 0.0
+        live = []  # (task, machine_id, booked)
+        machine_ids = [0, 1, 2]
+        for op in ops:
+            if op[0] == "place":
+                _, machine_id, demand, gap = op
+                now += gap
+                task = make_task()
+                booked = DEFAULT_MODEL.vector(**demand)
+                tracker.note_placement(task, machine_id, booked, now)
+                live.append((task, machine_id, booked))
+            elif op[0] == "replace" and live:
+                _, pick, gap = op
+                now += gap
+                task, machine_id, booked = live.pop(pick % len(live))
+                machine_id = (machine_id + 1) % 3
+                tracker.note_placement(task, machine_id, booked, now)
+                live.append((task, machine_id, booked))
+            elif op[0] == "finish" and live:
+                tracker.note_completion(live.pop(op[1] % len(live))[0])
+            elif op[0] == "report":
+                now += op[1]
+                tracker.report(now, flows)
+            report = tracker.last_report_time
+            for time in (report, now, (report + now) / 2, now + ramp / 2):
+                got = tracker._ramp_rows(machine_ids, time)
+                want = full_walk_ramp_rows(tracker, machine_ids, time)
+                assert got.tobytes() == want.tobytes()

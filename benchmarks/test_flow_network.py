@@ -11,6 +11,9 @@ faster than the heartbeat-time greedy match.
 import time
 
 import pytest
+
+pytest.importorskip("networkx")  # the `flow` extra
+
 from conftest import print_table
 
 from repro.cluster.cluster import Cluster

@@ -26,6 +26,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.resources import ordered_sum
+
 __all__ = [
     "MotivatingExample",
     "RoundSchedule",
@@ -240,8 +242,8 @@ def packing_schedule(
         if not fitting:
             return None
         # Tetris's combined score a - (a_bar/p_bar) * p  (Section 3.3.2)
-        a_bar = sum(f[1] for f in fitting) / len(fitting)
-        p_bar = sum(f[2] for f in fitting) / len(fitting)
+        a_bar = ordered_sum(f[1] for f in fitting) / len(fitting)
+        p_bar = ordered_sum(f[2] for f in fitting) / len(fitting)
         epsilon = a_bar / p_bar if p_bar > 0 else 0.0
         return max(fitting, key=lambda f: f[1] - epsilon * f[2])[0]
 

@@ -32,12 +32,26 @@ __all__ = [
     "ResourceVector",
     "DEFAULT_MODEL",
     "FB_MACHINE_CAPACITY",
+    "ordered_sum",
 ]
 
 #: Comparison slack for capacity checks, in absolute units.  Fluid rates are
 #: MB/s (order 1e2) and rigid units are cores/GB (order 1e1), so 1e-9 is far
 #: below any meaningful quantity.
 EPSILON = 1e-9
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right from 0.0, on every interpreter alike.
+
+    From Python 3.12 the builtin ``sum()`` adds floats with compensated
+    summation, so its result can differ from 3.11's in the last bits, and
+    a last-bit difference can change a placement.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class ResourceModel:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.resources import ordered_sum
 from repro.schedulers.base import Placement
 from repro.schedulers.slot_fair import SlotFairScheduler
 from repro.workload.job import Job
@@ -41,7 +42,7 @@ class CapacityScheduler(SlotFairScheduler):
     ):
         super().__init__(slot_mem_gb=slot_mem_gb)
         if queue_shares is not None:
-            total = float(sum(queue_shares))
+            total = ordered_sum(queue_shares)
             if total <= 0 or any(s < 0 for s in queue_shares):
                 raise ValueError("queue shares must be non-negative, sum > 0")
             self.queue_shares = [s / total for s in queue_shares]

@@ -15,6 +15,11 @@ progressively more expensive per locality level) and a high price for
 leaving a task unscheduled; machine capacities come from memory-defined
 slots, as in the original system.
 
+networkx is an optional dependency (the ``flow`` extra, ``pip install
+'repro[flow]'``): it is imported where the graph is built and solved, so
+importing :mod:`repro` never loads it, and constructing this scheduler
+without it raises an :class:`ImportError` that names the extra.
+
 Simplifications vs. the real Quincy: no preemption (consistent with the
 rest of this reproduction), slot capacities instead of Quincy's
 min-flow bounds, and one global round per invocation instead of
@@ -27,14 +32,15 @@ per-round decision latency against Tetris's greedy matching
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.schedulers.base import Placement, Scheduler
 from repro.schedulers.stage_index import StageIndex
 from repro.workload.job import Job
 from repro.workload.task import Task, TaskState
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["FlowNetworkScheduler"]
 
@@ -66,6 +72,13 @@ class FlowNetworkScheduler(Scheduler):
         max_tasks_per_round: int = 500,
     ):
         super().__init__()
+        try:
+            import networkx  # noqa: F401
+        except ImportError as exc:
+            raise ImportError(
+                "the flow-network scheduler needs networkx: "
+                "pip install 'repro[flow]'"
+            ) from exc
         if slot_mem_gb <= 0:
             raise ValueError("slot size must be positive")
         if max_tasks_per_round <= 0:
@@ -126,6 +139,8 @@ class FlowNetworkScheduler(Scheduler):
 
     def build_network(self, tasks: List[Task]) -> nx.DiGraph:
         """The Quincy graph for one round (exposed for benchmarking)."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         topo = self.cluster.topology
         demand_total = len(tasks)
@@ -209,6 +224,8 @@ class FlowNetworkScheduler(Scheduler):
     def schedule(
         self, time: float, machine_ids: Optional[List[int]] = None
     ) -> List[Placement]:
+        import networkx as nx
+
         tasks = self._runnable_tasks()
         if not tasks:
             return []

@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.resources import EPSILON, ResourceVector
+from repro.resources import EPSILON, ResourceVector, ordered_sum
 from repro.schedulers.alignment import (
     AlignmentScorer,
     get_scorer,
@@ -1329,8 +1329,8 @@ class TetrisScheduler(Scheduler):
         n = len(alignments)
         if n == 0:
             return 0.0
-        a_bar = sum(alignments) / n
-        p_bar = sum(works) / n
+        a_bar = ordered_sum(alignments) / n
+        p_bar = ordered_sum(works) / n
         return (a_bar / p_bar) if p_bar > 0 else 0.0
 
     def _pick_best(

@@ -23,7 +23,7 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.topology import Topology
-from repro.resources import ResourceVector
+from repro.resources import ResourceVector, ordered_sum
 from repro.sim.fluid import FlowSpec
 from repro.workload.task import NEGLIGIBLE_WORK, Task
 
@@ -107,7 +107,7 @@ def build_flows(
 
     if remote_by_source:
         netin = demands.get("netin")
-        total_remote = sum(remote_by_source.values())
+        total_remote = ordered_sum(remote_by_source.values())
         aggregate_rate = netin if netin > 0 else FALLBACK_RATE_MBPS
         for source, size_mb in sorted(remote_by_source.items()):
             rate = aggregate_rate * (size_mb / total_remote)

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.resources import ResourceVector
+from repro.resources import ResourceVector, ordered_sum
 
 __all__ = ["Task", "TaskInput", "TaskState", "TaskWork", "NEGLIGIBLE_WORK"]
 
@@ -140,7 +140,7 @@ class Task:
     # -- size helpers -------------------------------------------------------
     @property
     def input_mb(self) -> float:
-        return sum(inp.size_mb for inp in self.inputs)
+        return ordered_sum(inp.size_mb for inp in self.inputs)
 
     def nominal_duration(self) -> float:
         """Duration at peak rates with all-local input and no contention.
@@ -164,7 +164,7 @@ class Task:
 
     def remote_input_mb(self, machine_id: int) -> float:
         """Megabytes that must cross the network if placed on ``machine_id``."""
-        return sum(
+        return ordered_sum(
             inp.size_mb for inp in self.inputs if not inp.is_local_to(machine_id)
         )
 

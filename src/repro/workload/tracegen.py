@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.resources import ordered_sum
 from repro.workload.trace import TraceJob, TraceStage
 
 __all__ = [
@@ -390,7 +391,7 @@ def _bing_stages(
             netin = max(profile["net"], profile["disk"] / 4.0)
             diskr = profile["disk"]
         else:
-            upstream_total = sum(
+            upstream_total = ordered_sum(
                 output_total[p] for p in parents[name]
             )
             num_tasks = max(

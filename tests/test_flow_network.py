@@ -2,6 +2,8 @@
 
 import pytest
 
+pytest.importorskip("networkx")  # the `flow` extra
+
 from repro.cluster.cluster import Cluster
 from repro.schedulers.flow_network import FlowNetworkScheduler
 from repro.sim.engine import Engine

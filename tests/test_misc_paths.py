@@ -19,6 +19,10 @@ from conftest import make_simple_job, make_task
 
 
 class TestFlowNetworkAggregatedRoute:
+    @pytest.fixture(autouse=True)
+    def _needs_networkx(self):
+        pytest.importorskip("networkx")  # the `flow` extra
+
     def test_tasks_without_locality_still_placed(self):
         """Tasks with no replica preference route through the cluster
         aggregator and land wherever slots exist."""

@@ -9,11 +9,21 @@ from repro.resources import (
     FB_MACHINE_CAPACITY,
     ResourceModel,
     ResourceVector,
+    ordered_sum,
 )
 
 
 def vec(**kw):
     return DEFAULT_MODEL.vector(**kw)
+
+
+class TestOrderedSum:
+    """Left-to-right float sums, whatever the interpreter's ``sum()``."""
+
+    def test_tenths_round_as_plain_addition(self):
+        # sum() gives 0.9999999999999999 on 3.11 and 1.0 from 3.12
+        assert ordered_sum([0.1] * 10) == 0.9999999999999999
+        assert ordered_sum([]) == 0.0
 
 
 class TestResourceModel:

@@ -106,3 +106,13 @@ class TestNominalDuration:
     def test_empty_task_zero_duration(self):
         task = Task(DEFAULT_MODEL.vector(cpu=1), TaskWork())
         assert task.nominal_duration() == 0.0
+
+
+class TestInputSizes:
+    def test_sums_do_not_depend_on_the_interpreter(self):
+        """Ten 0.1 MB inputs add left to right (1.0 under 3.12's sum())."""
+        inputs = [TaskInput(0.1, (0,)) for _ in range(10)]
+        task = make_task(inputs=inputs)
+        assert task.input_mb == 0.9999999999999999
+        assert task.remote_input_mb(1) == 0.9999999999999999
+        assert task.remote_input_mb(0) == 0.0

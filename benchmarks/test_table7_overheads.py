@@ -8,6 +8,9 @@ grows — the cost must stay small and grow sublinearly in tasks (it is
 stage-structured, not task-structured).
 """
 
+from statistics import mean, median
+from time import perf_counter
+
 import pytest
 from conftest import print_table
 
@@ -17,6 +20,10 @@ from repro.workload.job import Job
 from repro.workload.stage import Stage
 from repro.workload.task import Task, TaskWork
 from repro.resources import DEFAULT_MODEL
+
+
+#: heartbeats timed by hand when pytest-benchmark's timing is off
+HEARTBEATS = 50
 
 
 def _pending_state(num_jobs, tasks_per_job, num_machines=50,
@@ -60,17 +67,29 @@ def test_table7_heartbeat_matching_cost(benchmark, pending, vectorized):
     )
 
     # one node-manager heartbeat = match tasks for one machine
-    result = benchmark(scheduler.schedule, 0.0, [0])
+    benchmark(scheduler.schedule, 0.0, [0])
 
-    stats = benchmark.stats.stats
+    if benchmark.stats is not None:
+        heartbeat_mean = benchmark.stats.stats.mean
+        heartbeat_median = benchmark.stats.stats.median
+    else:
+        # under --benchmark-disable the fixture ran the heartbeat once,
+        # untimed: time a fixed count of them here
+        times = []
+        for _ in range(HEARTBEATS):
+            start = perf_counter()
+            scheduler.schedule(0.0, [0])
+            times.append(perf_counter() - start)
+        heartbeat_mean = mean(times)
+        heartbeat_median = median(times)
     path = "vectorized" if vectorized else "scalar"
     print_table(
         f"Table 7: NM-heartbeat matching cost ({path}), {pending} pending "
         "tasks (paper: <1 ms)",
         ["metric", "value"],
-        [("mean (ms)", stats.mean * 1e3),
-         ("median (ms)", stats.median * 1e3)],
+        [("mean (ms)", heartbeat_mean * 1e3),
+         ("median (ms)", heartbeat_median * 1e3)],
     )
     # the decision must stay interactive: well under 50 ms even in
     # pure Python with 50K pending tasks
-    assert stats.mean < 0.05
+    assert heartbeat_mean < 0.05

@@ -20,25 +20,31 @@ The paper evaluated these candidates (Section 5.3.1, Table 8):
 
 Each scorer exposes two entry points:
 
-- :meth:`AlignmentScorer.score` — the scalar reference oracle, one
-  (demand, available) pair at a time;
-- :meth:`AlignmentScorer.score_batch` — the vectorized hot path: an
-  ``(N, dims)`` matrix of normalized demand rows against one availability
-  row, returning all N scores in one pass.  Implementations are written
-  so batch and scalar results are *bit-identical* (same elementwise
-  operations, same reduction order), which is what lets the vectorized
-  Tetris packing engine reproduce the scalar scheduler's placements
-  exactly.
+- :meth:`AlignmentScorer.score` — one (demand, available) pair of plain
+  float sequences.  It is both the reference oracle and the hot path:
+  the Tetris fill loop scores the few rows that fit a machine through
+  it;
+- :meth:`AlignmentScorer.score_batch` — an ``(N, dims)`` matrix of
+  normalized demand rows against one availability row, all N scores in
+  a few numpy passes, for the visits where many rows fit.
+
+Both reduce left to right from 0.0 (numpy's ``sum`` switches to
+pairwise summation from eight elements on), with the same elementwise
+operations, so their results are *bit-identical*.  That is what lets
+the Tetris packing engine reproduce the scalar scheduler's placements
+exactly whichever entry point scored a row.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Type
+import math
+import operator
+from typing import Dict, Sequence, Type
 
 import numpy as np
 
-from repro.resources import EPSILON, ResourceVector
+from repro.resources import EPSILON, ordered_sum
 
 __all__ = [
     "AlignmentScorer",
@@ -52,6 +58,16 @@ __all__ = [
 ]
 
 
+def _row_sums(matrix: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right from 0.0 like
+    :func:`ordered_sum` (``sum(axis=1)`` goes pairwise from eight
+    columns on)."""
+    out = np.zeros(matrix.shape[0])
+    for column in matrix.T:
+        out += column
+    return out
+
+
 class AlignmentScorer(abc.ABC):
     """Scores a (normalized demand, normalized availability) pair."""
 
@@ -59,7 +75,7 @@ class AlignmentScorer(abc.ABC):
 
     @abc.abstractmethod
     def score(
-        self, demand: ResourceVector, available: ResourceVector
+        self, demand: Sequence[float], available: Sequence[float]
     ) -> float:
         """Higher scores are scheduled first."""
 
@@ -83,16 +99,14 @@ class CosineAlignment(AlignmentScorer):
     name = "cosine"
 
     def score(
-        self, demand: ResourceVector, available: ResourceVector
+        self, demand: Sequence[float], available: Sequence[float]
     ) -> float:
-        # elementwise product + axis sum (not BLAS dot) so the batched
-        # path below reduces in exactly the same order
-        return float((demand.data * available.data).sum())
+        return ordered_sum(map(operator.mul, demand, available))
 
     def score_batch(
         self, demands: np.ndarray, available: np.ndarray
     ) -> np.ndarray:
-        return (demands * available).sum(axis=1)
+        return _row_sums(demands * available)
 
 
 class L2NormDiffAlignment(AlignmentScorer):
@@ -101,16 +115,15 @@ class L2NormDiffAlignment(AlignmentScorer):
     name = "l2norm-diff"
 
     def score(
-        self, demand: ResourceVector, available: ResourceVector
+        self, demand: Sequence[float], available: Sequence[float]
     ) -> float:
-        diff = demand.data - available.data
-        return -float((diff * diff).sum())
+        return -ordered_sum(d * d for d in map(operator.sub, demand, available))
 
     def score_batch(
         self, demands: np.ndarray, available: np.ndarray
     ) -> np.ndarray:
         diff = demands - available
-        return -(diff * diff).sum(axis=1)
+        return -_row_sums(diff * diff)
 
 
 class L2NormRatioAlignment(AlignmentScorer):
@@ -119,20 +132,20 @@ class L2NormRatioAlignment(AlignmentScorer):
     name = "l2norm-ratio"
 
     def score(
-        self, demand: ResourceVector, available: ResourceVector
+        self, demand: Sequence[float], available: Sequence[float]
     ) -> float:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(
-                available.data > EPSILON, demand.data / available.data, 0.0
-            )
-        return float((ratio * ratio).sum())
+        total = 0.0
+        for d, a in zip(demand, available):
+            ratio = d / a if a > EPSILON else 0.0
+            total += ratio * ratio
+        return total
 
     def score_batch(
         self, demands: np.ndarray, available: np.ndarray
     ) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(available > EPSILON, demands / available, 0.0)
-        return (ratio * ratio).sum(axis=1)
+        return _row_sums(ratio * ratio)
 
 
 class FFDProdAlignment(AlignmentScorer):
@@ -141,12 +154,10 @@ class FFDProdAlignment(AlignmentScorer):
     name = "ffd-prod"
 
     def score(
-        self, demand: ResourceVector, available: ResourceVector
+        self, demand: Sequence[float], available: Sequence[float]
     ) -> float:
-        nonzero = demand.data[demand.data > EPSILON]
-        if nonzero.size == 0:
-            return 0.0
-        return float(np.prod(nonzero))
+        nonzero = [d for d in demand if d > EPSILON]
+        return math.prod(nonzero, start=1.0) if nonzero else 0.0
 
     def score_batch(
         self, demands: np.ndarray, available: np.ndarray
@@ -166,14 +177,14 @@ class FFDSumAlignment(AlignmentScorer):
     name = "ffd-sum"
 
     def score(
-        self, demand: ResourceVector, available: ResourceVector
+        self, demand: Sequence[float], available: Sequence[float]
     ) -> float:
-        return float(demand.data.sum())
+        return ordered_sum(demand)
 
     def score_batch(
         self, demands: np.ndarray, available: np.ndarray
     ) -> np.ndarray:
-        return demands.sum(axis=1)
+        return _row_sums(demands)
 
 
 ALIGNMENT_SCORERS: Dict[str, Type[AlignmentScorer]] = {

@@ -378,7 +378,8 @@ class CandidateIndex:
     ) -> None:
         """Overwrite stage ``si``'s two gathered rows (after a claim)."""
         rows = table.rows[si]
-        if rows.stale[:, machine_id].any():
+        stale = rows.stale
+        if stale[0, machine_id] or stale[1, machine_id]:
             self.resolve(rows, (machine_id,))
         k = rows.slot
         base = 2 * si
@@ -394,15 +395,17 @@ class RoundTable:
     pool slot); candidate row ``2 * si + slot`` is its locality-pool
     front (slot 0) or its stage-queue front (slot 1).  ``remaining``
     holds the per-row SRTF scores (the same doubles the scalar path
-    collects), ``barrier`` the per-row barrier flag, ``stage_row`` maps a
-    stage to its base row.  ``rep_verdicts`` holds the fill loop's
-    remote verdicts of slot-1 rows away from the rep's input holders,
-    where every machine reads through one transfer plan.
+    collects), ``barrier`` the per-row barrier flag, and
+    ``stage_remaining`` / ``stage_barrier`` the same per stage as plain
+    Python values; ``stage_row`` maps a stage to its base row.
+    ``rep_verdicts`` holds the fill loop's remote verdicts of slot-1
+    rows away from the rep's input holders, where every machine reads
+    through one transfer plan.
     """
 
     __slots__ = (
-        "index", "rows", "slots", "remaining", "barrier", "stage_row",
-        "num_rows", "rep_verdicts",
+        "index", "rows", "slots", "remaining", "barrier", "stage_remaining",
+        "stage_barrier", "stage_row", "num_rows", "rep_verdicts",
     )
 
     def __init__(
@@ -421,6 +424,8 @@ class RoundTable:
         # float64 round-trips the Python floats losslessly
         self.remaining = np.repeat(np.array(remaining, dtype=np.float64), 2)
         self.barrier = np.repeat(np.array(barrier, dtype=bool), 2)
+        self.stage_remaining = remaining
+        self.stage_barrier = barrier
         self.stage_row: Dict[int, int] = {
             r.stage.stage_id: 2 * si for si, r in enumerate(rows)
         }

@@ -36,11 +36,14 @@ Two execution strategies produce **identical placements**:
   and stage-queue front, booked on every machine and kept across rounds
   by dirty entries.  A round drops the machines on which no row fits
   (:class:`PlaceabilityPlane`); a visit gathers its machine's rows of
-  every round stage in one fancy index, and fits, alignment scores,
-  remote penalties and the combined score are a few numpy passes.  A
-  placement refreshes only the claimed stage's rows.  Rows are dropped
-  when estimates can move (task completions under a learning
-  estimator) and when a stage's shuffle inputs resolve.
+  every round stage in one fancy index, and each iteration fit-checks
+  them in one numpy comparison.  A lone row that fits wins unscored;
+  the few that fit otherwise (usually two) are scored in Python floats;
+  above ``_FLOAT_ROWS`` kept rows numpy's flat per-call cost wins and
+  the iteration scores them in numpy passes.  Both give the same
+  doubles.  A placement refreshes only the claimed stage's rows.  Rows
+  are dropped when estimates can move (task completions under a
+  learning estimator) and when a stage's shuffle inputs resolve.
 """
 
 from __future__ import annotations
@@ -79,6 +82,21 @@ __all__ = ["TetrisConfig", "TetrisScheduler"]
 #: on: below it the visits cost less than the placeability plane
 _PLANE_MIN_VISITS = 8
 
+#: a fill-loop iteration scores its kept rows in Python floats up to this
+#: many rows, above it in numpy passes: numpy's per-call cost is flat, the
+#: floats' grows per row, and the two cross at about nine rows
+#: (docs/performance.md, "The float path")
+_FLOAT_ROWS = 8
+
+
+def _normalized(
+    row: List[float], divisors: List[Optional[float]]
+) -> List[float]:
+    """``row`` masked and divided by capacity: ``row[j] / divisors[j]``,
+    0.0 where the divisor is None (dimension not considered, or no
+    capacity), as ``_masked(v).normalized_by(capacity)`` computes it."""
+    return [d / c if c is not None else 0.0 for d, c in zip(row, divisors)]
+
 
 @dataclass(frozen=True)
 class TetrisConfig:
@@ -110,11 +128,11 @@ class TetrisConfig:
       the progress they have already made, so a job whose last wave is
       almost done looks as short as it really is.  Off by default,
       matching the published system;
-    - ``vectorized``: use the batched packing engine (cached demand
-      vectors + one numpy pass per machine round).  Placements are
-      identical to the scalar path; flip off to run the scalar
-      reference oracle.  Every scorer implements ``score_batch`` (it
-      is abstract on :class:`AlignmentScorer`).
+    - ``vectorized``: use the batched packing engine (candidate rows
+      kept across rounds, one numpy fit check per fill-loop iteration,
+      the kept rows scored in floats or, above ``_FLOAT_ROWS`` rows,
+      in numpy passes).  Placements are identical to the scalar path;
+      flip off to run the scalar reference oracle.
     """
 
     fairness_knob: float = 0.25
@@ -210,6 +228,7 @@ class TetrisScheduler(Scheduler):
         self._round_table: Optional[RoundTable] = None
         self._dims_mask: Optional[np.ndarray] = None
         self._mask_all = True
+        self._divisors: List[List[Optional[float]]] = []
         self._masked_names: Tuple[str, ...] = ()
         self._use_vectorized = self.config.vectorized
         self._i_netout = 0
@@ -281,6 +300,17 @@ class TetrisScheduler(Scheduler):
         super().bind(cluster, estimator=estimator, tracker=tracker)
         self._dims_mask = cluster.model.mask(self.config.considered_dims)
         self._mask_all = bool(self._dims_mask.all())
+        # the float path's normalization, per machine (capacities are
+        # fixed): a considered dimension with non-zero capacity is
+        # divided by it, every other one reads 0.0
+        dims_on = self._dims_mask.tolist()
+        self._divisors = [
+            [
+                c if on and c > EPSILON else None
+                for c, on in zip(m.capacity.data.tolist(), dims_on)
+            ]
+            for m in cluster.machines
+        ]
         self.candidates.bind(
             self.estimated_demands, self.index, cluster, self._dims_mask
         )
@@ -618,7 +648,9 @@ class TetrisScheduler(Scheduler):
             capacity = self.cluster.machine(machine_id).capacity
         demand_norm = self._masked(booked).normalized_by(capacity)
         free_norm = self._masked(free).normalized_by(capacity)
-        score = self.scorer.score(demand_norm, free_norm)
+        score = self.scorer.score(
+            demand_norm.data.tolist(), free_norm.data.tolist()
+        )
         if remote:
             score *= 1.0 - self.config.remote_penalty
         return score
@@ -872,7 +904,8 @@ class TetrisScheduler(Scheduler):
                 via=via,
                 **(score_info or {}),
             )
-        return (free - booked).clamp_nonnegative()
+        # ``(free - booked).clamp_nonnegative()`` without its temporaries
+        return ResourceVector(free.model, np.maximum(free.data - booked.data, 0.0))
 
     def _fill_loop_scalar(
         self,
@@ -1045,12 +1078,16 @@ class TetrisScheduler(Scheduler):
         A visit gathers the machine's two rows of every round stage
         (booked vectors, remote flags, active flags) from the stages'
         maintained :class:`StageRows`; the per-job SRTF scores and the
-        barrier flags are round constants.  Each iteration is pure numpy
-        over the live rows: one comparison for the fit checks (the free
-        vector shrinks every placement), the capacity normalization of
-        the kept rows (the elementwise division of the scalar path), one
-        ``score_batch`` call for the alignments, and elementwise ops for
-        the remote penalty and combined score.  Rows needing a
+        barrier flags are round constants.  Each iteration fit-checks
+        the live rows in one numpy comparison (the free vector shrinks
+        every placement).  A lone kept row wins unscored (unless a
+        trace wants its scores).  Up to ``_FLOAT_ROWS`` kept rows are
+        scored in Python floats: the capacity normalization (the
+        elementwise division of the scalar path), the scorer's
+        :meth:`~AlignmentScorer.score`, the remote penalty, ε, the
+        combined score, the barrier pool and a first-max argmax.  More
+        kept rows take :meth:`_score_rows_numpy`'s numpy passes, with
+        the same operations on the same doubles.  Rows needing a
         remote-headroom check are re-validated whenever the grant ledger
         moved since they last passed; rows without remote input skip
         the check, which is trivially true for them.  A placement
@@ -1075,12 +1112,15 @@ class TetrisScheduler(Scheduler):
         placements: List[Placement] = []
         model = self.cluster.model
         cap = self.cluster.machine(machine_id).capacity.data
-        nz = cap > EPSILON
-        nz_all = bool(nz.all())
+        divisors = self._divisors[machine_id]
         mask = self._dims_mask
         mask_all = self._mask_all
+        score = self.scorer.score
+        penalty = 1.0 - cfg.remote_penalty
         trace = self.trace
         table = self._round_table
+        stage_remaining = table.stage_remaining
+        stage_barrier = table.stage_barrier
         index = self.candidates
         booked, remote, active = index.gather(table, machine_id)
         # remote verdicts: row -> the grant generation it passed at, or
@@ -1092,12 +1132,16 @@ class TetrisScheduler(Scheduler):
         verdicts: Dict[int, object] = {}
         shared = table.rep_verdicts
         while True:
+            # ``np.logical_and.reduce`` is ``.all`` without its Python
+            # wrapper, a microsecond per iteration
             if mask_all:
-                fit = (booked <= free.data + EPSILON).all(axis=1)
+                fit = np.logical_and.reduce(
+                    booked <= free.data + EPSILON, axis=1
+                )
             else:
-                fit = (
-                    booked[:, mask] <= free.data[mask] + EPSILON
-                ).all(axis=1)
+                fit = np.logical_and.reduce(
+                    booked[:, mask] <= free.data[mask] + EPSILON, axis=1
+                )
             fit &= active
             keep = fit.nonzero()[0]
             remote_flags = remote[keep]
@@ -1141,36 +1185,44 @@ class TetrisScheduler(Scheduler):
                         entries, machine_id, time, 0.0
                     )
                 break
-            # masked, then divided by capacity where it is non-zero: the
-            # elementwise ops of ``_masked(v).normalized_by(capacity)``
-            demand = booked[keep]
-            free_row = free.data
-            if not mask_all:
-                demand = np.where(mask, demand, 0.0)
-                free_row = np.where(mask, free_row, 0.0)
-            if nz_all:
-                demand = demand / cap
-                free_row = free_row / cap
+            if trace is None and keep.size == 1:
+                # a lone kept row wins whatever it scores
+                best_k = 0
+            elif keep.size <= _FLOAT_ROWS:
+                # the few kept rows, in Python floats: every operation
+                # is the numpy pass's below, on the same doubles
+                rows = keep.tolist()
+                flags = remote_flags.tolist()
+                free_norm = _normalized(free.data.tolist(), divisors)
+                align = []
+                for i, flag in zip(rows, flags):
+                    # a basic index per row: fancy ``booked[keep]`` costs
+                    # more than the few views
+                    a = score(_normalized(booked[i].tolist(), divisors), free_norm)
+                    align.append(a * penalty if flag else a)
+                kept_remaining = [stage_remaining[i >> 1] for i in rows]
+                epsilon = self._epsilon(align, kept_remaining)
+                srtf_weight = cfg.srtf_multiplier * epsilon
+                weight = cfg.alignment_weight
+                scores = [
+                    weight * a - srtf_weight * p
+                    for a, p in zip(align, kept_remaining)
+                ]
+                pool = [
+                    k for k, i in enumerate(rows) if stage_barrier[i >> 1]
+                ] or None
+                # first max, like numpy's argmax
+                best_k = max(
+                    range(len(rows)) if pool is None else pool,
+                    key=scores.__getitem__,
+                )
             else:
-                demand = np.divide(
-                    demand, cap, out=np.zeros_like(demand), where=nz
+                kept_remaining = table.remaining[keep]
+                align, epsilon, scores, pool, best_k = self._score_rows_numpy(
+                    booked[keep], free.data, cap, remote_flags,
+                    kept_remaining, table.barrier[keep],
                 )
-                free_row = np.divide(
-                    free_row, cap, out=np.zeros_like(free_row), where=nz
-                )
-            align = self.scorer.score_batch(demand, free_row)
-            if remote_flags.any():
-                align = np.where(
-                    remote_flags, align * (1.0 - cfg.remote_penalty), align
-                )
-            kept_remaining = table.remaining[keep]
-            epsilon = self._epsilon(
-                align.tolist(), kept_remaining.tolist()
-            )
-            srtf_weight = cfg.srtf_multiplier * epsilon
-            scores = (
-                cfg.alignment_weight * align - srtf_weight * kept_remaining
-            )
+                srtf_weight = cfg.srtf_multiplier * epsilon
             if trace is not None:
                 pos = {int(i): k for k, i in enumerate(keep)}
                 entries = []
@@ -1197,28 +1249,21 @@ class TetrisScheduler(Scheduler):
                     else:
                         entries.append(("remote", task))
                 self._emit_decision_entries(entries, machine_id, time, epsilon)
-            barrier_flags = table.barrier[keep]
-            pool = None
-            if barrier_flags.any():
-                pool = np.nonzero(barrier_flags)[0]
-                best_k = int(pool[np.argmax(scores[pool])])
-                if trace is not None:
+                if pool is not None:
                     trace.emit(
                         "barrier_filter",
                         time=time,
                         machine=machine_id,
-                        barrier_candidates=int(pool.size),
+                        barrier_candidates=len(pool),
                         candidates=len(keep),
                     )
-            else:
-                best_k = int(np.argmax(scores))
             best_i = int(keep[best_k])
             best_task = table.task_at(best_i, machine_id)
             score_info = None
             if trace is not None:
-                # mirror of the scalar path's decomposition; the array
-                # entries are the same doubles the scalar loop computes,
-                # so every emitted term matches bit-for-bit
+                # mirror of the scalar path's decomposition; the entries
+                # are the same doubles the scalar loop computes, so every
+                # emitted term matches bit-for-bit
                 pool_positions = (
                     [int(k) for k in pool]
                     if pool is not None
@@ -1257,6 +1302,48 @@ class TetrisScheduler(Scheduler):
             verdicts.pop(base, None)
             verdicts.pop(base + 1, None)
         return placements
+
+    def _score_rows_numpy(
+        self,
+        demand: np.ndarray,
+        free_row: np.ndarray,
+        cap: np.ndarray,
+        remote_flags: np.ndarray,
+        kept_remaining: np.ndarray,
+        barrier_flags: np.ndarray,
+    ) -> tuple:
+        """The fill loop's scoring of many kept rows, in numpy passes:
+        ``(align, epsilon, scores, pool, best)`` with ``pool`` the
+        barrier rows' positions (None without any) and ``best`` the
+        winner's position."""
+        cfg = self.config
+        # masked, then divided by capacity where it is non-zero: the
+        # elementwise ops of ``_masked(v).normalized_by(capacity)``
+        if not self._mask_all:
+            mask = self._dims_mask
+            demand = np.where(mask, demand, 0.0)
+            free_row = np.where(mask, free_row, 0.0)
+        nz = cap > EPSILON
+        if nz.all():
+            demand = demand / cap
+            free_row = free_row / cap
+        else:
+            demand = np.divide(demand, cap, out=np.zeros_like(demand), where=nz)
+            free_row = np.divide(
+                free_row, cap, out=np.zeros_like(free_row), where=nz
+            )
+        align = self.scorer.score_batch(demand, free_row)
+        if remote_flags.any():
+            align = np.where(
+                remote_flags, align * (1.0 - cfg.remote_penalty), align
+            )
+        epsilon = self._epsilon(align.tolist(), kept_remaining.tolist())
+        srtf_weight = cfg.srtf_multiplier * epsilon
+        scores = cfg.alignment_weight * align - srtf_weight * kept_remaining
+        if not barrier_flags.any():
+            return align, epsilon, scores, None, int(np.argmax(scores))
+        pool = np.nonzero(barrier_flags)[0]
+        return align, epsilon, scores, pool, int(pool[np.argmax(scores[pool])])
 
     def _remaining_work(self, job: Job, time: float) -> float:
         """The job's SRTF score, optionally progress-aware (§3.5).

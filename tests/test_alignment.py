@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.resources import DEFAULT_MODEL, ResourceVector
+from repro.resources import DEFAULT_MODEL, ResourceModel
 from repro.schedulers.alignment import (
     ALIGNMENT_SCORERS,
     AlignmentScorer,
@@ -17,7 +17,8 @@ from repro.schedulers.alignment import (
 
 
 def vec(**kw):
-    return DEFAULT_MODEL.vector(**kw)
+    """A normalized vector as the plain floats ``score`` takes."""
+    return DEFAULT_MODEL.vector(**kw).data.tolist()
 
 
 class TestRegistry:
@@ -104,32 +105,60 @@ class TestFFD:
 
 
 class TestScoreBatch:
-    """score_batch must reproduce the scalar oracle *bit-for-bit* — that
-    exactness is what makes the vectorized packing engine's placements
-    identical to the scalar scheduler's."""
+    """``score`` (plain floats) and ``score_batch`` (numpy) must agree
+    *bit-for-bit*: the Tetris fill loop scores a visit's kept rows
+    through either, depending on how many fit, and its placements must
+    not depend on which."""
 
-    def _rows(self, seed, n=40):
+    #: from nine dimensions on numpy's ``sum`` adds pairwise, not left
+    #: to right
+    NINE_DIMS = ResourceModel([f"r{i}" for i in range(9)])
+
+    def _rows(self, seed, dims, n=40):
         rng = np.random.default_rng(seed)
-        demands = rng.uniform(0.0, 1.0, size=(n, DEFAULT_MODEL.dims))
+        # magnitudes from 1e-6 to 1e6, so rounding differs by order
+        demands = rng.uniform(0.5, 1.0, size=(n, dims)) * 10.0 ** rng.integers(
+            -6, 7, size=(n, dims)
+        )
         # sprinkle exact zeros: FFD-Prod's active-dimension logic and
         # L2-Norm-Ratio's zero-availability guard must agree with scalar
         demands[rng.uniform(size=demands.shape) < 0.3] = 0.0
-        available = rng.uniform(0.0, 1.0, size=DEFAULT_MODEL.dims)
-        available[rng.uniform(size=available.shape) < 0.25] = 0.0
+        available = rng.uniform(0.5, 1.0, size=dims) * 10.0 ** rng.integers(
+            -6, 7, size=dims
+        )
+        available[rng.uniform(size=dims) < 0.25] = 0.0
+        # a clamped free vector can hold -0.0
+        available[rng.uniform(size=dims) < 0.25] = -0.0
         return demands, available
+
+    def _assert_bit_identical(self, name, seed, dims):
+        scorer = get_scorer(name)
+        demands, available = self._rows(seed, dims)
+        batch = scorer.score_batch(demands, available)
+        for i in range(demands.shape[0]):
+            scalar = scorer.score(demands[i].tolist(), available.tolist())
+            assert type(scalar) is float, name
+            # bytes, so that -0.0 and 0.0 differ too
+            assert batch[i].tobytes() == np.float64(scalar).tobytes(), (
+                name, i
+            )
 
     @pytest.mark.parametrize("name", sorted(ALIGNMENT_SCORERS))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_batch_matches_scalar_exactly(self, name, seed):
-        scorer = get_scorer(name)
-        demands, available = self._rows(seed)
-        batch = scorer.score_batch(demands, available)
-        avail_vec = ResourceVector(DEFAULT_MODEL, available.copy())
-        for i in range(demands.shape[0]):
-            scalar = scorer.score(
-                ResourceVector(DEFAULT_MODEL, demands[i].copy()), avail_vec
-            )
-            assert batch[i] == scalar, (name, i)
+        self._assert_bit_identical(name, seed, DEFAULT_MODEL.dims)
+
+    @pytest.mark.parametrize("name", sorted(ALIGNMENT_SCORERS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nine_dims_match_exactly(self, name, seed):
+        self._assert_bit_identical(name, seed, self.NINE_DIMS.dims)
+
+    def test_nine_dims_defeat_numpy_sum(self):
+        """The nine-dimension rows above would catch a scorer that
+        reduced with numpy's ``sum``: it rounds them differently."""
+        demands, available = self._rows(0, self.NINE_DIMS.dims)
+        left_to_right = get_scorer("cosine").score_batch(demands, available)
+        assert (left_to_right != (demands * available).sum(axis=1)).any()
 
     def test_base_scorer_has_no_batch(self):
         """``score_batch`` is abstract: a scorer must ship both paths."""

@@ -20,6 +20,7 @@ Covers:
 """
 
 import gc
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from repro.cluster.cluster import Cluster
 from repro.estimation.estimator import NoisyEstimator, ProfilingEstimator
 from repro.estimation.tracker import ResourceTracker
 from repro.resources import DEFAULT_MODEL, EPSILON, FB_MACHINE_CAPACITY
+from repro.schedulers import tetris as tetris_module
 from repro.schedulers.tetris import TetrisConfig, TetrisScheduler
 from repro.sim.engine import Engine, EngineConfig
 from repro.workload.job import Job
@@ -247,7 +249,14 @@ class TestEventStreamEquivalence:
     """PR 2 extends the equivalence bar: the vectorized path must emit
     the *same decision events* as the scalar oracle — every candidate
     score, rejection, filter and placement, in the same order, with
-    bit-identical floats."""
+    bit-identical floats.
+
+    A fill-loop iteration scores its kept rows in Python floats up to
+    ``_FLOAT_ROWS`` rows and in numpy passes above.  Every trace here
+    also runs with each iteration forced onto one side (``_FLOAT_ROWS``
+    at 0 and at a huge value); both runs' placement logs and decision
+    streams must be byte-equal to the oracle's, signed zeros included.
+    """
 
     def _streams(
         self, config_kwargs, trace_seed=7, estimator_factory=None, **run_kwargs
@@ -255,10 +264,10 @@ class TestEventStreamEquivalence:
         from repro.obs import DecisionTrace, validate_event
 
         trace = _workload(seed=trace_seed)
-        streams = []
-        for vectorized in (False, True):
+
+        def run(vectorized):
             sink = DecisionTrace(max_events=1_000_000)
-            _, sched = _run_engine(
+            placed, sched = _run_engine(
                 trace,
                 TetrisConfig(vectorized=vectorized, **config_kwargs),
                 decision_trace=sink,
@@ -271,8 +280,16 @@ class TestEventStreamEquivalence:
             events = sink.events()
             for event in events:
                 validate_event(event)
-            streams.append(events)
-        return streams
+            return placed, events
+
+        scalar = run(False)
+        oracle_bytes = json.dumps(scalar).encode()
+        for float_rows in (0, 10**9):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tetris_module, "_FLOAT_ROWS", float_rows)
+                forced = run(True)
+            assert json.dumps(forced).encode() == oracle_bytes, float_rows
+        return scalar[1], run(True)[1]
 
     def test_default_config(self):
         scalar, vector = self._streams({})
@@ -282,7 +299,7 @@ class TestEventStreamEquivalence:
         assert {"candidate", "fit_reject", "placement"} <= types
 
     @pytest.mark.parametrize(
-        "scorer", ["cosine", "l2norm-diff", "l2norm-ratio", "ffd-sum"]
+        "scorer", ["cosine", "l2norm-diff", "l2norm-ratio", "ffd-prod", "ffd-sum"]
     )
     def test_every_batchable_scorer(self, scorer):
         scalar, vector = self._streams({"scorer": scorer})
